@@ -1,185 +1,223 @@
-"""Numerical kernels: numba fast path with a pure-numpy fallback.
+"""Numerical kernels, vectorized with numpy.
 
-The backend is fixed at import time.  Setting the environment variable
-``ANOVAFOURIER_PURE_NUMPY`` to a non-empty value (or running without numba
-installed) selects the vectorized numpy implementations; otherwise the hot
-loops are compiled with ``numba.njit``.  ``BACKEND`` records the choice.
+The grouped Fourier products F c and F* y are per-term tensor contractions
+on per-axis phase powers (``fourier_layout``, ``fourier_forward``,
+``fourier_adjoint``): for each chunk of nodes one table of
+exp(2 pi i v x_s), v = -V_s..V_s, is built per axis from one cosine and
+sine per node, and each term's block becomes one matrix product on its
+first axis followed by products of table rows on its remaining axes.  The
+same path serves every block, box-shaped (full grid) or not (hyperbolic
+cross, weighted).  Nothing node-dependent is kept between calls.
 
-Determinism: parallel kernels assign disjoint output elements and run their
-inner accumulations in a fixed order, so results do not depend on the number
-of threads.
+Determinism: chunk sizes depend only on the inputs, every reduction runs in
+a fixed order, and every BLAS call is a matrix product with a short inner
+dimension (``_matmul``), so results do not depend on the number of BLAS
+threads.
 """
 
 from __future__ import annotations
 
 import math
-import os
+from typing import NamedTuple
 
 import numpy as np
 
-_PURE = bool(os.environ.get("ANOVAFOURIER_PURE_NUMPY", ""))
-
-if not _PURE:
-    try:
-        import numba
-        from numba import njit, prange
-    except ImportError:  # numba is the optional extra anovafourier[numba]
-        _PURE = True
-
-BACKEND = "numpy" if _PURE else "numba"
+#: the only backend; kept as a constant for tools that record it
+BACKEND = "numpy"
 
 # B-spline normalization constants; chosen so the L2 norm over [0,1) is 1.
 BSPLINE_NORM = {2: math.sqrt(3.0 / 4.0),
                 4: math.sqrt(315.0 / 604.0),
                 6: math.sqrt(277200.0 / 655177.0)}
 
-_NORM_ARR = np.zeros(7)
-for _j, _c in BSPLINE_NORM.items():
-    _NORM_ARR[_j] = _c
-
-
-def set_threads(n: int) -> None:
-    """Cap worker threads for the numba backend (no-op for numpy)."""
-    if BACKEND == "numba":
-        numba.set_num_threads(max(1, min(n, numba.config.NUMBA_NUM_THREADS)))
-
-
-def build_plan(embedded: np.ndarray):
-    """Phase-table plan for a set of embedded frequencies.
-
-    Per axis, the distinct nonzero frequency values form a small table; each
-    frequency is described by the table rows of its nonzero entries.  One
-    node then costs |table| sincos evaluations plus ~||k||_0 complex
-    multiplies per frequency, instead of one sincos per (node, frequency).
-
-    Returns (axis_vals, axis_of_row, sup_rows, sup_ptr): flat table values,
-    the axis owning each table row, and CSR-style support rows per frequency.
-    """
-    emb = np.asarray(embedded, dtype=np.int64)
-    n, d = emb.shape
-    axis_vals = []
-    axis_of_row = []
-    row_of = {}
-    for s in range(d):
-        vals = np.unique(emb[:, s])
-        for v in vals[vals != 0]:
-            row_of[(s, int(v))] = len(axis_vals)
-            axis_vals.append(float(v))
-            axis_of_row.append(s)
-    sup_rows = []
-    sup_ptr = np.zeros(n + 1, dtype=np.int64)
-    for k in range(n):
-        for s in np.flatnonzero(emb[k]):
-            sup_rows.append(row_of[(int(s), int(emb[k, s]))])
-        sup_ptr[k + 1] = len(sup_rows)
-    return (np.asarray(axis_vals, dtype=np.float64),
-            np.asarray(axis_of_row, dtype=np.int64),
-            np.asarray(sup_rows, dtype=np.int64),
-            sup_ptr)
-
-
-# ---------------------------------------------------------------------------
-# pure-numpy implementations
-# ---------------------------------------------------------------------------
-
 _CHUNK = 1 << 22  # bound temporary phase arrays to ~32 MB
+_KB = 128  # inner length of one BLAS matrix product
 
 
-def _phase_table_np(X, axis_vals, axis_of_row, conj=False):
-    t = X[:, axis_of_row] * axis_vals[None, :]
-    t -= np.floor(t)
-    sgn = -2j if conj else 2j
-    return np.exp(sgn * np.pi * t)
+class _TermLayout(NamedTuple):
+    """One term's block as a dense (P, n_a) matrix over phase-table rows.
+
+    Frequency i of the block sits at row ``pos_r[i]`` (its tuple on the
+    remaining axes) and column ``pos_a[i]`` (its value on the first axis).
+    ``rows_a`` and ``rows_rest`` are the table rows of those values; the
+    ``_adj`` variants hold the rows of the negated values (the conjugates).
+    """
+
+    block: slice           # coefficient positions in the grouped vector
+    rows_a: np.ndarray     # (n_a,)
+    rows_rest: tuple       # of (P,) arrays, one per remaining axis
+    rows_a_adj: np.ndarray
+    rows_rest_adj: tuple
+    pos_r: np.ndarray
+    pos_a: np.ndarray
 
 
-def _plan_groups(plan):
-    _, _, sup_rows, sup_ptr = plan
-    counts = np.diff(sup_ptr)
-    groups = []
-    for c in np.unique(counts):
-        sel = np.flatnonzero(counts == c)
-        if c == 0:
-            groups.append((0, sel, None))
-        else:
-            idx = np.stack([sup_rows[sup_ptr[k]:sup_ptr[k] + c] for k in sel])
-            groups.append((int(c), sel, idx))
-    return groups
+class FourierLayout(NamedTuple):
+    """Node-independent description of a grouped index set for the products."""
+
+    n: int             # number of frequencies
+    vmax: np.ndarray   # (d,) largest |k_s| per axis
+    const: tuple       # slices of zero-order blocks (the constant term)
+    terms: tuple       # of _TermLayout
+    p_max: int         # largest P over the terms
 
 
-def _plan_forward_np(X, plan, coeffs):
-    axis_vals, axis_of_row = plan[0], plan[1]
-    m = X.shape[0]
-    n = coeffs.shape[0]
-    groups = _plan_groups(plan)
-    out = np.zeros(m, dtype=np.complex128)
-    rows = max(1, _CHUNK // max(1, axis_vals.size + n))
-    for lo in range(0, m, rows):
-        hi = min(m, lo + rows)
-        tab = _phase_table_np(X[lo:hi], axis_vals, axis_of_row)
-        acc = np.zeros(hi - lo, dtype=np.complex128)
-        for c, sel, idx in groups:
-            if c == 0:
-                acc += coeffs[sel].sum()
-                continue
-            prod = tab[:, idx[:, 0]].copy()
-            for j in range(1, c):
-                prod *= tab[:, idx[:, j]]
-            acc += prod @ coeffs[sel]
-        out[lo:hi] = acc
+def _table_offsets(vmax) -> np.ndarray:
+    """Row of frequency 0 of each axis in the stacked phase table."""
+    return np.cumsum(2 * vmax + 1) - vmax - 1
+
+
+def fourier_layout(d: int, blocks) -> FourierLayout:
+    """Layout of ``(term, freqs)`` blocks in canonical coefficient order.
+
+    ``term`` holds 1-based axes and ``freqs`` its (n_u, |u|) frequencies;
+    the empty term's block is the constant term.
+    """
+    blocks = [(tuple(c - 1 for c in term), np.asarray(freqs, dtype=np.int64))
+              for term, freqs in blocks]
+    vmax = np.zeros(d, dtype=np.int64)
+    for axes, freqs in blocks:
+        if axes and freqs.shape[0]:
+            vmax[list(axes)] = np.maximum(vmax[list(axes)], np.abs(freqs).max(axis=0))
+    zero = _table_offsets(vmax)
+    const, terms = [], []
+    off, p_max = 0, 1
+    for axes, freqs in blocks:
+        block = slice(off, off + freqs.shape[0])
+        off += freqs.shape[0]
+        if not axes:
+            const.append(block)
+            continue
+        if freqs.shape[0] == 0:
+            continue
+        a_vals, pos_a = np.unique(freqs[:, 0], return_inverse=True)
+        rest, pos_r = np.unique(freqs[:, 1:], axis=0, return_inverse=True)
+        p_max = max(p_max, rest.shape[0])
+        terms.append(_TermLayout(
+            block, zero[axes[0]] + a_vals,
+            tuple(zero[s] + rest[:, j] for j, s in enumerate(axes[1:])),
+            zero[axes[0]] - a_vals,
+            tuple(zero[s] - rest[:, j] for j, s in enumerate(axes[1:])),
+            pos_r.reshape(-1), pos_a.reshape(-1)))
+    return FourierLayout(off, vmax, tuple(const), tuple(terms), p_max)
+
+
+def _matmul(A, B):
+    """A @ B with every BLAS call of inner length <= _KB and at least 2 x 2.
+
+    With more threads, BLAS re-blocks a long inner dimension and splits
+    matrix-vector products at other rows, which changes the rounding.  Fixed
+    inner blocks summed in a fixed order, and a zero row or column that turns
+    a matrix-vector product into a matrix product, keep the result the same
+    for every thread count.
+    """
+    m, k = A.shape
+    n = B.shape[1]
+    if m == 1:
+        return _matmul(np.concatenate([A, np.zeros_like(A)]), B)[:1]
+    if n == 1:
+        return _matmul(A, np.concatenate([B, np.zeros_like(B)], axis=1))[:, :1]
+    if k <= _KB:
+        return A @ B
+    kb = k - k % _KB
+    if m * n <= _KB * _KB:  # small result: one stacked product over the blocks
+        out = np.matmul(A[:, :kb].reshape(m, -1, _KB).transpose(1, 0, 2),
+                        B[:kb].reshape(-1, _KB, n)).sum(axis=0)
+    else:
+        out = A[:, :_KB] @ B[:_KB]
+        for lo in range(_KB, kb, _KB):
+            out += A[:, lo:lo + _KB] @ B[lo:lo + _KB]
+    if kb < k:
+        out += A[:, kb:] @ B[kb:]
     return out
 
 
-def _plan_adjoint_np(X, plan, y):
-    axis_vals, axis_of_row = plan[0], plan[1]
+def _chunk_rows(layout: FourierLayout) -> int:
+    return max(1, _CHUNK // (int(np.sum(2 * layout.vmax + 1)) + layout.p_max))
+
+
+def _phase_table(X: np.ndarray, vmax) -> np.ndarray:
+    """Stacked per-axis tables exp(2 pi i v x_s), v = -V_s..V_s, (rows, m).
+
+    Axis s occupies 2 V_s + 1 rows in order of v, with v = 0 at row
+    ``_table_offsets(vmax)[s]``.  One cosine and sine per node and axis give
+    v = 1; higher powers are binary products E[v] = E[v//2] E[v - v//2], and
+    negative v are conjugates.
+    """
+    zero = _table_offsets(vmax)
+    E = np.empty((int(np.sum(2 * vmax + 1)), X.shape[0]), dtype=np.complex128)
+    for s, V in enumerate(int(v) for v in vmax):
+        Es = E[zero[s] - V:zero[s] + V + 1]
+        Es[V] = 1.0
+        if V == 0:
+            continue
+        phase = 2.0 * np.pi * X[:, s]  # in place: np.exp's temporaries raise peak RSS
+        np.cos(phase, out=Es[V + 1].real)
+        np.sin(phase, out=Es[V + 1].imag)
+        for v in range(2, V + 1):
+            np.multiply(Es[V + v // 2], Es[V + v - v // 2], out=Es[V + v])
+        np.conjugate(Es[:V:-1], out=Es[:V])
+    return E
+
+
+def fourier_forward(X, layout: FourierLayout, coeffs) -> np.ndarray:
+    """F c at nodes X (m, d): per term, T = C @ E_a[A], then rows of the rest.
+
+    C is the term's coefficient block zero-filled to (P, n_a); T (P, m) is
+    multiplied by the gathered table rows E_j[rest_j] and summed over P.
+    """
+    X = np.asarray(X, dtype=np.float64)
+    coeffs = np.asarray(coeffs, dtype=np.complex128)
+    const = sum(complex(coeffs[b].sum()) for b in layout.const)
+    mats = []
+    for t in layout.terms:
+        C = np.zeros((t.rows_rest[0].size if t.rows_rest else 1, t.rows_a.size),
+                     dtype=np.complex128)
+        C[t.pos_r, t.pos_a] = coeffs[t.block]
+        mats.append(C)
     m = X.shape[0]
-    n = plan[3].shape[0] - 1
-    groups = _plan_groups(plan)
-    out = np.zeros(n, dtype=np.complex128)
-    rows = max(1, _CHUNK // max(1, axis_vals.size + n))
+    out = np.full(m, const, dtype=np.complex128)
+    rows = _chunk_rows(layout)
     for lo in range(0, m, rows):
         hi = min(m, lo + rows)
-        tab = _phase_table_np(X[lo:hi], axis_vals, axis_of_row, conj=True)
+        E = _phase_table(X[lo:hi], layout.vmax)
+        acc = out[lo:hi]
+        for t, C in zip(layout.terms, mats):
+            T = _matmul(C, E[t.rows_a])
+            for r in t.rows_rest:
+                T *= E[r]
+            acc += T.sum(axis=0)
+    return out
+
+
+def fourier_adjoint(X, layout: FourierLayout, y) -> np.ndarray:
+    """F* y: the forward contraction mirrored on conjugated table rows.
+
+    Conjugation is a row lookup, E[-v] = conj(E[v]).  Per term,
+    W = y * prod_j conj(E_j[rest_j]) (P, m) and G = conj(E_a[A]) @ W^T
+    (n_a, P); the block reads G at its (first value, rest) positions.
+    """
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y, dtype=np.complex128)
+    out = np.zeros(layout.n, dtype=np.complex128)
+    m = X.shape[0]
+    rows = _chunk_rows(layout)
+    for lo in range(0, m, rows):
+        hi = min(m, lo + rows)
         yc = y[lo:hi]
-        for c, sel, idx in groups:
-            if c == 0:
-                out[sel] += yc.sum()
-                continue
-            prod = tab[:, idx[:, 0]].copy()
-            for j in range(1, c):
-                prod *= tab[:, idx[:, j]]
-            out[sel] += yc @ prod
+        for b in layout.const:
+            out[b] += yc.sum()
+        E = _phase_table(X[lo:hi], layout.vmax)
+        for t in layout.terms:
+            W = yc[None, :]
+            for r in t.rows_rest_adj:
+                W = W * E[r]
+            G = _matmul(E[t.rows_a_adj], W.T)
+            out[t.block] += G[t.pos_a, t.pos_r]
     return out
 
 
-def _forward_block_np(xu, freqs, coeffs):
-    m = xu.shape[0]
-    out = np.zeros(m, dtype=np.complex128)
-    if freqs.shape[0] == 0:
-        return out
-    rows = max(1, _CHUNK // max(1, freqs.shape[0]))
-    for lo in range(0, m, rows):
-        hi = min(m, lo + rows)
-        t = xu[lo:hi] @ freqs.T
-        t -= np.floor(t)
-        out[lo:hi] = np.exp(2j * np.pi * t) @ coeffs
-    return out
-
-
-def _adjoint_block_np(xu, freqs, y):
-    n = freqs.shape[0]
-    out = np.zeros(n, dtype=np.complex128)
-    if n == 0 or xu.shape[0] == 0:
-        return out
-    cols = max(1, _CHUNK // max(1, xu.shape[0]))
-    for lo in range(0, n, cols):
-        hi = min(n, lo + cols)
-        t = xu @ freqs[lo:hi].T
-        t -= np.floor(t)
-        out[lo:hi] = np.exp(-2j * np.pi * t).T @ y
-    return out
-
-
-def _cardinal_bspline_np(j, t):
+def _cardinal_bspline(j, t):
     """Cardinal B-spline M_j on its support [0, j], vectorized."""
     acc = np.zeros_like(t)
     sign = 1.0
@@ -191,20 +229,22 @@ def _cardinal_bspline_np(j, t):
     return acc / math.factorial(j - 1)
 
 
-def _bspline_values_np(j, x):
+def bspline_values(j, x):
+    x = np.atleast_1d(np.asarray(x, dtype=np.float64))
     t = x - np.floor(x)
-    return BSPLINE_NORM[j] * j * _cardinal_bspline_np(j, j * t)
+    return BSPLINE_NORM[j] * j * _cardinal_bspline(j, j * t)
 
 
-def _testfun_values_np(X):
-    b2 = _bspline_values_np(2, X[:, 0:4])
-    b4 = _bspline_values_np(4, X[:, 4:8])
-    b6 = _bspline_values_np(6, X[:, 8])
+def testfun_values(X):
+    X = np.asarray(X, dtype=np.float64)
+    b2 = bspline_values(2, X[:, 0:4])
+    b4 = bspline_values(4, X[:, 4:8])
+    b6 = bspline_values(6, X[:, 8])
     return (b2[:, 0] * b4[:, 0] + b2[:, 1] * b4[:, 1]
             + b2[:, 2] * b4[:, 2] + b2[:, 3] * b4[:, 3] * b6)
 
 
-def _testfun_lattice_np(z, M):
+def testfun_lattice_values(z, M):
     out = np.empty(M)
     rows = max(1, _CHUNK // 16)
     zf = np.asarray(z, dtype=np.float64)
@@ -213,25 +253,26 @@ def _testfun_lattice_np(z, M):
         j = np.arange(lo, hi, dtype=np.float64)[:, None]
         X = j * (zf[None, :] / M)
         X -= np.floor(X)
-        out[lo:hi] = _testfun_values_np(X)
+        out[lo:hi] = testfun_values(X)
     return out
 
 
-def _residues_np(freqs, z, M):
-    zm = np.mod(z, M).astype(np.int64)
+def residues(freqs, z, M):
+    freqs = np.asarray(freqs, dtype=np.int64)
+    zm = np.mod(np.asarray(z, dtype=np.int64), M).astype(np.int64)
     r = np.zeros(freqs.shape[0], dtype=np.int64)
     for s in range(freqs.shape[1]):
         r = (r + np.mod(freqs[:, s], M) * zm[s]) % M
     return r
 
 
-def _bucket_np(res, coeffs, M):
+def bucket_accumulate(res, coeffs, M):
     out = np.zeros(M, dtype=np.complex128)
-    np.add.at(out, res, coeffs)
+    np.add.at(out, res, np.asarray(coeffs, dtype=np.complex128))
     return out
 
 
-def _first_injective_np(base, kcol, cands, M):
+def first_injective(base, kcol, cands, M):
     for i, zs in enumerate(cands):
         r = (base + np.mod(kcol * (zs % M), M)) % M
         if np.unique(r).size == r.size:
@@ -239,308 +280,5 @@ def _first_injective_np(base, kcol, cands, M):
     return -1
 
 
-def _is_injective_np(res, M):
+def residues_injective(res, M):
     return np.unique(res).size == res.size
-
-
-# ---------------------------------------------------------------------------
-# numba implementations
-# ---------------------------------------------------------------------------
-
-if BACKEND == "numba":
-
-    @njit(cache=True, parallel=True)
-    def _forward_block_nb(xu, freqs, coeffs):
-        m, su = xu.shape
-        n = freqs.shape[0]
-        out = np.zeros(m, dtype=np.complex128)
-        for i in prange(m):
-            acc_re = 0.0
-            acc_im = 0.0
-            for k in range(n):
-                t = 0.0
-                for s in range(su):
-                    t += freqs[k, s] * xu[i, s]
-                t -= np.floor(t)
-                ang = 2.0 * np.pi * t
-                c = np.cos(ang)
-                sn = np.sin(ang)
-                acc_re += coeffs[k].real * c - coeffs[k].imag * sn
-                acc_im += coeffs[k].real * sn + coeffs[k].imag * c
-            out[i] = complex(acc_re, acc_im)
-        return out
-
-    @njit(cache=True, parallel=True)
-    def _adjoint_block_nb(xu, freqs, y):
-        m, su = xu.shape
-        n = freqs.shape[0]
-        out = np.zeros(n, dtype=np.complex128)
-        for k in prange(n):
-            acc_re = 0.0
-            acc_im = 0.0
-            for i in range(m):
-                t = 0.0
-                for s in range(su):
-                    t += freqs[k, s] * xu[i, s]
-                t -= np.floor(t)
-                ang = -2.0 * np.pi * t
-                c = np.cos(ang)
-                sn = np.sin(ang)
-                acc_re += y[i].real * c - y[i].imag * sn
-                acc_im += y[i].real * sn + y[i].imag * c
-            out[k] = complex(acc_re, acc_im)
-        return out
-
-    @njit(cache=True)
-    def _cardinal_scalar_nb(j, t):
-        if t <= 0.0 or t >= j:
-            return 0.0
-        acc = 0.0
-        sign = 1.0
-        binom = 1.0
-        for i in range(j + 1):
-            d = t - i
-            if d > 0.0:
-                acc += sign * binom * d ** (j - 1)
-            sign = -sign
-            binom = binom * (j - i) / (i + 1)
-        fact = 1.0
-        for i in range(2, j):
-            fact *= i
-        return acc / fact
-
-    @njit(cache=True, parallel=True)
-    def _bspline_values_nb(j, x, cj):
-        out = np.empty(x.shape[0])
-        for i in prange(x.shape[0]):
-            t = x[i] - np.floor(x[i])
-            out[i] = cj * j * _cardinal_scalar_nb(j, j * t)
-        return out
-
-    @njit(cache=True)
-    def _testfun_scalar_nb(x, c2, c4, c6):
-        v = 0.0
-        for i in range(3):
-            t2 = x[i] - np.floor(x[i])
-            t4 = x[i + 4] - np.floor(x[i + 4])
-            v += (c2 * 2 * _cardinal_scalar_nb(2, 2 * t2)
-                  * c4 * 4 * _cardinal_scalar_nb(4, 4 * t4))
-        t2 = x[3] - np.floor(x[3])
-        t4 = x[7] - np.floor(x[7])
-        t6 = x[8] - np.floor(x[8])
-        v += (c2 * 2 * _cardinal_scalar_nb(2, 2 * t2)
-              * c4 * 4 * _cardinal_scalar_nb(4, 4 * t4)
-              * c6 * 6 * _cardinal_scalar_nb(6, 6 * t6))
-        return v
-
-    @njit(cache=True, parallel=True)
-    def _testfun_values_nb(X, c2, c4, c6):
-        out = np.empty(X.shape[0])
-        for i in prange(X.shape[0]):
-            out[i] = _testfun_scalar_nb(X[i], c2, c4, c6)
-        return out
-
-    @njit(cache=True, parallel=True)
-    def _testfun_lattice_nb(z, M, c2, c4, c6):
-        out = np.empty(M)
-        for jn in prange(M):
-            xx = np.empty(9)
-            for s in range(9):
-                t = (jn * (z[s] / M))
-                xx[s] = t - np.floor(t)
-            out[jn] = _testfun_scalar_nb(xx, c2, c4, c6)
-        return out
-
-    @njit(cache=True, parallel=True)
-    def _residues_nb(freqs, z, M):
-        n, d = freqs.shape
-        zm = np.empty(d, dtype=np.int64)
-        for s in range(d):
-            zm[s] = z[s] % M
-            if zm[s] < 0:
-                zm[s] += M
-        out = np.empty(n, dtype=np.int64)
-        for k in prange(n):
-            acc = 0
-            for s in range(d):
-                ks = freqs[k, s] % M
-                if ks < 0:
-                    ks += M
-                acc = (acc + ks * zm[s]) % M
-            out[k] = acc
-        return out
-
-    @njit(cache=True)
-    def _bucket_nb(res, coeffs, M):
-        out = np.zeros(M, dtype=np.complex128)
-        for i in range(res.shape[0]):
-            out[res[i]] += coeffs[i]
-        return out
-
-    @njit(cache=True)
-    def _first_injective_nb(base, kcol, cands, M):
-        n = base.shape[0]
-        stamp = np.zeros(M, dtype=np.int64)
-        for ci in range(cands.shape[0]):
-            zs = cands[ci] % M
-            ok = True
-            tag = ci + 1
-            for i in range(n):
-                r = (base[i] + kcol[i] * zs) % M
-                if stamp[r] == tag:
-                    ok = False
-                    break
-                stamp[r] = tag
-            if ok:
-                return ci
-        return -1
-
-    @njit(cache=True)
-    def _is_injective_nb(res, M):
-        stamp = np.zeros(M, dtype=np.uint8)
-        for i in range(res.shape[0]):
-            r = res[i]
-            if stamp[r]:
-                return False
-            stamp[r] = 1
-        return True
-
-    @njit(cache=True, parallel=True)
-    def _plan_forward_nb(X, axis_vals, axis_of_row, sup_rows, sup_ptr, coeffs):
-        m = X.shape[0]
-        n = coeffs.shape[0]
-        r = axis_vals.shape[0]
-        out = np.zeros(m, dtype=np.complex128)
-        for i in prange(m):
-            tab = np.empty(r, dtype=np.complex128)
-            for t in range(r):
-                ph = axis_vals[t] * X[i, axis_of_row[t]]
-                ph -= np.floor(ph)
-                ang = 2.0 * np.pi * ph
-                tab[t] = complex(np.cos(ang), np.sin(ang))
-            acc = 0.0 + 0.0j
-            for k in range(n):
-                w = coeffs[k]
-                for p in range(sup_ptr[k], sup_ptr[k + 1]):
-                    w = w * tab[sup_rows[p]]
-                acc += w
-            out[i] = acc
-        return out
-
-    @njit(cache=True, parallel=True)
-    def _plan_adjoint_nb(X, axis_vals, axis_of_row, sup_rows, sup_ptr, y, nt):
-        m = X.shape[0]
-        n = sup_ptr.shape[0] - 1
-        r = axis_vals.shape[0]
-        partial = np.zeros((nt, n), dtype=np.complex128)
-        chunk = (m + nt - 1) // nt
-        for tid in prange(nt):
-            lo = tid * chunk
-            hi = min(m, lo + chunk)
-            tab = np.empty(r, dtype=np.complex128)
-            for i in range(lo, hi):
-                for t in range(r):
-                    ph = axis_vals[t] * X[i, axis_of_row[t]]
-                    ph -= np.floor(ph)
-                    ang = -2.0 * np.pi * ph
-                    tab[t] = complex(np.cos(ang), np.sin(ang))
-                yi = y[i]
-                for k in range(n):
-                    w = yi
-                    for p in range(sup_ptr[k], sup_ptr[k + 1]):
-                        w = w * tab[sup_rows[p]]
-                    partial[tid, k] += w
-        out = np.zeros(n, dtype=np.complex128)
-        for tid in range(nt):
-            out += partial[tid]
-        return out
-
-    def forward_block(xu, freqs, coeffs):
-        return _forward_block_nb(np.ascontiguousarray(xu, dtype=np.float64),
-                                 np.ascontiguousarray(freqs, dtype=np.float64),
-                                 np.ascontiguousarray(coeffs, dtype=np.complex128))
-
-    def adjoint_block(xu, freqs, y):
-        return _adjoint_block_nb(np.ascontiguousarray(xu, dtype=np.float64),
-                                 np.ascontiguousarray(freqs, dtype=np.float64),
-                                 np.ascontiguousarray(y, dtype=np.complex128))
-
-    def bspline_values(j, x):
-        x = np.atleast_1d(np.asarray(x, dtype=np.float64))
-        return _bspline_values_nb(j, x.ravel(), BSPLINE_NORM[j]).reshape(x.shape)
-
-    def testfun_values(X):
-        X = np.ascontiguousarray(X, dtype=np.float64)
-        return _testfun_values_nb(X, BSPLINE_NORM[2], BSPLINE_NORM[4], BSPLINE_NORM[6])
-
-    def testfun_lattice_values(z, M):
-        return _testfun_lattice_nb(np.asarray(z, dtype=np.float64), M,
-                                   BSPLINE_NORM[2], BSPLINE_NORM[4], BSPLINE_NORM[6])
-
-    def residues(freqs, z, M):
-        return _residues_nb(np.ascontiguousarray(freqs, dtype=np.int64),
-                            np.asarray(z, dtype=np.int64), M)
-
-    def bucket_accumulate(res, coeffs, M):
-        return _bucket_nb(res, np.ascontiguousarray(coeffs, dtype=np.complex128), M)
-
-    def first_injective(base, kcol, cands, M):
-        return _first_injective_nb(base, kcol, cands, M)
-
-    def residues_injective(res, M):
-        return _is_injective_nb(res, M)
-
-    def plan_forward(X, plan, coeffs):
-        axis_vals, axis_of_row, sup_rows, sup_ptr = plan
-        return _plan_forward_nb(np.ascontiguousarray(X, dtype=np.float64),
-                                axis_vals, axis_of_row, sup_rows, sup_ptr,
-                                np.ascontiguousarray(coeffs, dtype=np.complex128))
-
-    def plan_adjoint(X, plan, y):
-        axis_vals, axis_of_row, sup_rows, sup_ptr = plan
-        return _plan_adjoint_nb(np.ascontiguousarray(X, dtype=np.float64),
-                                axis_vals, axis_of_row, sup_rows, sup_ptr,
-                                np.ascontiguousarray(y, dtype=np.complex128),
-                                numba.get_num_threads())
-
-else:
-
-    def forward_block(xu, freqs, coeffs):
-        return _forward_block_np(np.asarray(xu, dtype=np.float64),
-                                 np.asarray(freqs, dtype=np.float64),
-                                 np.asarray(coeffs, dtype=np.complex128))
-
-    def adjoint_block(xu, freqs, y):
-        return _adjoint_block_np(np.asarray(xu, dtype=np.float64),
-                                 np.asarray(freqs, dtype=np.float64),
-                                 np.asarray(y, dtype=np.complex128))
-
-    def bspline_values(j, x):
-        x = np.atleast_1d(np.asarray(x, dtype=np.float64))
-        return _bspline_values_np(j, x)
-
-    def testfun_values(X):
-        return _testfun_values_np(np.asarray(X, dtype=np.float64))
-
-    def testfun_lattice_values(z, M):
-        return _testfun_lattice_np(z, M)
-
-    def residues(freqs, z, M):
-        return _residues_np(np.asarray(freqs, dtype=np.int64), np.asarray(z, dtype=np.int64), M)
-
-    def bucket_accumulate(res, coeffs, M):
-        return _bucket_np(res, np.asarray(coeffs, dtype=np.complex128), M)
-
-    def first_injective(base, kcol, cands, M):
-        return _first_injective_np(base, kcol, cands, M)
-
-    def residues_injective(res, M):
-        return _is_injective_np(res, M)
-
-    def plan_forward(X, plan, coeffs):
-        return _plan_forward_np(np.asarray(X, dtype=np.float64), plan,
-                                np.asarray(coeffs, dtype=np.complex128))
-
-    def plan_adjoint(X, plan, y):
-        return _plan_adjoint_np(np.asarray(X, dtype=np.float64), plan,
-                                np.asarray(y, dtype=np.complex128))

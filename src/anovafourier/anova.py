@@ -13,7 +13,6 @@ coefficient path.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from itertools import combinations, product
 
@@ -107,9 +106,6 @@ class SensitivityReport:
 
     def gsi(self, term) -> float | None:
         return self.gsis[self.terms.index(tuple(term))]
-
-    def variance_of(self, term) -> float:
-        return float(self.variances[self.terms.index(tuple(term))])
 
     def to_json_dict(self) -> dict:
         return {"total_variance": self.total_variance,
@@ -221,7 +217,3 @@ def direct_formula_check(sampler, u, d, grid=64) -> float:
             keep &= ~nz
     term_vals = np.fft.ifftn(np.where(keep, c, 0)) * samples.size
     return float(np.max(np.abs(acc - term_vals)))
-
-
-def report_to_json(report: SensitivityReport) -> str:
-    return json.dumps(report.to_json_dict(), indent=2, sort_keys=True)

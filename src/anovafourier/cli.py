@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, _kernels
+from . import __version__
 from .anova import sensitivity, term_family_ds
 from .index_sets import GroupedIndexSet, TermFamily, grouped
 from .lattice import cbc_construct, load_lattice, save_lattice
@@ -67,7 +67,6 @@ def _write_manifest(outdir: Path, command: str, cfg, seeds, artifacts, t0):
                 "seeds": seeds,
                 "artifacts": sorted(str(a) for a in artifacts),
                 "tool_version": __version__,
-                "backend": _kernels.BACKEND,
                 "wall_time_seconds": time.time() - t0}
     path = outdir / f"{command}-manifest.json"
     with open(path, "w") as fh:
@@ -87,6 +86,9 @@ def _target_from_config(cfg):
         data = np.loadtxt(target["csv"], delimiter=";", ndmin=2)
         if data.shape[1] != d + 1:
             raise ConfigError(f"target.csv: expected {d + 1} columns, got {data.shape[1]}")
+        bad = np.flatnonzero(~np.isfinite(data).all(axis=1))
+        if bad.size:
+            raise ConfigError(f"target.csv: non-finite value in row {bad[0] + 1}")
         X = data[:, :d]
         wrapped = int(np.sum((X < 0) | (X >= 1)))
         if wrapped:
@@ -325,8 +327,6 @@ def cmd_eval(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="anovafourier",
                                  description="Sparse ANOVA Fourier approximation")
-    ap.add_argument("--threads", type=int, default=None,
-                    help="cap worker threads for the numba backend")
     sub = ap.add_subparsers(dest="command", required=True)
 
     def common(p, scenario=True):
@@ -385,8 +385,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
-    if args.threads:
-        _kernels.set_threads(args.threads)
     try:
         return args.func(args)
     except ConfigError as exc:

@@ -145,9 +145,6 @@ class ApproxModel:
         pts = nodes.points if isinstance(nodes, NodeSet) else np.asarray(nodes)
         return self.evaluate(pts)
 
-    def evaluate_real(self, x):
-        return np.real(self.evaluate(x))
-
     def to_json_dict(self) -> dict:
         blocks = []
         slices = self.index_set.block_slices()
@@ -198,6 +195,12 @@ class ActiveSetResult:
     pilot: ApproxModel
 
 
+def _require_finite(y):
+    bad = np.flatnonzero(~np.isfinite(y))
+    if bad.size:
+        raise ValueError(f"{bad.size} non-finite target values, first at sample {bad[0]}")
+
+
 def _acquire_data(index_set: GroupedIndexSet, target, sampling: dict):
     """Node set, values and provenance for either sampling scenario."""
     kind = sampling.get("kind", "scattered")
@@ -211,6 +214,7 @@ def _acquire_data(index_set: GroupedIndexSet, target, sampling: dict):
             nodes = uniform_nodes(index_set.d, int(sampling["count"]),
                                   int(sampling.get("seed", 0)))
             y = np.asarray(target(nodes.points), dtype=np.complex128)
+        _require_finite(y)
         prov["sample_count"] = len(nodes)
         return nodes, y, prov, None
     if kind == "lattice":
@@ -219,6 +223,7 @@ def _acquire_data(index_set: GroupedIndexSet, target, sampling: dict):
         lat = cbc_construct(index_set, seed=int(sampling.get("seed", 0)))
         nodes = lattice_nodes(lat)
         y = np.asarray(target(nodes.points), dtype=np.complex128)
+        _require_finite(y)
         prov["sample_count"] = lat.M
         prov["lattice"] = lat.to_json_dict(index_set.digest())
         return nodes, y, prov, lat

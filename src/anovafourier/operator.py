@@ -3,12 +3,16 @@
 The system matrix F = (e^(2 pi i k.x)) over a grouped index set splits into
 per-term blocks F_u that read only the coordinates x_u of each node, so the
 matrix is never formed: ``forward`` accumulates block products, ``adjoint``
-concatenates block adjoints.  LSQR runs on top of this operator contract;
-for reconstructing-lattice nodes the Moore-Penrose solve collapses to one
-adjoint multiplication and is handled by :func:`lattice_solve`.
+concatenates block adjoints.  Each block product is a tensor contraction on
+per-axis tables of phase powers (``_kernels.fourier_forward`` and
+``_kernels.fourier_adjoint``), the same for every kind of frequency set.
+LSQR runs on top of this operator contract; for reconstructing-lattice
+nodes the Moore-Penrose solve collapses to one adjoint multiplication and is
+handled by :func:`lattice_solve`.
 
-Replacing the direct kernels by a fast transform only requires another
-object with the same ``forward``/``adjoint``/``shape`` surface.
+Replacing the contraction by a fast transform (a grouped NFFT) only
+requires another object with the same ``forward``/``adjoint``/``shape``
+surface.
 """
 
 from __future__ import annotations
@@ -35,6 +39,8 @@ class NodeSet:
         pts = np.asarray(self.points, dtype=np.float64)
         if pts.ndim != 2:
             raise ValueError("points must be a 2-d array")
+        if not np.all(np.isfinite(pts)):
+            raise ValueError("node coordinates must be finite")
         if pts.size and (pts.min() < 0.0 or pts.max() >= 1.0):
             raise ValueError("node coordinates must lie in [0, 1)")
         object.__setattr__(self, "points", pts)
@@ -64,11 +70,12 @@ def lattice_nodes(lat: Rank1Lattice) -> NodeSet:
 class BlockFourierOperator:
     """Matrix-free F and F* for a node set and grouped index set.
 
-    The block structure shows up twice: logically each term's block only
-    reads the coordinates x_u, and physically the shared per-axis frequency
-    values of all blocks are collected once into a phase-table plan, so a
-    node costs a handful of sincos evaluations plus ~||k||_0 complex
-    multiplies per frequency.
+    Each term's block only reads the coordinates x_u.  Per chunk of nodes,
+    one table of phase powers exp(2 pi i v x_s) is built per axis, and a
+    block's product is a matrix product on its first axis followed by
+    elementwise products of gathered table rows on its other axes.  Nothing
+    node-dependent is kept between calls, so memory stays bounded by the
+    chunk size at any node count.
     """
 
     def __init__(self, nodes: NodeSet, index_set: GroupedIndexSet):
@@ -77,7 +84,8 @@ class BlockFourierOperator:
                 f"node dimension {nodes.d} != index set dimension {index_set.d}")
         self.nodes = nodes
         self.index_set = index_set
-        self._plan = _kernels.build_plan(index_set.embedded())
+        self._layout = _kernels.fourier_layout(
+            index_set.d, [(b.term, b.freqs) for b in index_set.blocks])
         self._pts = np.ascontiguousarray(nodes.points)
 
     @property
@@ -85,19 +93,19 @@ class BlockFourierOperator:
         return (len(self.nodes), len(self.index_set))
 
     def forward(self, coeffs) -> np.ndarray:
-        """F c, accumulated over per-term blocks (parallel over nodes)."""
+        """F c, accumulated over per-term blocks."""
         c = coeffs.values if isinstance(coeffs, CoefficientMap) else \
             np.asarray(coeffs, dtype=np.complex128)
         if c.shape[0] != self.shape[1]:
             raise ValueError("coefficient length mismatch")
-        return _kernels.plan_forward(self._pts, self._plan, c)
+        return _kernels.fourier_forward(self._pts, self._layout, c)
 
     def adjoint(self, y) -> np.ndarray:
-        """F* y in canonical block order (parallel over frequencies)."""
+        """F* y in canonical block order."""
         y = np.asarray(y, dtype=np.complex128)
         if y.shape[0] != self.shape[0]:
             raise ValueError("value length mismatch")
-        return _kernels.plan_adjoint(self._pts, self._plan, y)
+        return _kernels.fourier_adjoint(self._pts, self._layout, y)
 
 
 @dataclass(frozen=True, eq=False)
@@ -123,6 +131,16 @@ class SolveReport:
                 "provenance": self.provenance}
 
 
+def _norm(v) -> float:
+    """Euclidean norm by numpy's own single-threaded loop.
+
+    BLAS dot products split long vectors across threads, which makes their
+    rounding, and so every LSQR iterate, depend on the thread count.
+    """
+    w = np.ascontiguousarray(v).view(np.float64)
+    return math.sqrt(float(np.einsum("i,i->", w, w)))
+
+
 def lsqr(op, y, atol: float = 1e-8, btol: float = 1e-8,
          max_iter: int = 200) -> SolveReport:
     """Matrix-free LSQR (Golub-Kahan bidiagonalization) for min ||y - F h||.
@@ -138,13 +156,13 @@ def lsqr(op, y, atol: float = 1e-8, btol: float = 1e-8,
     x = np.zeros(n, dtype=np.complex128)
 
     u = y.copy()
-    bnorm = beta = float(np.linalg.norm(u))
+    bnorm = beta = _norm(u)
     if beta == 0.0:
         coeffs = CoefficientMap(op.index_set, x)
         return SolveReport(coeffs, 0, 0.0, 0.0, "zero right-hand side")
     u /= beta
     v = op.adjoint(u)
-    alpha = float(np.linalg.norm(v))
+    alpha = _norm(v)
     if alpha == 0.0:
         coeffs = CoefficientMap(op.index_set, x)
         return SolveReport(coeffs, 0, beta, beta, "right-hand side orthogonal to range")
@@ -157,11 +175,11 @@ def lsqr(op, y, atol: float = 1e-8, btol: float = 1e-8,
     it = 0
     for it in range(1, max_iter + 1):
         u = op.forward(v) - alpha * u
-        beta = float(np.linalg.norm(u))
+        beta = _norm(u)
         if beta > 0.0:
             u /= beta
             v = op.adjoint(u) - beta * v
-            alpha = float(np.linalg.norm(v))
+            alpha = _norm(v)
             if alpha > 0.0:
                 v /= alpha
         anorm2 += alpha * alpha + beta * beta
@@ -177,7 +195,7 @@ def lsqr(op, y, atol: float = 1e-8, btol: float = 1e-8,
         rnorm = phibar
         arnorm = alpha * abs(c * phibar)
         anorm = math.sqrt(anorm2)
-        xnorm = float(np.linalg.norm(x))
+        xnorm = _norm(x)
         if rnorm <= btol * bnorm + atol * anorm * xnorm:
             stop = "residual tolerance reached"
             break
@@ -185,7 +203,7 @@ def lsqr(op, y, atol: float = 1e-8, btol: float = 1e-8,
             stop = "normal-equations tolerance reached"
             break
     coeffs = CoefficientMap(op.index_set, x)
-    check = float(np.linalg.norm(y - op.forward(x)))
+    check = _norm(y - op.forward(x))
     return SolveReport(coeffs, it, float(phibar), check, stop,
                        {"solver": "lsqr", "atol": atol, "btol": btol,
                         "max_iter": max_iter})
@@ -203,7 +221,7 @@ def lattice_solve(lat: Rank1Lattice, index_set: GroupedIndexSet, y,
     y = np.asarray(y, dtype=np.complex128)
     coeffs = lattice_reconstruct(y, index_set, lat)
     fitted = lattice_evaluate(coeffs, lat)
-    res = float(np.linalg.norm(y - fitted))
+    res = _norm(y - fitted)
     return SolveReport(coeffs, 1, res, res, "direct adjoint solve",
                        {"solver": "lattice", "M": int(lat.M),
                         "z": [int(v) for v in lat.z]})

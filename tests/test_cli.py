@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -108,6 +109,46 @@ def test_model_determinism_byte_identical(tmp_path):
     m1 = (tmp_path / "a" / "model.json").read_bytes()
     m2 = (tmp_path / "b" / "model.json").read_bytes()
     assert m1 == m2
+
+
+def test_model_identical_across_blas_threads(tmp_path):
+    """The fitted model does not depend on the number of BLAS threads.
+
+    The products are large enough for two BLAS threads to split them, and
+    the odd node count puts that split inside a kernel block.
+    """
+    cfg = {"d": 3, "d_s": 2, "search": {"type": "full_grid", "N": [32, 16]},
+           "sampling": {"kind": "scattered"}, "solver": {"max_iter": 15},
+           "active_set": [[1, 2], [1, 3], [2, 3]],
+           "target": {"csv": _csv_target(tmp_path, m=17001)}}
+    path = write_config(tmp_path, cfg)
+    models = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OMP_NUM_THREADS=threads,
+                   OPENBLAS_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+        out = tmp_path / f"threads{threads}"
+        subprocess.run([sys.executable, "-m", "anovafourier.cli", "approximate",
+                        "--config", path, "--out", str(out)],
+                       env=env, capture_output=True, check=True)
+        models.append((out / "model.json").read_bytes())
+    assert models[0] == models[1]
+
+
+@pytest.mark.parametrize("row,col,value", [(5, 3, "nan"), (7, 0, "inf")])
+def test_csv_non_finite_exit_2(tmp_path, capsys, row, col, value):
+    path = tmp_path / "data.csv"
+    assert _csv_target(tmp_path, m=50) == str(path)
+    lines = path.read_text().splitlines()
+    cells = lines[row].split(";")
+    cells[col] = value
+    lines[row] = ";".join(cells)
+    path.write_text("\n".join(lines) + "\n")
+    cfg = dict(TINY_DETECT)
+    cfg["target"] = {"csv": str(path)}
+    code = run_cli(["detect", "--config", write_config(tmp_path, cfg),
+                    "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert f"non-finite value in row {row + 1}" in capsys.readouterr().err
 
 
 def test_lattice_subcommand(tmp_path):

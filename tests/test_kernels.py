@@ -1,38 +1,124 @@
-"""Backend-agnostic kernel checks plus cross-backend agreement."""
-
-import json
-import os
-import subprocess
-import sys
+"""Kernel checks: the grouped Fourier contraction against a dense matrix,
+its adjoint identity, and the lattice and test-function kernels."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from anovafourier import _kernels
 from anovafourier.anova import term_family_ds
-from anovafourier.index_sets import grouped
+from anovafourier.index_sets import (GroupedIndexSet, LowDimIndexSet,
+                                     TermFamily, grouped)
 from anovafourier.method import build_search_sets
-from anovafourier.operator import uniform_nodes
+from anovafourier.operator import BlockFourierOperator, NodeSet, uniform_nodes
 
 
 def test_backend_flag_reported():
     assert _kernels.BACKEND in ("numba", "numpy")
 
 
-def test_plan_layout():
-    fam = term_family_ds(3, 2)
-    sets = build_search_sets(3, 2, {"type": "full_grid", "N": [4, 4]})
-    g = grouped(fam, sets)
-    emb = g.embedded()
-    axis_vals, axis_of_row, sup_rows, sup_ptr = _kernels.build_plan(emb)
-    assert sup_ptr[0] == 0 and sup_ptr[-1] == sup_rows.shape[0]
-    # every frequency's support rows reproduce its nonzero entries
-    for k in range(emb.shape[0]):
-        rows = sup_rows[sup_ptr[k]:sup_ptr[k + 1]]
-        rebuilt = np.zeros(3, dtype=np.int64)
-        for r in rows:
-            rebuilt[axis_of_row[r]] = int(axis_vals[r])
-        assert np.array_equal(rebuilt, emb[k])
+def _weight(k):
+    k = np.abs(np.asarray(k))
+    return (1.0 + k.sum()) ** 0.5 * np.prod(1.0 + k[k > 0])
+
+
+SEARCHES = [
+    ("full_grid", {"type": "full_grid", "N": [10, 6, 4]}),
+    ("hyperbolic_cross", {"type": "hyperbolic_cross", "N": [20, 20, 30]}),
+    ("weighted", {"type": "weighted", "N": [8, 8, 20], "weight": _weight}),
+]
+
+
+def _dense_check(g, X, seed):
+    """Forward and adjoint against exp(2 pi i X K^T), rel 1e-12."""
+    rng = np.random.default_rng(seed)
+    op = BlockFourierOperator(X, g)
+    dense = np.exp(2j * np.pi * (X.points @ g.embedded().T))
+    c = rng.normal(size=len(g)) + 1j * rng.normal(size=len(g))
+    y = rng.normal(size=len(X)) + 1j * rng.normal(size=len(X))
+    ref = dense @ c
+    assert np.linalg.norm(op.forward(c) - ref) <= 1e-12 * np.linalg.norm(ref)
+    ref = dense.conj().T @ y
+    assert np.linalg.norm(op.adjoint(y) - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("name,search", SEARCHES, ids=[s[0] for s in SEARCHES])
+def test_contraction_matches_dense(name, search):
+    """Orders 0..3 with negative frequencies on every set type."""
+    g = grouped(term_family_ds(5, 3), build_search_sets(5, 3, search))
+    assert {len(b.term) for b in g.blocks if len(b)} == {0, 1, 2, 3}
+    assert g.embedded().min() < 0
+    _dense_check(g, uniform_nodes(5, 700, seed=2), seed=0)
+
+
+@pytest.mark.parametrize("name,search", SEARCHES, ids=[s[0] for s in SEARCHES])
+def test_contraction_partial_last_chunk(monkeypatch, name, search):
+    """Several node chunks, the last one shorter than the others."""
+    g = grouped(term_family_ds(4, 3), build_search_sets(4, 3, search))
+    layout = BlockFourierOperator(uniform_nodes(4, 1, seed=0), g)._layout
+    monkeypatch.setattr(_kernels, "_CHUNK",
+                        300 * (int(np.sum(2 * layout.vmax + 1)) + layout.p_max))
+    assert _kernels._chunk_rows(layout) == 300
+    _dense_check(g, uniform_nodes(4, 1000, seed=4), seed=1)
+
+
+def test_contraction_on_box_edges_and_empty_blocks():
+    """Nodes at 0, a term with no frequencies, and a constant-only set."""
+    blocks = (LowDimIndexSet((), np.zeros((1, 0))),
+              LowDimIndexSet((1,), [[-3], [2]]),
+              LowDimIndexSet((2,), np.zeros((0, 1))),
+              LowDimIndexSet((1, 2), np.zeros((0, 2))))
+    g = GroupedIndexSet(2, blocks)
+    pts = np.vstack([np.zeros((1, 2)), uniform_nodes(2, 9, seed=1).points])
+    _dense_check(g, NodeSet(pts), seed=3)
+    only = GroupedIndexSet(2, (LowDimIndexSet((), np.zeros((1, 0))),))
+    _dense_check(only, NodeSet(pts), seed=4)
+
+
+@pytest.mark.parametrize("shape", [(1, 40, 300), (40, 300, 1), (3, 1000, 5),
+                                   (200, 300, 150), (5, 3, 7), (2, 129, 2)])
+def test_matmul_blocks_agree_with_plain_product(shape):
+    m, k, n = shape
+    rng = np.random.default_rng(k)
+    A = rng.normal(size=(m, k)) + 1j * rng.normal(size=(m, k))
+    B = rng.normal(size=(k, n)) + 1j * rng.normal(size=(k, n))
+    ref = A @ B
+    got = _kernels._matmul(A, B)
+    assert got.shape == ref.shape
+    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@st.composite
+def grouped_sets(draw):
+    d = draw(st.integers(1, 4))
+    axes = st.lists(st.integers(1, d), min_size=1, max_size=3, unique=True)
+    terms = draw(st.lists(axes.map(lambda a: tuple(sorted(a))), max_size=4))
+    fam = TermFamily.downward_closure(d, [()] + terms)
+    blocks = []
+    for u in fam.sorted_terms():
+        if not u:
+            blocks.append(LowDimIndexSet((), np.zeros((1, 0))))
+            continue
+        value = st.integers(1, 9).flatmap(
+            lambda a: st.sampled_from([a, -a]))
+        rows = draw(st.lists(st.tuples(*[value] * len(u)), max_size=12))
+        blocks.append(LowDimIndexSet(u, np.array(rows, dtype=np.int64)))
+    return GroupedIndexSet(d, tuple(blocks))
+
+
+@settings(max_examples=60, deadline=None)
+@given(grouped_sets(), st.integers(1, 400), st.integers(0, 2 ** 32 - 1))
+def test_adjoint_identity_random_sets(g, m, seed):
+    """<F c, y> = <c, F* y> on random grouped sets and node counts."""
+    rng = np.random.default_rng(seed)
+    op = BlockFourierOperator(NodeSet(rng.random((m, g.d))), g)
+    c = rng.normal(size=len(g)) + 1j * rng.normal(size=len(g))
+    y = rng.normal(size=m) + 1j * rng.normal(size=m)
+    Fc, Fy = op.forward(c), op.adjoint(y)
+    lhs, rhs = np.vdot(y, Fc), np.vdot(Fy, c)
+    scale = np.linalg.norm(Fc) * np.linalg.norm(y) + np.linalg.norm(Fy) * np.linalg.norm(c)
+    assert abs(lhs - rhs) <= 1e-12 * scale
 
 
 def test_residues_match_python_mod():
@@ -77,52 +163,3 @@ def test_testfun_lattice_matches_pointwise():
     X -= np.floor(X)
     slow = _kernels.testfun_values(X)
     assert np.max(np.abs(fast - slow)) < 1e-12
-
-
-def test_cross_backend_agreement():
-    """The numba and numpy paths compute identical values (to roundoff)."""
-    pytest.importorskip("numba")
-    other = "" if _kernels.BACKEND == "numpy" else "1"
-    code = r"""
-import json
-import numpy as np
-from anovafourier import _kernels
-from anovafourier.anova import term_family_ds
-from anovafourier.index_sets import grouped
-from anovafourier.method import build_search_sets
-from anovafourier.operator import BlockFourierOperator, uniform_nodes
-fam = term_family_ds(4, 2)
-sets = build_search_sets(4, 2, {"type": "full_grid", "N": [6, 4]})
-g = grouped(fam, sets)
-X = uniform_nodes(4, 300, seed=9)
-op = BlockFourierOperator(X, g)
-rng = np.random.default_rng(1)
-c = rng.normal(size=len(g)) + 1j * rng.normal(size=len(g))
-y = op.forward(c)
-a = op.adjoint(y)
-print(json.dumps({"backend": _kernels.BACKEND,
-                  "y": [y.real.sum(), y.imag.sum()],
-                  "a": [a.real.sum(), a.imag.sum()]}))
-"""
-    env = dict(os.environ)
-    if other:
-        env["ANOVAFOURIER_PURE_NUMPY"] = other
-    else:
-        env.pop("ANOVAFOURIER_PURE_NUMPY", None)
-    proc = subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True, check=True)
-    doc = json.loads(proc.stdout.strip().splitlines()[-1])
-    assert doc["backend"] != _kernels.BACKEND
-
-    from anovafourier.operator import BlockFourierOperator
-    fam = term_family_ds(4, 2)
-    sets = build_search_sets(4, 2, {"type": "full_grid", "N": [6, 4]})
-    g = grouped(fam, sets)
-    X = uniform_nodes(4, 300, seed=9)
-    op = BlockFourierOperator(X, g)
-    rng = np.random.default_rng(1)
-    c = rng.normal(size=len(g)) + 1j * rng.normal(size=len(g))
-    y = op.forward(c)
-    a = op.adjoint(y)
-    assert np.allclose([y.real.sum(), y.imag.sum()], doc["y"], rtol=1e-10)
-    assert np.allclose([a.real.sum(), a.imag.sum()], doc["a"], rtol=1e-10)

@@ -78,6 +78,23 @@ def test_detect_rejects_data_for_lattice():
         detect(cfg, (X, np.zeros(10)))
 
 
+def test_detect_rejects_non_finite_target():
+    def holey(X):
+        y = tiny_target(X)
+        y[17] = np.nan
+        return y
+    with pytest.raises(ValueError, match="non-finite target values, first at sample 17"):
+        detect(tiny_config(), holey)
+    X = uniform_nodes(3, 3000, seed=3)
+    y = tiny_target(X.points)
+    y[-1] = np.inf
+    with pytest.raises(ValueError, match="non-finite"):
+        detect(tiny_config(), (X, y))
+    lattice = tiny_config(kind="lattice")
+    with pytest.raises(ValueError, match="non-finite"):
+        detect(lattice, lambda X: np.full(X.shape[0], np.nan))
+
+
 def test_detect_underdetermined_warns():
     cfg = DetectionConfig(d=3, d_s=2, search={"type": "full_grid", "N": [8, 8]},
                           thresholds=[0.0, 0.0],

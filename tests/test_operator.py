@@ -187,6 +187,12 @@ def test_uniform_nodes_statistics():
     assert X.min() >= 0.0 and X.max() < 1.0
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_nodeset_rejects_non_finite(bad):
+    with pytest.raises(ValueError, match="finite"):
+        NodeSet(np.array([[bad, 0.5]]))
+
+
 def test_uniform_nodes_rejects_zero():
     with pytest.raises(ValueError):
         uniform_nodes(2, 0, seed=0)
