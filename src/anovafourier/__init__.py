@@ -20,8 +20,9 @@ from .index_sets import (GroupedIndexSet, LowDimIndexSet, TermFamily,
 from .lattice import (DualLatticeWindow, Rank1Lattice, aliasing_sum,
                       cbc_construct, is_reconstructing, lattice_evaluate,
                       lattice_reconstruct)
-from .method import (ActiveSetResult, ApproxModel, DetectionConfig,
-                     approximate, build_search_sets, detect, gap_intervals)
+from .method import (ActiveSetResult, ApproxModel, ConfigError,
+                     DetectionConfig, approximate, build_search_sets, detect,
+                     gap_intervals)
 from .operator import (BlockFourierOperator, NodeSet, SolveReport,
                        lattice_nodes, lattice_solve, lsqr, uniform_nodes)
 from .weights import (WeightParams, min_excluded_weight, pod_weight,

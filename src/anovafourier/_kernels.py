@@ -244,19 +244,6 @@ def testfun_values(X):
             + b2[:, 2] * b4[:, 2] + b2[:, 3] * b4[:, 3] * b6)
 
 
-def testfun_lattice_values(z, M):
-    out = np.empty(M)
-    rows = max(1, _CHUNK // 16)
-    zf = np.asarray(z, dtype=np.float64)
-    for lo in range(0, M, rows):
-        hi = min(M, lo + rows)
-        j = np.arange(lo, hi, dtype=np.float64)[:, None]
-        X = j * (zf[None, :] / M)
-        X -= np.floor(X)
-        out[lo:hi] = testfun_values(X)
-    return out
-
-
 def residues(freqs, z, M):
     freqs = np.asarray(freqs, dtype=np.int64)
     zm = np.mod(np.asarray(z, dtype=np.int64), M).astype(np.int64)

@@ -28,8 +28,10 @@ import numpy as np
 from . import _kernels
 from .anova import SensitivityReport, term_family_ds
 from .index_sets import TermFamily, full_grid, hyperbolic_cross, term_sort_key
-from .method import (ActiveSetResult, ApproxModel, DetectionConfig,
-                     approximate, build_search_sets, detect, gap_intervals)
+from .method import (ActiveSetResult, ApproxModel, ConfigError,
+                     DetectionConfig, approximate, build_search_sets, detect,
+                     gap_intervals)
+from .operator import _norm
 
 D = 9
 
@@ -189,9 +191,9 @@ def errors(model: ApproxModel, X, y):
     The L2 error uses Parseval with the exact coefficients on the model's
     index set:  ||f - S f||^2 = ||f||^2 + sum_I |c - h|^2 - sum_I |c|^2.
     """
-    y = np.asarray(y)
+    y = np.asarray(y, dtype=np.complex128)
     fitted = model.evaluate_on(X)
-    eps_l2 = float(np.linalg.norm(y - fitted) / np.linalg.norm(y))
+    eps_l2 = _norm(y - fitted) / _norm(y)
     exact = testfun_coeffs(model.index_set.embedded())
     diff = float(np.sum(np.abs(exact - model.coefficients.values) ** 2))
     kept = float(np.sum(exact ** 2))
@@ -240,16 +242,19 @@ def run_experiment(cfg: dict) -> ExperimentRow:
     Config keys: ``id``, ``mode`` ("detect" or "approximate"), ``scenario``
     ("scattered" or "lattice"), ``d_s``, ``sets`` ({"type", "N"}),
     ``sampling`` ({"count", "seed"} for scattered), ``solver`` (optional),
-    ``family`` ("ds" | "ustar" | "uplus", default per mode).
+    ``family`` ("ds" | "ustar" | "uplus", default per mode).  A missing or
+    unknown value raises :class:`ConfigError`.
     """
     t0 = time.time()
-    d_s = int(cfg["d_s"])
+    missing = [k for k in ("scenario", "d_s", "sets") if k not in cfg]
+    if missing:
+        raise ConfigError(f"bench config: missing required field {missing[0]!r}")
+    d_s = cfg["d_s"]
     scenario = cfg["scenario"]
     sampling = dict(cfg.get("sampling", {}))
     sampling.setdefault("kind", scenario)
     solver = cfg.get("solver", {})
     mode = cfg.get("mode", "detect")
-    truth = _truth_family(d_s)
 
     if mode == "detect":
         dc = DetectionConfig(d=D, d_s=d_s, search=cfg["sets"],
@@ -257,15 +262,23 @@ def run_experiment(cfg: dict) -> ExperimentRow:
                              sampling=sampling, solver=solver)
         result: ActiveSetResult = detect(dc, testfun_value)
         model = result.pilot
-        gaps = gap_intervals(result.report, truth, d_s)
+        gaps = gap_intervals(result.report, _truth_family(d_s), d_s)
         set_size = len(model.index_set)
-    else:
-        family = {"ustar": u_star(), "uplus": u_plus(),
-                  "ds": term_family_ds(D, d_s)}[cfg.get("family", "ustar")]
+    elif mode == "approximate":
+        families = {"ustar": u_star, "uplus": u_plus,
+                    "ds": lambda: term_family_ds(D, d_s)}
+        name = cfg.get("family", "ustar")
+        if name not in families:
+            raise ConfigError(f"bench config: family must be one of "
+                              f"{', '.join(families)}, got {name!r}")
+        family = families[name]()
         sets = build_search_sets(D, d_s, cfg["sets"], family=family)
         model = approximate(family, sets, testfun_value, sampling, solver)
         gaps = None
         set_size = len(model.index_set)
+    else:
+        raise ConfigError(f"bench config: mode must be detect or approximate, "
+                          f"got {mode!r}")
 
     X, y = model.fit_data()
     eps_l2, eps_L2 = errors(model, X, y)

@@ -20,39 +20,32 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .anova import sensitivity, term_family_ds
-from .index_sets import GroupedIndexSet, TermFamily, grouped
-from .lattice import cbc_construct, load_lattice, save_lattice
-from .method import (ApproxModel, DetectionConfig, build_search_sets,
-                     approximate, detect, gap_intervals, tiered_sets)
+from .index_sets import GroupedIndexSet, TermFamily
+from .lattice import cbc_construct, save_lattice
+from .method import (ApproxModel, ConfigError, DetectionConfig,
+                     build_search_sets, approximate, detect, gap_intervals,
+                     tiered_sets)
 from .operator import NodeSet
 from .weights import (WeightParams, bound_curve, parse_weight_sequence,
-                      sobolev_trunc_bound_l2, sobolev_trunc_bound_linf,
-                      wiener_trunc_bound)
+                      sobolev_trunc_bound_l2, sobolev_trunc_bound_linf)
 
 
-class ConfigError(Exception):
-    """Schema or value error in a run configuration (exit code 2)."""
-
-
-def _load_config(path) -> dict:
+def _load_json(path, what="config"):
     try:
         with open(path) as fh:
             return json.load(fh)
-    except FileNotFoundError:
-        raise ConfigError(f"config file not found: {path}")
+    except OSError as exc:
+        raise ConfigError(f"cannot read {what} file {path}: {exc.strerror}")
     except json.JSONDecodeError as exc:
-        raise ConfigError(f"config is not valid JSON: {path}:{exc.lineno}: {exc.msg}")
+        raise ConfigError(f"{what} is not valid JSON: {path}:{exc.lineno}: {exc.msg}")
 
 
-def _require(cfg, key, typ, where="config"):
+def _require(cfg, key, typ=object):
     if key not in cfg:
-        raise ConfigError(f"{where}: missing required field {key!r}")
+        raise ConfigError(f"config: missing required field {key!r}")
     val = cfg[key]
-    if typ is float and isinstance(val, int):
-        val = float(val)
     if not isinstance(val, typ):
-        raise ConfigError(f"{where}.{key}: expected {typ.__name__}, got {type(val).__name__}")
+        raise ConfigError(f"config.{key}: expected {typ.__name__}, got {type(val).__name__}")
     return val
 
 
@@ -61,29 +54,35 @@ def _digest(obj) -> str:
                                      separators=(",", ":")).encode()).hexdigest()
 
 
-def _write_manifest(outdir: Path, command: str, cfg, seeds, artifacts, t0):
+def _write_manifest(outdir: Path, command: str, cfg, seeds, artifacts, t0,
+                    **extra):
     manifest = {"command": command,
                 "config_digest": _digest(cfg),
                 "seeds": seeds,
                 "artifacts": sorted(str(a) for a in artifacts),
                 "tool_version": __version__,
-                "wall_time_seconds": time.time() - t0}
+                "wall_time_seconds": time.time() - t0,
+                **extra}
     path = outdir / f"{command}-manifest.json"
     with open(path, "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
     return path
 
 
-def _target_from_config(cfg):
+def _target_from_config(cfg, d):
     target = cfg.get("target", {"builtin": "bench"})
     if "builtin" in target:
+        from .bench import D, testfun_value
         if target["builtin"] != "bench":
             raise ConfigError(f"unknown builtin target {target['builtin']!r}")
-        from .bench import testfun_value
+        if d != D:
+            raise ConfigError(f"target.builtin 'bench' needs d = {D}, got d = {d}")
         return testfun_value
     if "csv" in target:
-        d = int(cfg["d"])
-        data = np.loadtxt(target["csv"], delimiter=";", ndmin=2)
+        try:
+            data = np.loadtxt(target["csv"], delimiter=";", ndmin=2)
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"target.csv: cannot read {target['csv']!r}: {exc}")
         if data.shape[1] != d + 1:
             raise ConfigError(f"target.csv: expected {d + 1} columns, got {data.shape[1]}")
         bad = np.flatnonzero(~np.isfinite(data).all(axis=1))
@@ -99,34 +98,28 @@ def _target_from_config(cfg):
     raise ConfigError("target must specify 'builtin' or 'csv'")
 
 
-def _detection_config(cfg, args) -> DetectionConfig:
-    d = _require(cfg, "d", int)
+def _detection_config(cfg, args, zero_thresholds=False) -> DetectionConfig:
+    """The config's detection fields with ``scenario`` and --seed applied;
+    DetectionConfig checks their values."""
     d_s = _require(cfg, "d_s", int)
-    if not 1 <= d_s <= d:
-        raise ConfigError(f"d_s must satisfy 1 <= d_s <= d, got d_s={d_s}, d={d}")
-    search = _require(cfg, "search", dict)
-    if search.get("type") not in ("full_grid", "hyperbolic_cross", "weighted"):
-        raise ConfigError("search.type must be full_grid | hyperbolic_cross | weighted")
-    N = _require(search, "N", list, "config.search")
-    if len(N) != d_s:
-        raise ConfigError(f"search.N must list one cutoff per order 1..{d_s}")
-    thresholds = cfg.get("thresholds", [0.0] * d_s)
+    thresholds = [0.0] * d_s if zero_thresholds else cfg.get("thresholds", [0.0] * d_s)
     sampling = dict(_require(cfg, "sampling", dict))
-    sampling.setdefault("kind", args.scenario or cfg.get("scenario", "scattered"))
+    scenario = args.scenario or cfg.get("scenario")
+    if scenario is not None:
+        sampling.setdefault("kind", scenario)
     if args.seed is not None:
         sampling["seed"] = args.seed
-    try:
-        return DetectionConfig(d=d, d_s=d_s, search=search, thresholds=thresholds,
-                               sampling=sampling, solver=cfg.get("solver", {}))
-    except ValueError as exc:
-        raise ConfigError(str(exc))
+    return DetectionConfig(d=_require(cfg, "d"), d_s=d_s,
+                           search=_require(cfg, "search"),
+                           thresholds=thresholds,
+                           sampling=sampling, solver=cfg.get("solver", {}))
 
 
 def cmd_detect(args) -> int:
     t0 = time.time()
-    cfg = _load_config(args.config)
+    cfg = _load_json(args.config)
     dc = _detection_config(cfg, args)
-    target = _target_from_config(cfg)
+    target = _target_from_config(cfg, dc.d)
     result = detect(dc, target)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -152,47 +145,34 @@ def cmd_detect(args) -> int:
     p = outdir / "pilot-model.json"
     result.pilot.save(p)
     artifacts.append(p)
+    extra = {}
     if "lattice" in result.pilot.provenance:
         lp = outdir / "pilot-lattice.json"
         lp.write_text(json.dumps(result.pilot.provenance["lattice"],
                                  indent=2, sort_keys=True))
         artifacts.append(lp)
-    manifest = _write_manifest(outdir, "detect", cfg,
-                               dc.sampling.get("seed"), artifacts, t0)
-    if "lattice" in result.pilot.provenance:
-        doc = json.loads(manifest.read_text())
-        doc["lattice_M"] = result.pilot.provenance["lattice"]["M"]
-        manifest.write_text(json.dumps(doc, indent=2, sort_keys=True))
+        extra["lattice_M"] = result.pilot.provenance["lattice"]["M"]
+    _write_manifest(outdir, "detect", cfg, dc.sampling.get("seed"), artifacts,
+                    t0, **extra)
     return 0
 
 
 def cmd_approximate(args) -> int:
     t0 = time.time()
-    cfg = _load_config(args.config)
-    d = _require(cfg, "d", int)
-    d_s = _require(cfg, "d_s", int)
-    search = _require(cfg, "search", dict)
-    sampling = dict(_require(cfg, "sampling", dict))
-    sampling.setdefault("kind", args.scenario or cfg.get("scenario", "scattered"))
-    if args.seed is not None:
-        sampling["seed"] = args.seed
-    target = _target_from_config(cfg)
-    if "active_set" in cfg:
-        terms = [tuple(u) for u in _require(cfg, "active_set", list)]
-        family = TermFamily.downward_closure(d, terms + [()])
-    else:
-        raise ConfigError("approximate requires an 'active_set' list of terms")
+    cfg = _load_json(args.config)
+    dc = _detection_config(cfg, args, zero_thresholds=True)
+    target = _target_from_config(cfg, dc.d)
+    terms = _require(cfg, "active_set", list)
+    try:
+        family = TermFamily.downward_closure(dc.d, [tuple(u) for u in terms] + [()])
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"active_set: {exc}")
+    sets = build_search_sets(dc.d, dc.d_s, dc.search, family=family)
     tier_record = None
     if cfg.get("tiering"):
-        dc = _detection_config({**cfg, "thresholds": [0.0] * d_s}, args)
         pilot = detect(dc, target)
-        sets, tier_record = tiered_sets(family, pilot.report, search, d)
-    else:
-        try:
-            sets = build_search_sets(d, d_s, search, family=family)
-        except ValueError as exc:
-            raise ConfigError(str(exc))
-    model = approximate(family, sets, target, sampling, cfg.get("solver", {}))
+        sets, tier_record = tiered_sets(family, pilot.report, dc.search, dc.d)
+    model = approximate(family, sets, target, dc.sampling, dc.solver)
     if tier_record:
         model.provenance["tiering"] = tier_record
     model.provenance["config"] = {k: v for k, v in cfg.items() if k != "target"}
@@ -202,7 +182,7 @@ def cmd_approximate(args) -> int:
     model.save(p)
     artifacts = [p]
     artifacts.append(_write_manifest(outdir, "approximate", cfg,
-                                     sampling.get("seed"), artifacts, t0))
+                                     dc.sampling.get("seed"), artifacts, t0))
     return 0
 
 
@@ -210,7 +190,7 @@ def cmd_bench(args) -> int:
     from .bench import DESK_CONFIGS, TABLE_CONFIGS, ExperimentRow, run_experiment
     t0 = time.time()
     if args.config:
-        cfg = _load_config(args.config)
+        cfg = _load_json(args.config)
     elif args.table is not None:
         key = (args.table, args.row or 1)
         if key not in TABLE_CONFIGS:
@@ -252,8 +232,7 @@ def cmd_bench(args) -> int:
 
 def cmd_lattice(args) -> int:
     t0 = time.time()
-    with open(args.index_set) as fh:
-        idx = GroupedIndexSet.from_json_dict(json.load(fh))
+    idx = GroupedIndexSet.from_json_dict(_load_json(args.index_set, "--index-set"))
     lat = cbc_construct(idx, seed=args.seed or 0)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -265,11 +244,20 @@ def cmd_lattice(args) -> int:
     return 0
 
 
+def _weight_sequence(flag, expr, d):
+    try:
+        return parse_weight_sequence(expr, d)
+    except ValueError as exc:
+        raise ConfigError(f"{flag} {expr!r}: {exc}")
+
+
 def cmd_bound(args) -> int:
     t0 = time.time()
     d = args.d
-    gamma = parse_weight_sequence(args.gammas, d)
-    Gamma = parse_weight_sequence(args.Gammas, d)
+    if not 1 <= args.ds < d:
+        raise ConfigError(f"--ds must satisfy 1 <= ds < d = {d}, got {args.ds}")
+    gamma = _weight_sequence("--gammas", args.gammas, d)
+    Gamma = _weight_sequence("--Gammas", args.Gammas, d)
     try:
         p = WeightParams(args.alpha, args.beta, gamma, Gamma)
     except ValueError as exc:
@@ -305,11 +293,19 @@ def cmd_bound(args) -> int:
 
 def cmd_eval(args) -> int:
     t0 = time.time()
-    model = ApproxModel.load(args.model)
-    if args.x:
-        pts = np.asarray([[float(t) for t in args.x.split(",")]])
-    else:
-        pts = np.loadtxt(args.points, delimiter=";", ndmin=2)
+    model = ApproxModel.from_json_dict(_load_json(args.model, "--model"))
+    if not (args.x or args.points):
+        raise ConfigError("eval needs --x or --points")
+    try:
+        if args.x:
+            pts = np.asarray([[float(t) for t in args.x.split(",")]])
+        else:
+            pts = np.loadtxt(args.points, delimiter=";", ndmin=2)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"--x/--points: {exc}")
+    if pts.shape[1] != model.index_set.d:
+        raise ConfigError(f"--x/--points: expected {model.index_set.d} coordinates, "
+                          f"got {pts.shape[1]}")
     vals = model.evaluate(pts)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)

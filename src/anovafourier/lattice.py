@@ -109,17 +109,20 @@ def is_reconstructing(lat: Rank1Lattice, freqs) -> bool:
 _CBC_SCALES = (1.0, 1.1, 1.25, 1.5, 1.75, 2.0, 2.5, 3.0, 4.0, 5.0, 6.5, 8.0,
                10.0, 13.0, 16.0, 20.0, 26.0, 32.0, 42.0, 55.0, 70.0, 90.0,
                120.0, 160.0, 220.0, 300.0, 400.0, 550.0, 750.0, 1000.0)
+#: consecutive primes tried as lattice sizes at each scale
+_CBC_PRIMES_PER_SCALE = 2
+#: random candidates for z_s tried per coordinate before the next lattice size
+_CBC_CANDIDATES = 96
 
 
-def cbc_construct(freqs, seed: int = 0, candidate_budget: int = 96,
-                  M_cap: int | None = None, primes_per_scale: int = 2) -> Rank1Lattice:
+def cbc_construct(freqs, seed: int = 0, M_cap: int | None = None) -> Rank1Lattice:
     """Component-by-component search for a reconstructing rank-1 lattice.
 
     Candidate sizes are primes drawn from a geometric schedule starting at
     the first prime >= |I| (a few consecutive primes per scale).  For each M
     the generating vector is grown one coordinate at a time, drawing z_s
     from a seeded random permutation of {1, .., M-1} (capped at
-    ``candidate_budget``) and keeping the residues injective on the distinct
+    ``_CBC_CANDIDATES``) and keeping the residues injective on the distinct
     coordinate prefixes of I; exhausting a coordinate's budget advances to
     the next prime.  The result is certified with :func:`is_reconstructing`
     before it is returned.  M_cap defaults to |I|^2 >= |D(I)|, past which
@@ -142,7 +145,7 @@ def cbc_construct(freqs, seed: int = 0, candidate_budget: int = 96,
         seen = set()
         for scale in _CBC_SCALES:
             M = next_prime(int(math.ceil(scale * n)))
-            for _ in range(primes_per_scale):
+            for _ in range(_CBC_PRIMES_PER_SCALE):
                 if M > M_cap:
                     break
                 if M not in seen:
@@ -168,7 +171,7 @@ def cbc_construct(freqs, seed: int = 0, candidate_budget: int = 96,
             kcol = np.mod(f[:, s], M)
             if np.all(f[reps, s] == 0):
                 continue  # z_s free; leave at 0
-            ncand = min(candidate_budget, M - 1)
+            ncand = min(_CBC_CANDIDATES, M - 1)
             if ncand == M - 1:
                 cands = 1 + rng.permutation(M - 1)
             else:

@@ -14,6 +14,8 @@ from __future__ import annotations
 import binascii
 import hashlib
 import json
+import math
+import numbers
 import struct
 import warnings
 from dataclasses import dataclass, field
@@ -29,18 +31,123 @@ from .operator import (BlockFourierOperator, NodeSet, SolveReport,
                        lattice_nodes, lattice_solve, lsqr, uniform_nodes)
 from .weights import WeightParams, pod_weight
 
+_SEARCH_TYPES = ("full_grid", "hyperbolic_cross", "weighted")
+_SAMPLING_KINDS = ("scattered", "lattice")  # the first is the default
 SOLVER_DEFAULTS = {"atol": 1e-8, "btol": 1e-8, "max_iter_detect": 50,
                    "max_iter_final": 200}
+_WEIGHT_KEYS = ("alpha", "beta", "gamma", "Gamma")
+
+
+class ConfigError(ValueError):
+    """A run-configuration value is missing, unknown or out of range.
+
+    The CLI exits with code 2 on it.  Every rule on ``d``, ``d_s``,
+    ``thresholds``, ``search``, ``sampling`` and ``solver`` is checked in
+    this module, once per key.
+    """
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
+def _is_real(v) -> bool:
+    return isinstance(v, numbers.Real) and not isinstance(v, bool)
+
+
+def _check_keys(spec, where: str, allowed) -> None:
+    if not isinstance(spec, dict):
+        raise ConfigError(f"{where} must be an object, got {type(spec).__name__}")
+    unknown = [k for k in spec if k not in allowed]
+    if unknown:
+        raise ConfigError(f"{where}.{unknown[0]}: unknown key "
+                          f"(allowed: {', '.join(allowed)})")
+
+
+def _check_dims(d, d_s) -> None:
+    if not (_is_int(d) and _is_int(d_s) and 1 <= d_s <= d):
+        raise ConfigError(f"need integers 1 <= d_s <= d, got d_s={d_s!r}, d={d!r}")
+
+
+def _check_search(search, max_order: int, exact: bool = False) -> None:
+    """One cutoff per term order 1..max_order (exactly that many if
+    ``exact``); a weight spec with every field when one is given or the
+    type is "weighted".  Whether a cutoff suits its set type is left to
+    the set constructor (see ``_order_set``)."""
+    _check_keys(search, "search", ("type", "N", "weight"))
+    if search.get("type") not in _SEARCH_TYPES:
+        raise ConfigError(f"search.type must be one of {', '.join(_SEARCH_TYPES)}, "
+                          f"got {search.get('type')!r}")
+    N = search.get("N")
+    if not isinstance(N, (list, tuple)) or len(N) < max_order or \
+            (exact and len(N) != max_order):
+        raise ConfigError(f"search.N must list one cutoff per term order "
+                          f"1..{max_order}, got {N!r}")
+    for j, n in enumerate(N):
+        if not _is_real(n):
+            raise ConfigError(f"search.N[{j}] must be a number, got {n!r}")
+    spec = search.get("weight")
+    if spec is None:
+        if search["type"] == "weighted":
+            raise ConfigError("search.type 'weighted' needs search.weight")
+        return
+    if callable(spec):
+        return
+    _check_keys(spec, "search.weight", _WEIGHT_KEYS)
+    missing = [k for k in _WEIGHT_KEYS if k not in spec]
+    if missing:
+        raise ConfigError(f"search.weight: missing field {missing[0]!r}")
+    try:
+        _weight_fn(search)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"search.weight: {exc}") from exc
+
+
+def _check_sampling(sampling, target=None) -> dict:
+    """The sampling spec with its kind filled in.
+
+    ``target``, when given, is what will be sampled: a callable target
+    sampled at scattered nodes needs ``count``.
+    """
+    _check_keys(sampling, "sampling", ("kind", "count", "seed"))
+    sampling = {"kind": _SAMPLING_KINDS[0], **sampling}
+    if sampling["kind"] not in _SAMPLING_KINDS:
+        raise ConfigError(f"sampling.kind must be one of {', '.join(_SAMPLING_KINDS)}, "
+                          f"got {sampling['kind']!r}")
+    for key, low in (("seed", 0), ("count", 1)):
+        if key in sampling and not (_is_int(sampling[key]) and sampling[key] >= low):
+            raise ConfigError(f"sampling.{key} must be an integer >= {low}, "
+                              f"got {sampling[key]!r}")
+    if callable(target) and sampling["kind"] == "scattered" and "count" not in sampling:
+        raise ConfigError("sampling.count is needed to sample a callable target "
+                          "at scattered nodes")
+    return sampling
+
+
+def _check_solver(solver) -> None:
+    _check_keys(solver, "solver", ("atol", "btol", "max_iter"))
+    for key in ("atol", "btol"):
+        if key in solver and not (_is_real(solver[key]) and math.isfinite(solver[key])
+                                  and solver[key] >= 0):
+            raise ConfigError(f"solver.{key} must be a finite number >= 0, "
+                              f"got {solver[key]!r}")
+    if "max_iter" in solver and not (_is_int(solver["max_iter"])
+                                     and solver["max_iter"] >= 1):
+        raise ConfigError(f"solver.max_iter must be an integer >= 1, "
+                          f"got {solver['max_iter']!r}")
 
 
 @dataclass(frozen=True, eq=False)
 class DetectionConfig:
-    """Inputs of the detection stage.
+    """Inputs of the detection stage, checked at construction.
 
     ``search`` is {"type": "full_grid" | "hyperbolic_cross" | "weighted",
     "N": [N_1, .., N_ds]} with one cutoff per term order (terms of equal
     order share their set); "weighted" additionally takes weight parameters
     under "weight".  ``thresholds`` is the order-dependent epsilon vector.
+    ``sampling`` is {"kind": "scattered" | "lattice", "count", "seed"} and
+    ``solver`` {"atol", "btol", "max_iter"}.  A bad value raises
+    :class:`ConfigError`.
     """
 
     d: int
@@ -51,28 +158,32 @@ class DetectionConfig:
     solver: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if not 1 <= self.d_s <= self.d:
-            raise ValueError(f"need 1 <= d_s <= d, got d_s={self.d_s}, d={self.d}")
-        eps = tuple(float(e) for e in self.thresholds)
+        _check_dims(self.d, self.d_s)
+        try:
+            eps = tuple(float(e) for e in self.thresholds)
+        except (TypeError, ValueError):
+            raise ConfigError(f"thresholds must be a list of numbers, "
+                              f"got {self.thresholds!r}") from None
         if len(eps) != self.d_s:
-            raise ValueError("need one threshold per term order 1..d_s")
+            raise ConfigError("thresholds: need one threshold per term order 1..d_s")
         if any(not 0.0 <= e <= 1.0 for e in eps):
-            raise ValueError("thresholds must lie in [0, 1]")
-        N = self.search.get("N", ())
-        if len(N) != self.d_s:
-            raise ValueError("need one search-set cutoff per term order 1..d_s")
+            raise ConfigError("thresholds must lie in [0, 1]")
+        _check_search(self.search, self.d_s, exact=True)
+        _check_solver(self.solver)
         object.__setattr__(self, "thresholds", eps)
+        object.__setattr__(self, "sampling", _check_sampling(self.sampling))
 
 
 def _order_set(kind: str, order: int, N, weight=None) -> np.ndarray:
     template = tuple(range(1, order + 1))
-    if kind == "full_grid":
-        return full_grid(template, int(N)).freqs
-    if kind == "hyperbolic_cross":
-        return hyperbolic_cross(template, float(N)).freqs
-    if kind == "weighted":
+    try:
+        if kind == "full_grid":
+            return full_grid(template, int(N)).freqs
+        if kind == "hyperbolic_cross":
+            return hyperbolic_cross(template, float(N)).freqs
         return weighted_index_set(template, weight, float(N), d=order).freqs
-    raise ValueError(f"unknown search-set type {kind!r}")
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"search.N[{order - 1}] = {N!r}: {exc}") from exc
 
 
 def _weight_fn(search: dict):
@@ -92,8 +203,11 @@ def build_search_sets(d: int, d_s: int, search: dict,
     """Per-term index sets over a family (default U_{d_s}), order-dependent.
 
     Terms of equal order share one frequency pattern, constructed once.
+    ``search`` needs a cutoff for every order in the family.
     """
+    _check_dims(d, d_s)
     fam = family if family is not None else term_family_ds(d, d_s)
+    _check_search(search, fam.max_order())
     N = search["N"]
     weight = _weight_fn(search)
     patterns = {}
@@ -202,10 +316,12 @@ def _require_finite(y):
 
 
 def _acquire_data(index_set: GroupedIndexSet, target, sampling: dict):
-    """Node set, values and provenance for either sampling scenario."""
-    kind = sampling.get("kind", "scattered")
+    """Node set, values and provenance for either sampling scenario.
+
+    ``sampling`` has passed ``_check_sampling``.
+    """
     prov = {"sampling": {k: v for k, v in sampling.items()}}
-    if kind == "scattered":
+    if sampling["kind"] == "scattered":
         if isinstance(target, tuple):
             X, y = target
             nodes = X if isinstance(X, NodeSet) else NodeSet(np.asarray(X))
@@ -217,17 +333,15 @@ def _acquire_data(index_set: GroupedIndexSet, target, sampling: dict):
         _require_finite(y)
         prov["sample_count"] = len(nodes)
         return nodes, y, prov, None
-    if kind == "lattice":
-        if isinstance(target, tuple):
-            raise ValueError("black-box sampling needs a callable target")
-        lat = cbc_construct(index_set, seed=int(sampling.get("seed", 0)))
-        nodes = lattice_nodes(lat)
-        y = np.asarray(target(nodes.points), dtype=np.complex128)
-        _require_finite(y)
-        prov["sample_count"] = lat.M
-        prov["lattice"] = lat.to_json_dict(index_set.digest())
-        return nodes, y, prov, lat
-    raise ValueError(f"unknown sampling kind {kind!r}")
+    if isinstance(target, tuple):
+        raise ValueError("black-box sampling needs a callable target")
+    lat = cbc_construct(index_set, seed=int(sampling.get("seed", 0)))
+    nodes = lattice_nodes(lat)
+    y = np.asarray(target(nodes.points), dtype=np.complex128)
+    _require_finite(y)
+    prov["sample_count"] = lat.M
+    prov["lattice"] = lat.to_json_dict(index_set.digest())
+    return nodes, y, prov, lat
 
 
 def _solve(index_set, nodes, y, lat, solver: dict, stage: str) -> SolveReport:
@@ -249,14 +363,15 @@ def detect(cfg: DetectionConfig, target) -> ActiveSetResult:
     closure of the terms whose pilot sensitivity index strictly exceeds the
     threshold for their order.
     """
+    sampling = _check_sampling(cfg.sampling, target)
     fam = term_family_ds(cfg.d, cfg.d_s)
     sets = build_search_sets(cfg.d, cfg.d_s, cfg.search)
     index_set = grouped(fam, sets)
-    nodes, y, prov, lat = _acquire_data(index_set, target, cfg.sampling)
+    nodes, y, prov, lat = _acquire_data(index_set, target, sampling)
     if len(index_set) > len(nodes):
         warnings.warn(f"underdetermined pilot: |I(U)| = {len(index_set)} "
                       f"exceeds |X| = {len(nodes)}")
-    elif cfg.sampling.get("kind", "scattered") == "scattered" and \
+    elif sampling["kind"] == "scattered" and \
             len(index_set) > len(nodes) / 10:
         warnings.warn("pilot system has fewer than 10 samples per unknown; "
                       "overfitting may distort the ranking")
@@ -302,14 +417,18 @@ def approximate(active: TermFamily, sets: dict, target, sampling: dict,
 
     ``sets`` maps every term of the family to its refinement index set.  In
     the lattice scenario a fresh reconstructing lattice is constructed for
-    the refined grouped set.
+    the refined grouped set.  ``sampling`` and ``solver`` are checked as
+    in :class:`DetectionConfig`.
     """
+    sampling = _check_sampling(sampling, target)
+    solver = solver or {}
+    _check_solver(solver)
     index_set = grouped(active, sets)
     nodes, y, prov, lat = _acquire_data(index_set, target, sampling)
     if len(index_set) > len(nodes):
         warnings.warn(f"underdetermined refit: |I(U)| = {len(index_set)} "
                       f"exceeds |X| = {len(nodes)}")
-    report = _solve(index_set, nodes, y, lat, solver or {}, "final")
+    report = _solve(index_set, nodes, y, lat, solver, "final")
     fitted = lattice_evaluate(report.coefficients, lat) if lat is not None \
         else BlockFourierOperator(nodes, index_set).forward(report.coefficients)
     prov.update({"stage": "approximate",
@@ -325,6 +444,7 @@ def tiered_sets(active: TermFamily, report: SensitivityReport, search: dict,
 
     Returns (sets, tier_record); the record goes into model provenance.
     """
+    _check_search(search, active.max_order())
     N = search["N"]
     weight = _weight_fn(search)
     sets = {(): empty_term_set()}

@@ -288,3 +288,109 @@ def test_weighted_search_type_via_config(tmp_path):
     # weighted sets with w = prod (1+|k|) <= 6: singles {(-5..5)\0}, pairs small
     orders = {tuple(t["u"]): t for t in sens["terms"]}
     assert (1,) in orders and (1, 2) in orders
+
+
+BUILTIN_DETECT = {"d": 9, "d_s": 2,
+                  "search": {"type": "full_grid", "N": [4, 4]},
+                  "thresholds": [0.01, 0.01],
+                  "sampling": {"kind": "scattered", "count": 500, "seed": 1},
+                  "target": {"builtin": "bench"}}
+BUILTIN_APPROXIMATE = {**BUILTIN_DETECT, "active_set": [[1], [2], [1, 2]]}
+_WEIGHT_NO_GAMMA = {"alpha": 0.0, "beta": 1.0, "gamma": [1.0] * 9}
+
+
+@pytest.mark.parametrize("command,change,key", [
+    ("detect", {"search": {"type": "weighted", "N": [4, 4]}}, "search.weight"),
+    ("detect", {"search": {"type": "weighted", "N": [4, 4],
+                           "weight": _WEIGHT_NO_GAMMA}}, "Gamma"),
+    ("detect", {"sampling": {"kind": "grid", "count": 500}}, "sampling.kind"),
+    ("detect", {"sampling": {"kind": "scattered"}}, "sampling.count"),
+    ("detect", {"sampling": {"count": 0}}, "sampling.count"),
+    ("detect", {"search": {"type": "full_grid", "N": [5, 4]}}, "search.N[0]"),
+    ("detect", {"search": {"type": "full_grid", "N": [4, "x"]}}, "search.N[1]"),
+    ("detect", {"solver": {"max_iter": "abc"}}, "solver.max_iter"),
+    ("detect", {"solver": {"atol": -1}}, "solver.atol"),
+    ("detect", {"solver": {"max_iters": 5}}, "max_iters"),
+    ("detect", {"d": 3}, "target.builtin"),
+    ("detect", {"target": {"csv": "no-such-file.csv"}}, "target.csv"),
+    ("approximate", {"active_set": [[1, 2, 3]]}, "search.N"),
+    ("approximate", {"d_s": 12, "search": {"type": "full_grid", "N": [4] * 12}},
+     "d_s"),
+    ("approximate", {"active_set": [[10]]}, "active_set"),
+    ("approximate", {"sampling": {"kind": "grid", "count": 500}}, "sampling.kind"),
+    ("approximate", {"d_s": 1, "search": {"type": "full_grid", "N": [4]}},
+     "search.N"),
+    ("approximate", {"solver": {"max_iters": 5}}, "max_iters"),
+])
+def test_malformed_config_exit_2(tmp_path, capsys, command, change, key):
+    base = BUILTIN_DETECT if command == "detect" else BUILTIN_APPROXIMATE
+    cfg = {**base, **change}
+    code = run_cli([command, "--config", write_config(tmp_path, cfg),
+                    "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert key in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_bench_config_without_scenario_exit_2(tmp_path, capsys):
+    cfg = {"id": "no-scenario", "mode": "detect", "d_s": 1,
+           "sets": {"type": "full_grid", "N": [4]},
+           "sampling": {"count": 500, "seed": 1}}
+    code = run_cli(["bench", "--config", write_config(tmp_path, cfg),
+                    "--out", str(tmp_path)])
+    assert code == 2
+    assert "scenario" in capsys.readouterr().err
+
+
+@pytest.fixture
+def model_file(tmp_path):
+    from anovafourier.anova import CoefficientMap, term_family_ds
+    from anovafourier.index_sets import grouped
+    from anovafourier.method import ApproxModel, build_search_sets
+    fam = term_family_ds(3, 1)
+    g = grouped(fam, build_search_sets(3, 1, {"type": "full_grid", "N": [4]}))
+    path = tmp_path / "model.json"
+    ApproxModel(CoefficientMap(g, np.ones(len(g), complex))).save(path)
+    return str(path)
+
+
+@pytest.mark.parametrize("argv,key", [
+    (["eval", "--model", "no-such-model.json", "--x", "0,0,0"], "--model"),
+    (["eval", "--model", "MODEL"], "--x or --points"),
+    (["eval", "--model", "MODEL", "--x", "0.1,abc"], "--x"),
+    (["eval", "--model", "MODEL", "--x", "0.1,0.2"], "expected 3 coordinates"),
+    (["lattice", "--index-set", "no-such-set.json"], "--index-set"),
+    (["bound", "--alpha", "0", "--beta", "1", "--ds", "3", "--gammas", "abc"],
+     "--gammas"),
+    (["bound", "--alpha", "0", "--beta", "1", "--ds", "9", "--d", "9"], "--ds"),
+])
+def test_bad_arguments_exit_2(tmp_path, capsys, model_file, argv, key):
+    argv = [model_file if a == "MODEL" else a for a in argv]
+    code = run_cli(argv + ["--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert key in err
+
+
+def test_bench_row_identical_across_blas_threads(tmp_path):
+    """The row's errors do not depend on the number of BLAS threads.
+
+    A BLAS dot product splits a vector this long across two threads, which
+    changes the rounding of a norm taken with it.
+    """
+    cfg = {"id": "threads", "mode": "detect", "scenario": "scattered",
+           "d_s": 1, "sets": {"type": "full_grid", "N": [8]},
+           "sampling": {"count": 20001, "seed": 1}, "solver": {"max_iter": 10}}
+    path = write_config(tmp_path, cfg)
+    rows = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OMP_NUM_THREADS=threads,
+                   OPENBLAS_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+        out = tmp_path / f"threads{threads}"
+        subprocess.run([sys.executable, "-m", "anovafourier.cli", "bench",
+                        "--config", path, "--out", str(out)],
+                       env=env, capture_output=True, check=True)
+        rows.append(json.loads((out / "threads.json").read_text()))
+    assert rows[0]["eps_l2"] == rows[1]["eps_l2"]
+    assert rows[0]["eps_L2"] == rows[1]["eps_L2"]

@@ -152,14 +152,3 @@ def test_first_injective():
     picks = _kernels.first_injective(base2, kcol2,
                                      np.array([7, 1], dtype=np.int64), 7)
     assert picks == 1
-
-
-def test_testfun_lattice_matches_pointwise():
-    z = np.array([1, 33, 579, 3628, 21944, 169230, 423408, 845761, 1040984])
-    M = 1059
-    fast = _kernels.testfun_lattice_values(z % M, M)
-    j = np.arange(M, dtype=np.float64)[:, None]
-    X = j * ((z % M)[None, :] / M)
-    X -= np.floor(X)
-    slow = _kernels.testfun_values(X)
-    assert np.max(np.abs(fast - slow)) < 1e-12

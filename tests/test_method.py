@@ -7,9 +7,9 @@ from anovafourier.anova import sensitivity, term_family_ds
 from anovafourier.bench import u_star
 from anovafourier.index_sets import TermFamily, grouped
 from anovafourier.lattice import Rank1Lattice, lattice_evaluate
-from anovafourier.method import (ApproxModel, DetectionConfig, approximate,
-                                 build_search_sets, detect, gap_intervals,
-                                 tiered_sets)
+from anovafourier.method import (ApproxModel, ConfigError, DetectionConfig,
+                                 approximate, build_search_sets, detect,
+                                 gap_intervals, tiered_sets)
 from anovafourier.operator import uniform_nodes
 
 
@@ -117,6 +117,66 @@ def test_config_validation():
     with pytest.raises(ValueError):
         DetectionConfig(d=3, d_s=2, search={"type": "full_grid", "N": [4]},
                         thresholds=[0.0, 0.0], sampling={})
+
+
+_WEIGHT = {"alpha": 0.0, "beta": 1.0, "gamma": [1.0] * 3, "Gamma": [1.0] * 3}
+
+
+@pytest.mark.parametrize("field,value", [
+    ("search", {"type": "weighted", "N": [4, 4]}),
+    ("search", {"type": "weighted", "N": [4, 4],
+                "weight": {k: v for k, v in _WEIGHT.items() if k != "Gamma"}}),
+    ("search", {"type": "weighted", "N": [4, 4], "weight": {**_WEIGHT, "beta": -1}}),
+    ("search", {"type": "full_grid", "N": [4, "x"]}),
+    ("search", {"type": "full_grid", "N": [4, 4, 4]}),
+    ("search", {"type": "full_grid", "N": [4, 4], "cutoff": 3}),
+    ("sampling", {"kind": "grid"}),
+    ("sampling", {"kind": "scattered", "count": 0}),
+    ("sampling", {"kind": "scattered", "count": 10.5}),
+    ("sampling", {"kind": "lattice", "seed": -1}),
+    ("sampling", {"kind": "scattered", "samples": 100}),
+    ("solver", {"max_iter": "abc"}),
+    ("solver", {"max_iter": 0}),
+    ("solver", {"atol": -1}),
+    ("solver", {"btol": float("nan")}),
+    ("solver", {"max_iters": 5}),
+])
+def test_config_rejects_bad_keys(field, value):
+    kwargs = dict(d=3, d_s=2, search={"type": "full_grid", "N": [4, 4]},
+                  thresholds=[0.0, 0.0], sampling={"count": 100})
+    kwargs[field] = value
+    with pytest.raises(ConfigError, match=field):
+        DetectionConfig(**kwargs)
+
+
+def test_detect_checks_sampling_before_the_target():
+    def boom(X):
+        raise AssertionError("target called")
+
+    cfg = tiny_config()
+    object.__setattr__(cfg, "sampling", {"kind": "grid", "count": 10})
+    with pytest.raises(ConfigError, match="sampling.kind"):
+        detect(cfg, boom)
+    cfg = DetectionConfig(d=3, d_s=2, search={"type": "full_grid", "N": [4, 4]},
+                          thresholds=[0.0, 0.0], sampling={"kind": "scattered"})
+    with pytest.raises(ConfigError, match="sampling.count"):
+        detect(cfg, boom)
+    cfg = DetectionConfig(d=3, d_s=2, search={"type": "full_grid", "N": [5, 4]},
+                          thresholds=[0.0, 0.0], sampling={"count": 10})
+    with pytest.raises(ConfigError, match=r"search\.N\[0\]"):
+        detect(cfg, boom)
+
+
+def test_approximate_checks_sampling_and_solver():
+    fam = TermFamily.downward_closure(3, [(1,)])
+    sets = build_search_sets(3, 1, {"type": "full_grid", "N": [4]}, family=fam)
+    with pytest.raises(ConfigError, match="sampling.kind"):
+        approximate(fam, sets, tiny_target, {"kind": "grid", "count": 10})
+    with pytest.raises(ConfigError, match="solver.max_iters"):
+        approximate(fam, sets, tiny_target, {"count": 10}, {"max_iters": 5})
+    with pytest.raises(ConfigError, match="search.N"):
+        build_search_sets(3, 1, {"type": "full_grid", "N": [4]},
+                          family=TermFamily.downward_closure(3, [(1, 2)]))
 
 
 def test_gap_intervals_perfect_and_shuffled():
