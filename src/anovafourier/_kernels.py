@@ -2,12 +2,19 @@
 
 The grouped Fourier products F c and F* y are per-term tensor contractions
 on per-axis phase powers (``fourier_layout``, ``fourier_forward``,
-``fourier_adjoint``): for each chunk of nodes one table of
-exp(2 pi i v x_s), v = -V_s..V_s, is built per axis from one cosine and
-sine per node, and each term's block becomes one matrix product on its
-first axis followed by products of table rows on its remaining axes.  The
-same path serves every block, box-shaped (full grid) or not (hyperbolic
-cross, weighted).  Nothing node-dependent is kept between calls.
+``fourier_adjoint``): the nodes are taken in chunks of ``_NODES``, and for
+each chunk one table of exp(2 pi i v x_s), v = +-1..+-V_s, is filled per
+axis from one cosine and sine per node; each term's block becomes one
+matrix product on its first axis followed by products of table rows on its
+remaining axes.  The same path serves every block, box-shaped (full grid)
+or not (hyperbolic cross, weighted).
+
+Memory: a product allocates one table of R x ``_NODES`` complex entries,
+R = sum_s 2 V_s, and refills it for every chunk; per term it adds work
+arrays of at most a few (max(P, n_a), ``_NODES``) matrices, freed before
+the next term.  Besides its result (length m for F c, |I| for F* y) nothing
+grows with the number of nodes, and nothing node-dependent is kept between
+calls.  At 2048 nodes a table row takes 32 KB.
 
 Determinism: chunk sizes depend only on the inputs, every reduction runs in
 a fixed order, and every BLAS call is a matrix product with a short inner
@@ -30,7 +37,7 @@ BSPLINE_NORM = {2: math.sqrt(3.0 / 4.0),
                 4: math.sqrt(315.0 / 604.0),
                 6: math.sqrt(277200.0 / 655177.0)}
 
-_CHUNK = 1 << 22  # bound temporary phase arrays to ~32 MB
+_NODES = 2048  # nodes per chunk, a multiple of _KB; 1024 and 8192 timed slower
 _KB = 128  # inner length of one BLAS matrix product
 
 
@@ -40,13 +47,16 @@ class _TermLayout(NamedTuple):
     Frequency i of the block sits at row ``pos_r[i]`` (its tuple on the
     remaining axes) and column ``pos_a[i]`` (its value on the first axis).
     ``rows_a`` and ``rows_rest`` are the table rows of those values; the
-    ``_adj`` variants hold the rows of the negated values (the conjugates).
+    ``_adj`` variants hold the rows of the negated values (the conjugates),
+    with ``rows_a_adj`` in ascending order, i.e. for the first-axis values
+    in reverse.  Rows that form an arithmetic run are a slice, which reads
+    the table as a view instead of a copy.
     """
 
     block: slice           # coefficient positions in the grouped vector
-    rows_a: np.ndarray     # (n_a,)
-    rows_rest: tuple       # of (P,) arrays, one per remaining axis
-    rows_a_adj: np.ndarray
+    rows_a: slice | np.ndarray      # n_a rows
+    rows_rest: tuple                # of P rows, one per remaining axis
+    rows_a_adj: slice | np.ndarray
     rows_rest_adj: tuple
     pos_r: np.ndarray
     pos_a: np.ndarray
@@ -59,29 +69,47 @@ class FourierLayout(NamedTuple):
     vmax: np.ndarray   # (d,) largest |k_s| per axis
     const: tuple       # slices of zero-order blocks (the constant term)
     terms: tuple       # of _TermLayout
-    p_max: int         # largest P over the terms
 
 
 def _table_offsets(vmax) -> np.ndarray:
-    """Row of frequency 0 of each axis in the stacked phase table."""
-    return np.cumsum(2 * vmax + 1) - vmax - 1
+    """Per axis, the row that frequency 0 would take in the stacked table.
+
+    Axis s holds v = -V_s..-1, 1..V_s; value v != 0 sits at row
+    ``offset + v - (v > 0)``.
+    """
+    return np.cumsum(2 * vmax) - vmax
+
+
+def _run(rows):
+    """``rows`` as a slice when they form an arithmetic run, else as is."""
+    step = int(rows[1] - rows[0]) if rows.size > 1 else 1
+    if step and np.all(np.diff(rows) == step):
+        stop = int(rows[-1]) + step
+        return slice(int(rows[0]), stop if stop >= 0 else None, step)
+    return rows
 
 
 def fourier_layout(d: int, blocks) -> FourierLayout:
     """Layout of ``(term, freqs)`` blocks in canonical coefficient order.
 
-    ``term`` holds 1-based axes and ``freqs`` its (n_u, |u|) frequencies;
-    the empty term's block is the constant term.
+    ``term`` holds 1-based axes and ``freqs`` its (n_u, |u|) frequencies,
+    none of them zero; the empty term's block is the constant term.
     """
     blocks = [(tuple(c - 1 for c in term), np.asarray(freqs, dtype=np.int64))
               for term, freqs in blocks]
     vmax = np.zeros(d, dtype=np.int64)
     for axes, freqs in blocks:
         if axes and freqs.shape[0]:
+            if not np.all(freqs):
+                raise ValueError("frequency with a zero entry on its term's axes")
             vmax[list(axes)] = np.maximum(vmax[list(axes)], np.abs(freqs).max(axis=0))
     zero = _table_offsets(vmax)
+
+    def rows(s, vals):
+        return _run(zero[s] + vals - (vals > 0))
+
     const, terms = [], []
-    off, p_max = 0, 1
+    off = 0
     for axes, freqs in blocks:
         block = slice(off, off + freqs.shape[0])
         off += freqs.shape[0]
@@ -92,14 +120,13 @@ def fourier_layout(d: int, blocks) -> FourierLayout:
             continue
         a_vals, pos_a = np.unique(freqs[:, 0], return_inverse=True)
         rest, pos_r = np.unique(freqs[:, 1:], axis=0, return_inverse=True)
-        p_max = max(p_max, rest.shape[0])
         terms.append(_TermLayout(
-            block, zero[axes[0]] + a_vals,
-            tuple(zero[s] + rest[:, j] for j, s in enumerate(axes[1:])),
-            zero[axes[0]] - a_vals,
-            tuple(zero[s] - rest[:, j] for j, s in enumerate(axes[1:])),
+            block, rows(axes[0], a_vals),
+            tuple(rows(s, rest[:, j]) for j, s in enumerate(axes[1:])),
+            rows(axes[0], -a_vals[::-1]),
+            tuple(rows(s, -rest[:, j]) for j, s in enumerate(axes[1:])),
             pos_r.reshape(-1), pos_a.reshape(-1)))
-    return FourierLayout(off, vmax, tuple(const), tuple(terms), p_max)
+    return FourierLayout(off, vmax, tuple(const), tuple(terms))
 
 
 def _matmul(A, B):
@@ -109,10 +136,16 @@ def _matmul(A, B):
     matrix-vector products at other rows, which changes the rounding.  Fixed
     inner blocks summed in a fixed order, and a zero row or column that turns
     a matrix-vector product into a matrix product, keep the result the same
-    for every thread count.
+    for every thread count.  An outer product (inner length 1) and a dot
+    product (a 1 x 1 result) need no BLAS call: a broadcast product and a
+    fixed-order ``einsum`` sum.
     """
     m, k = A.shape
     n = B.shape[1]
+    if k == 1:
+        return A * B
+    if m == 1 and n == 1:
+        return np.einsum("ij,jk->ik", A, B)
     if m == 1:
         return _matmul(np.concatenate([A, np.zeros_like(A)]), B)[:1]
     if n == 1:
@@ -132,55 +165,54 @@ def _matmul(A, B):
     return out
 
 
-def _chunk_rows(layout: FourierLayout) -> int:
-    return max(1, _CHUNK // (int(np.sum(2 * layout.vmax + 1)) + layout.p_max))
+def _phase_table(X: np.ndarray, vmax, out: np.ndarray) -> np.ndarray:
+    """Fill ``out`` (rows, m) with the stacked tables exp(2 pi i v x_s).
 
-
-def _phase_table(X: np.ndarray, vmax) -> np.ndarray:
-    """Stacked per-axis tables exp(2 pi i v x_s), v = -V_s..V_s, (rows, m).
-
-    Axis s occupies 2 V_s + 1 rows in order of v, with v = 0 at row
+    Axis s occupies 2 V_s rows, v = -V_s..-1 then 1..V_s, around row
     ``_table_offsets(vmax)[s]``.  One cosine and sine per node and axis give
     v = 1; higher powers are binary products E[v] = E[v//2] E[v - v//2], and
-    negative v are conjugates.
+    negative v are conjugates.  Everything is written in place.
     """
     zero = _table_offsets(vmax)
-    E = np.empty((int(np.sum(2 * vmax + 1)), X.shape[0]), dtype=np.complex128)
     for s, V in enumerate(int(v) for v in vmax):
-        Es = E[zero[s] - V:zero[s] + V + 1]
-        Es[V] = 1.0
         if V == 0:
             continue
-        phase = 2.0 * np.pi * X[:, s]  # in place: np.exp's temporaries raise peak RSS
-        np.cos(phase, out=Es[V + 1].real)
-        np.sin(phase, out=Es[V + 1].imag)
+        Es = out[zero[s] - V:zero[s] + V]
+        pos = Es[V:]  # v = 1..V
+        phase = 2.0 * np.pi * X[:, s]
+        np.cos(phase, out=pos[0].real)
+        np.sin(phase, out=pos[0].imag)
         for v in range(2, V + 1):
-            np.multiply(Es[V + v // 2], Es[V + v - v // 2], out=Es[V + v])
-        np.conjugate(Es[:V:-1], out=Es[:V])
-    return E
+            np.multiply(pos[v // 2 - 1], pos[v - v // 2 - 1], out=pos[v - 1])
+        np.conjugate(pos[::-1], out=Es[:V])
+    return out
+
+
+def _chunks(X, layout: FourierLayout):
+    """Yield (lo, hi, table) per chunk of _NODES nodes, one table refilled."""
+    m = X.shape[0]
+    E = np.empty((int(np.sum(2 * layout.vmax)), min(m, _NODES)), dtype=np.complex128)
+    for lo in range(0, m, _NODES):
+        hi = min(m, lo + _NODES)
+        yield lo, hi, _phase_table(X[lo:hi], layout.vmax, E[:, :hi - lo])
 
 
 def fourier_forward(X, layout: FourierLayout, coeffs) -> np.ndarray:
     """F c at nodes X (m, d): per term, T = C @ E_a[A], then rows of the rest.
 
-    C is the term's coefficient block zero-filled to (P, n_a); T (P, m) is
-    multiplied by the gathered table rows E_j[rest_j] and summed over P.
+    C is the term's coefficient block zero-filled to (P, n_a); T (P, chunk)
+    is multiplied by the table rows E_j[rest_j] and summed over P.
     """
     X = np.asarray(X, dtype=np.float64)
     coeffs = np.asarray(coeffs, dtype=np.complex128)
     const = sum(complex(coeffs[b].sum()) for b in layout.const)
     mats = []
     for t in layout.terms:
-        C = np.zeros((t.rows_rest[0].size if t.rows_rest else 1, t.rows_a.size),
-                     dtype=np.complex128)
+        C = np.zeros((t.pos_r.max() + 1, t.pos_a.max() + 1), dtype=np.complex128)
         C[t.pos_r, t.pos_a] = coeffs[t.block]
         mats.append(C)
-    m = X.shape[0]
-    out = np.full(m, const, dtype=np.complex128)
-    rows = _chunk_rows(layout)
-    for lo in range(0, m, rows):
-        hi = min(m, lo + rows)
-        E = _phase_table(X[lo:hi], layout.vmax)
+    out = np.full(X.shape[0], const, dtype=np.complex128)
+    for lo, hi, E in _chunks(X, layout):
         acc = out[lo:hi]
         for t, C in zip(layout.terms, mats):
             T = _matmul(C, E[t.rows_a])
@@ -194,26 +226,23 @@ def fourier_adjoint(X, layout: FourierLayout, y) -> np.ndarray:
     """F* y: the forward contraction mirrored on conjugated table rows.
 
     Conjugation is a row lookup, E[-v] = conj(E[v]).  Per term,
-    W = y * prod_j conj(E_j[rest_j]) (P, m) and G = conj(E_a[A]) @ W^T
-    (n_a, P); the block reads G at its (first value, rest) positions.
+    W = y * prod_j conj(E_j[rest_j]) (P, chunk) and G = conj(E_a[A]) @ W^T
+    (n_a, P), its rows in reverse first-axis order; the block reads G at
+    its (first value, rest) positions.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.complex128)
     out = np.zeros(layout.n, dtype=np.complex128)
-    m = X.shape[0]
-    rows = _chunk_rows(layout)
-    for lo in range(0, m, rows):
-        hi = min(m, lo + rows)
+    for lo, hi, E in _chunks(X, layout):
         yc = y[lo:hi]
         for b in layout.const:
             out[b] += yc.sum()
-        E = _phase_table(X[lo:hi], layout.vmax)
         for t in layout.terms:
             W = yc[None, :]
             for r in t.rows_rest_adj:
                 W = W * E[r]
             G = _matmul(E[t.rows_a_adj], W.T)
-            out[t.block] += G[t.pos_a, t.pos_r]
+            out[t.block] += G[::-1][t.pos_a, t.pos_r]
     return out
 
 

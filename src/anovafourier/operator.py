@@ -70,12 +70,14 @@ def lattice_nodes(lat: Rank1Lattice) -> NodeSet:
 class BlockFourierOperator:
     """Matrix-free F and F* for a node set and grouped index set.
 
-    Each term's block only reads the coordinates x_u.  Per chunk of nodes,
-    one table of phase powers exp(2 pi i v x_s) is built per axis, and a
-    block's product is a matrix product on its first axis followed by
-    elementwise products of gathered table rows on its other axes.  Nothing
-    node-dependent is kept between calls, so memory stays bounded by the
-    chunk size at any node count.
+    Each term's block only reads the coordinates x_u.  Per chunk of 2048
+    nodes, one table of phase powers exp(2 pi i v x_s) is filled per axis,
+    and a block's product is a matrix product on its first axis followed by
+    elementwise products of table rows on its other axes.  A product
+    allocates that table once, sum_s 2 V_s rows of 2048 complex entries
+    (32 KB a row), plus per-term work arrays of the same width and its
+    result; nothing node-dependent is kept between calls, so beyond the
+    result the memory of a product does not grow with the node count.
     """
 
     def __init__(self, nodes: NodeSet, index_set: GroupedIndexSet):

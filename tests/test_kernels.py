@@ -1,6 +1,8 @@
 """Kernel checks: the grouped Fourier contraction against a dense matrix,
 its adjoint identity, and the lattice and test-function kernels."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,7 +17,7 @@ from anovafourier.operator import BlockFourierOperator, NodeSet, uniform_nodes
 
 
 def test_backend_flag_reported():
-    assert _kernels.BACKEND in ("numba", "numpy")
+    assert _kernels.BACKEND == "numpy"
 
 
 def _weight(k):
@@ -53,14 +55,38 @@ def test_contraction_matches_dense(name, search):
 
 
 @pytest.mark.parametrize("name,search", SEARCHES, ids=[s[0] for s in SEARCHES])
-def test_contraction_partial_last_chunk(monkeypatch, name, search):
-    """Several node chunks, the last one shorter than the others."""
+def test_contraction_partial_last_chunk(name, search):
+    """Three node chunks with a short last one, and fewer nodes than a chunk."""
+    assert _kernels._NODES % _kernels._KB == 0
     g = grouped(term_family_ds(4, 3), build_search_sets(4, 3, search))
-    layout = BlockFourierOperator(uniform_nodes(4, 1, seed=0), g)._layout
-    monkeypatch.setattr(_kernels, "_CHUNK",
-                        300 * (int(np.sum(2 * layout.vmax + 1)) + layout.p_max))
-    assert _kernels._chunk_rows(layout) == 300
-    _dense_check(g, uniform_nodes(4, 1000, seed=4), seed=1)
+    for m in (2 * _kernels._NODES + 77, _kernels._NODES // 3):
+        _dense_check(g, uniform_nodes(4, m, seed=4), seed=1)
+
+
+def test_product_memory_does_not_grow_by_a_table_per_node():
+    """Traced peak of one forward and one adjoint from 20k to 80k nodes.
+
+    The phase table has chunk width, so the peak may grow by a few length-m
+    vectors (the result), not by a table of (rows, m): 40 rows here, which
+    over 60k more nodes would be 38 MB.
+    """
+    g = grouped(term_family_ds(5, 2),
+                build_search_sets(5, 2, {"type": "full_grid", "N": [8, 4]}))
+
+    def peak(m):
+        op = BlockFourierOperator(uniform_nodes(5, m, seed=5), g)
+        c = np.ones(len(g), dtype=np.complex128)
+        y = np.ones(m, dtype=np.complex128)
+        tracemalloc.start()
+        try:
+            op.forward(c)
+            op.adjoint(y)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    grown = peak(80000) - peak(20000)
+    assert grown <= 3 * 60000 * 16, f"traced peak grew by {grown} bytes"
 
 
 def test_contraction_on_box_edges_and_empty_blocks():
@@ -76,8 +102,15 @@ def test_contraction_on_box_edges_and_empty_blocks():
     _dense_check(only, NodeSet(pts), seed=4)
 
 
+def test_layout_rejects_zero_frequency_entry():
+    """The table has no row for v = 0, so a zero entry cannot be laid out."""
+    with pytest.raises(ValueError, match="zero entry"):
+        _kernels.fourier_layout(2, [((1, 2), [[1, 0]])])
+
+
 @pytest.mark.parametrize("shape", [(1, 40, 300), (40, 300, 1), (3, 1000, 5),
-                                   (200, 300, 150), (5, 3, 7), (2, 129, 2)])
+                                   (200, 300, 150), (5, 3, 7), (2, 129, 2),
+                                   (1, 2048, 1), (3, 1, 300)])
 def test_matmul_blocks_agree_with_plain_product(shape):
     m, k, n = shape
     rng = np.random.default_rng(k)
