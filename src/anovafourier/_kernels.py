@@ -288,10 +288,27 @@ def bucket_accumulate(res, coeffs, M):
     return out
 
 
-def first_injective(base, kcol, cands, M):
+def first_injective(base, kcol, cands, M, slot):
+    """Index of the first z in ``cands`` with base + kcol z injective mod M.
+
+    Returns -1 when no candidate qualifies.  ``base`` and ``kcol`` lie in
+    [0, M).  The test scatters each index j into ``slot[r_j]`` and gathers
+    it back: two equal residues share a slot that keeps only one of their
+    indices, so the other reads back wrong.  Every slot read was written for
+    the same candidate, so ``slot`` (int32, length >= M) may hold anything
+    on entry and is reused across candidates and calls.  O(n) per candidate.
+    """
+    n = base.shape[0]
+    idx = np.arange(n, dtype=np.int32)
+    r = np.empty(n, dtype=np.int64)
+    back = np.empty(n, dtype=np.int32)
     for i, zs in enumerate(cands):
-        r = (base + np.mod(kcol * (zs % M), M)) % M
-        if np.unique(r).size == r.size:
+        np.multiply(kcol, zs % M, out=r)
+        r += base
+        np.remainder(r, M, out=r)
+        slot[r] = idx
+        np.take(slot, r, out=back)
+        if np.array_equal(back, idx):
             return i
     return -1
 

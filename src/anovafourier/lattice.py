@@ -127,6 +127,13 @@ def cbc_construct(freqs, seed: int = 0, M_cap: int | None = None) -> Rank1Lattic
     the next prime.  The result is certified with :func:`is_reconstructing`
     before it is returned.  M_cap defaults to |I|^2 >= |D(I)|, past which
     the prime-existence guarantee is void and a hard error is raised.
+
+    Cost: testing one candidate is O(n), n the number of prefix
+    representatives (<= |I|): one scatter of the indices into an int32 slot
+    array of length M and one gather back
+    (:func:`_kernels.first_injective`).  The slot array is allocated once
+    per lattice size and takes at most min(4 M, 4096 |I|) bytes, since the
+    schedule ends near 1000 |I|.
     """
     f = _embedded(freqs)
     n, d = f.shape
@@ -165,6 +172,7 @@ def cbc_construct(freqs, seed: int = 0, M_cap: int | None = None) -> Rank1Lattic
     for M in size_schedule():
         z = np.zeros(d, dtype=np.int64)
         base = np.zeros(n, dtype=np.int64)
+        slot = np.empty(M, dtype=np.int32)  # scatter/gather scratch, reused
         ok = True
         for s in range(d):
             reps = reps_per_coord[s]
@@ -178,7 +186,7 @@ def cbc_construct(freqs, seed: int = 0, M_cap: int | None = None) -> Rank1Lattic
                 # sampling with replacement; duplicates only waste a try
                 cands = rng.integers(1, M, size=ncand)
             pick = _kernels.first_injective(base[reps], kcol[reps],
-                                            cands.astype(np.int64), M)
+                                            cands.astype(np.int64), M, slot)
             if pick < 0:
                 ok = False
                 break

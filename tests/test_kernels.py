@@ -176,12 +176,48 @@ def test_first_injective():
     base = np.array([0, 1, 2], dtype=np.int64)
     kcol = np.array([1, 2, 3], dtype=np.int64)
     # z = 1: residues (1, 3, 5) mod 7 distinct
-    pick = _kernels.first_injective(base, kcol, np.array([1], dtype=np.int64), 7)
+    slot = np.empty(7, dtype=np.int32)
+    pick = _kernels.first_injective(base, kcol, np.array([1], dtype=np.int64),
+                                    7, slot)
     assert pick == 0
     # z = 0 would clash nothing here, but duplicates must be detected:
     base2 = np.array([0, 0], dtype=np.int64)
     kcol2 = np.array([1, 3], dtype=np.int64)
     # z = 7: residues (7, 21) = (0, 0) mod 7 -> collision, then z = 1 works
     picks = _kernels.first_injective(base2, kcol2,
-                                     np.array([7, 1], dtype=np.int64), 7)
+                                     np.array([7, 1], dtype=np.int64), 7, slot)
     assert picks == 1
+
+
+def _first_injective_unique(base, kcol, cands, M):
+    """Reference: the np.unique candidate test the scatter/gather replaced."""
+    for i, zs in enumerate(cands):
+        r = (base + np.mod(kcol * (zs % M), M)) % M
+        if np.unique(r).size == r.size:
+            return i
+    return -1
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), M=st.integers(2, 100_000),
+       doomed=st.booleans())
+def test_first_injective_matches_unique(seed, M, doomed):
+    """Same pick as the reference on three problems run back to back on one
+    slot buffer that starts with stale indices.  Candidates reach 3M and
+    include multiples of M; ``doomed`` problems repeat a (base, kcol) pair,
+    so every candidate collides and the pick is -1."""
+    rng = np.random.default_rng(seed)
+    slot = rng.integers(-1, 400, size=M).astype(np.int32)
+    for _ in range(3):
+        n = int(rng.integers(1, min(M + 2, 400) + 1))  # n > M: all fail
+        width = int(rng.choice([M, max(2, int(np.sqrt(M))), 2]))
+        base = rng.integers(0, min(width, M), size=n)
+        kcol = rng.integers(0, M, size=n)
+        cands = rng.integers(0, 3 * M, size=int(rng.integers(1, 40)))
+        cands[rng.random(cands.size) < 0.2] = M * rng.integers(0, 3)
+        clash = doomed and n >= 2
+        if clash:
+            base[1], kcol[1] = base[0], kcol[0]
+        expect = _first_injective_unique(base, kcol, cands, M)
+        assert _kernels.first_injective(base, kcol, cands, M, slot) == expect
+        assert expect == -1 or not clash

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from anovafourier.anova import CoefficientMap, term_family_ds
+from anovafourier.bench import u_star
 from anovafourier.index_sets import (LowDimIndexSet, difference_set, full_grid,
                                      grouped)
 from anovafourier.lattice import (DualLatticeWindow, Rank1Lattice,
@@ -83,6 +84,24 @@ def test_cbc_random_grouped_roundtrip():
     rec = lattice_reconstruct(lattice_evaluate(c, lat), g, lat)
     err = np.linalg.norm(rec.values - c.values) / np.linalg.norm(c.values)
     assert err < 1e-10
+
+
+def test_cbc_pins_blackbox_lattices():
+    """Seed-1 CBC picks on table 4 row 1's cross and on the N = 1000 refit
+    set of U*, as used by the black-box benchmark: any change to the search
+    or its candidate test that moves a pick fails here."""
+    cross = lambda N: {"type": "hyperbolic_cross", "N": [N, N, N]}
+    pilot = grouped(term_family_ds(9, 3), build_search_sets(9, 3, cross(100)))
+    refit = grouped(u_star(), build_search_sets(9, 3, cross(1000), u_star()))
+    assert (len(pilot), len(refit)) == (13273, 11167)
+    lat = cbc_construct(pilot, seed=1)
+    assert lat.M == 730021
+    assert lat.z.tolist() == [482480, 675202, 673922, 637572, 318355,
+                              201598, 520821, 471393, 349140]
+    lat = cbc_construct(refit, seed=1)
+    assert lat.M == 2456743
+    assert lat.z.tolist() == [1527227, 666743, 1835390, 1982746, 624265,
+                              92124, 625296, 1464889, 2346260]
 
 
 def test_cbc_duplicate_frequencies_rejected():
