@@ -55,6 +55,14 @@ def next_prime(n: int) -> int:
     return n
 
 
+#: rows per block: ``Rank1Lattice.nodes`` fills its output, and
+#: ``method`` samples a target, this many rows at a time (576 KB of nodes
+#: at d = 9).  Sampling the 9-d test function on 2456743 lattice nodes took
+#: 1.3-1.6 s with blocks of 2048 to 8192 rows, 1.8-1.9 s with 32768 to
+#: 65536 and 2.3 s with 131072 (one BLAS thread, 2-CPU VM).
+BLOCK_ROWS = 8192
+
+
 @dataclass(frozen=True, eq=False)
 class Rank1Lattice:
     z: np.ndarray
@@ -70,11 +78,24 @@ class Rank1Lattice:
     def d(self) -> int:
         return self.z.shape[0]
 
-    def nodes(self) -> np.ndarray:
-        """All M nodes x_j = (j/M) z mod 1 in row order j = 0..M-1."""
-        j = np.arange(self.M, dtype=np.float64)[:, None]
-        x = j * (self.z[None, :] / self.M)
-        return x - np.floor(x)
+    def nodes(self, lo: int = 0, hi: int | None = None) -> np.ndarray:
+        """Nodes x_j = (j/M) z mod 1 for rows j = lo..hi-1 (default all M).
+
+        Each row is frac(j * (z/M)) with float j, the same bits whichever
+        range it is asked for in.  The output is filled ``BLOCK_ROWS`` rows
+        at a time, so no temporary outgrows a block.
+        """
+        hi = self.M if hi is None else hi
+        if not 0 <= lo <= hi <= self.M:
+            raise ValueError(f"need 0 <= lo <= hi <= M = {self.M}, got {lo}, {hi}")
+        step = self.z / self.M
+        out = np.empty((hi - lo, self.d))
+        for a in range(lo, hi, BLOCK_ROWS):
+            b = min(a + BLOCK_ROWS, hi)
+            x = out[a - lo:b - lo]
+            np.multiply(np.arange(a, b, dtype=np.float64)[:, None], step, out=x)
+            x -= np.floor(x)
+        return out
 
     def residues(self, freqs) -> np.ndarray:
         return _kernels.residues(np.asarray(freqs, dtype=np.int64), self.z, self.M)

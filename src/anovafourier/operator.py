@@ -28,29 +28,45 @@ from .index_sets import GroupedIndexSet
 from .lattice import Rank1Lattice, is_reconstructing, lattice_evaluate, lattice_reconstruct
 
 
-@dataclass(frozen=True, eq=False)
 class NodeSet:
-    """Sampling nodes in [0,1)^d plus provenance (seed or lattice)."""
+    """Sampling nodes in [0,1)^d plus provenance (seed or lattice).
 
-    points: np.ndarray
-    provenance: dict = field(default_factory=dict)
+    ``points`` is an (m, d) array, checked and kept, or a
+    :class:`Rank1Lattice`, kept in its place: its M nodes are generated on
+    demand, by :meth:`rows` one block at a time, or all at once by
+    ``points`` (a fresh M x d array on each access).
+    """
 
-    def __post_init__(self):
-        pts = np.asarray(self.points, dtype=np.float64)
+    def __init__(self, points, provenance: dict | None = None):
+        self.provenance = dict(provenance or {})
+        if isinstance(points, Rank1Lattice):
+            self.lattice, self._points = points, None
+            return
+        pts = np.asarray(points, dtype=np.float64)
         if pts.ndim != 2:
             raise ValueError("points must be a 2-d array")
         if not np.all(np.isfinite(pts)):
             raise ValueError("node coordinates must be finite")
         if pts.size and (pts.min() < 0.0 or pts.max() >= 1.0):
             raise ValueError("node coordinates must lie in [0, 1)")
-        object.__setattr__(self, "points", pts)
+        self.lattice, self._points = None, pts
+
+    @property
+    def points(self) -> np.ndarray:
+        return self._points if self.lattice is None else self.lattice.nodes()
+
+    def rows(self, lo: int, hi: int) -> np.ndarray:
+        """Nodes lo..hi-1 as an (hi - lo, d) array."""
+        if self.lattice is None:
+            return self._points[lo:hi]
+        return self.lattice.nodes(lo, hi)
 
     @property
     def d(self) -> int:
-        return self.points.shape[1]
+        return self._points.shape[1] if self.lattice is None else self.lattice.d
 
     def __len__(self):
-        return self.points.shape[0]
+        return self._points.shape[0] if self.lattice is None else self.lattice.M
 
 
 def uniform_nodes(d: int, m: int, seed: int) -> NodeSet:
@@ -63,8 +79,9 @@ def uniform_nodes(d: int, m: int, seed: int) -> NodeSet:
 
 
 def lattice_nodes(lat: Rank1Lattice) -> NodeSet:
-    return NodeSet(lat.nodes(), {"kind": "lattice",
-                                 "z": [int(v) for v in lat.z], "M": int(lat.M)})
+    """The M nodes of ``lat``, kept as the lattice, not as an array."""
+    return NodeSet(lat, {"kind": "lattice",
+                         "z": [int(v) for v in lat.z], "M": int(lat.M)})
 
 
 class BlockFourierOperator:

@@ -257,6 +257,22 @@ def test_detect_lattice_scenario_with_builtin(tmp_path):
     assert lat["M"] == manifest["lattice_M"]
 
 
+def test_oversized_lattice_exit_2(tmp_path, capsys, monkeypatch):
+    from anovafourier import method
+    monkeypatch.setattr(method, "_physical_memory", lambda: 1000)
+    cfg = {"d": 9, "d_s": 1,
+           "search": {"type": "full_grid", "N": [8]},
+           "thresholds": [0.01],
+           "scenario": "lattice",
+           "sampling": {"seed": 2},
+           "target": {"builtin": "bench"}}
+    code = run_cli(["detect", "--config", write_config(tmp_path, cfg),
+                    "--out", str(tmp_path / "lat")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "samples needs about" in err and "physical memory" in err
+
+
 def test_bench_table4_row1_cli(tmp_path):
     code = run_cli(["bench", "--table", "4", "--row", "1",
                     "--out", str(tmp_path)])

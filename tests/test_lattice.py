@@ -2,12 +2,14 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from anovafourier.anova import CoefficientMap, term_family_ds
 from anovafourier.bench import u_star
 from anovafourier.index_sets import (LowDimIndexSet, difference_set, full_grid,
                                      grouped)
-from anovafourier.lattice import (DualLatticeWindow, Rank1Lattice,
+from anovafourier.lattice import (BLOCK_ROWS, DualLatticeWindow, Rank1Lattice,
                                   aliasing_sum, cbc_construct, is_prime,
                                   is_reconstructing, lattice_evaluate,
                                   lattice_reconstruct, load_lattice,
@@ -28,6 +30,45 @@ def test_nodes_examples():
     # coordinates are rationals with denominator M
     scaled = lat2.nodes() * 9
     assert np.max(np.abs(scaled - np.round(scaled))) < 1e-12
+
+
+def _nodes_whole_array(lat):
+    """Reference: the one-shot formula, frac(j * (z/M)) on all M rows."""
+    j = np.arange(lat.M, dtype=np.float64)[:, None]
+    x = j * (lat.z[None, :] / lat.M)
+    return x - np.floor(x)
+
+
+@st.composite
+def lattice_ranges(draw):
+    M = draw(st.integers(1, 3 * BLOCK_ROWS + 100))
+    z = draw(st.lists(st.integers(0, 10 ** 12), min_size=1, max_size=4))
+    lo = draw(st.integers(0, M))
+    hi = draw(st.integers(lo, M))
+    return Rank1Lattice(np.array(z), M), lo, hi
+
+
+@settings(max_examples=60, deadline=None)
+@given(lattice_ranges())
+@example((Rank1Lattice(np.array([1, 3]), 9), 4, 4))  # empty range
+@example((Rank1Lattice(np.array([7, 11, 13]), 2 * BLOCK_ROWS + 5),
+          BLOCK_ROWS - 3, 2 * BLOCK_ROWS + 5))  # crosses blocks, short last one
+@example((Rank1Lattice(np.array([730020, 2]), 730021), 730021 - 3 * BLOCK_ROWS, 730021))
+def test_nodes_range_matches_whole_array(case):
+    """nodes(lo, hi) is rows lo..hi-1 of nodes(), bit for bit, and both are
+    the one-shot formula's bits."""
+    lat, lo, hi = case
+    whole = _nodes_whole_array(lat)
+    assert np.array_equal(lat.nodes(), whole)
+    part = lat.nodes(lo, hi)
+    assert part.shape == (hi - lo, lat.d)
+    assert np.array_equal(part, whole[lo:hi])
+
+
+@pytest.mark.parametrize("lo,hi", [(-1, 3), (4, 3), (0, 10)])
+def test_nodes_range_rejects_bad_bounds(lo, hi):
+    with pytest.raises(ValueError, match="lo <= hi <= M"):
+        Rank1Lattice(np.array([1, 3]), 9).nodes(lo, hi)
 
 
 def test_is_reconstructing_examples():

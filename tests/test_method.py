@@ -1,12 +1,14 @@
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
+from anovafourier import bench, method
 from anovafourier.anova import sensitivity, term_family_ds
 from anovafourier.bench import u_star
 from anovafourier.index_sets import TermFamily, grouped
-from anovafourier.lattice import Rank1Lattice, lattice_evaluate
+from anovafourier.lattice import BLOCK_ROWS, Rank1Lattice, lattice_evaluate
 from anovafourier.method import (ApproxModel, ConfigError, DetectionConfig,
                                  approximate, build_search_sets, detect,
                                  gap_intervals, tiered_sets)
@@ -78,7 +80,7 @@ def test_detect_rejects_data_for_lattice():
         detect(cfg, (X, np.zeros(10)))
 
 
-def test_detect_rejects_non_finite_target():
+def test_detect_rejects_non_finite_target(monkeypatch):
     def holey(X):
         y = tiny_target(X)
         y[17] = np.nan
@@ -93,6 +95,59 @@ def test_detect_rejects_non_finite_target():
     lattice = tiny_config(kind="lattice")
     with pytest.raises(ValueError, match="non-finite"):
         detect(lattice, lambda X: np.full(X.shape[0], np.nan))
+    # the lattice (M = 67) sampled 8 rows at a time, a NaN in the fourth block
+    monkeypatch.setattr(method, "BLOCK_ROWS", 8)
+    k = 3 * 8 + 5
+    calls = []
+
+    def late_nan(X):
+        start = sum(calls)
+        calls.append(len(X))
+        y = tiny_target(X)
+        if start <= k < start + len(X):
+            y[k - start] = np.nan
+        return y
+    with pytest.raises(ValueError, match=f"1 non-finite target values, first at sample {k}$"):
+        detect(lattice, late_nan)
+    assert sum(calls) == 67 and max(calls) == 8 and len(calls) == 9
+
+
+def test_lattice_sampling_keeps_no_node_array(monkeypatch):
+    """Traced peak of sampling the 9-d test function on 300007 lattice nodes.
+
+    Nodes and values are made one block at a time, so the peak is the value
+    vector plus a block's work; it must stay below the M x d node array plus
+    the value vector (26.4 MB here), which the whole-array path exceeds.
+    """
+    M, d = 300_007, 9
+    lat = Rank1Lattice(np.array([1, 5, 25, 125, 625, 3125, 15625, 78125, 90619]), M)
+    monkeypatch.setattr(method, "cbc_construct", lambda index_set, seed: lat)
+    g = grouped(term_family_ds(d, 1),
+                build_search_sets(d, 1, {"type": "full_grid", "N": [2]}))
+    rows = []
+
+    def target(X):
+        rows.append(len(X))
+        return bench.testfun_value(X)
+    tracemalloc.start()
+    try:
+        nodes, y, _, _ = method._acquire_data(g, target, {"kind": "lattice", "seed": 0})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < M * d * 8 + M * 16, f"traced peak {peak} bytes"
+    assert sum(rows) == M and max(rows) <= BLOCK_ROWS and len(rows) > 1
+    assert nodes.lattice is lat and len(nodes) == M and y.shape == (M,)
+
+
+def test_oversized_lattice_fails_before_sampling(monkeypatch):
+    monkeypatch.setattr(method, "_physical_memory", lambda: 10_000)
+
+    def never(X):
+        raise AssertionError("target called")
+    need = 67 * method._LATTICE_BYTES_PER_SAMPLE
+    with pytest.raises(ConfigError, match=f"M = 67 samples needs about {need} bytes"):
+        detect(tiny_config(kind="lattice"), never)
 
 
 def test_detect_underdetermined_warns():

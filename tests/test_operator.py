@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from anovafourier.anova import CoefficientMap, term_family_ds
-from anovafourier.index_sets import grouped
+from anovafourier.index_sets import (GroupedIndexSet, LowDimIndexSet,
+                                     TermFamily, grouped)
 from anovafourier.lattice import cbc_construct
 from anovafourier.method import build_search_sets
 from anovafourier.operator import (BlockFourierOperator, NodeSet,
@@ -159,6 +162,65 @@ def test_lattice_solve_matches_lsqr():
     assert direct.iterations == 1
     assert np.linalg.norm(direct.coefficients.values - iterative.coefficients.values) < 1e-8
     assert np.linalg.norm(direct.coefficients.values - target) < 1e-10
+
+
+@st.composite
+def grouped_sets(draw):
+    """Random downward-closed families of up to order 3 in 1..4 dimensions,
+    each term with up to 8 distinct frequencies of entries +-1..+-9."""
+    d = draw(st.integers(1, 4))
+    axes = st.lists(st.integers(1, d), min_size=1, max_size=3, unique=True)
+    terms = draw(st.lists(axes.map(lambda a: tuple(sorted(a))), max_size=4))
+    fam = TermFamily.downward_closure(d, [()] + terms)
+    value = st.integers(1, 9).flatmap(lambda a: st.sampled_from([a, -a]))
+    blocks = []
+    for u in fam.sorted_terms():
+        if not u:
+            blocks.append(LowDimIndexSet((), np.zeros((1, 0))))
+            continue
+        rows = draw(st.lists(st.tuples(*[value] * len(u)), max_size=8, unique=True))
+        blocks.append(LowDimIndexSet(u, np.array(rows, dtype=np.int64)))
+    return GroupedIndexSet(d, tuple(blocks))
+
+
+@settings(max_examples=60, deadline=None)
+@given(grouped_sets(), st.integers(1, 300), st.integers(0, 2 ** 32 - 1))
+def test_forward_blockwise_linear_random_sets(g, m, seed):
+    """F(a c1 + b c2) = a F c1 + b F c2, and F c is the sum of its per-term
+    block products, on random grouped sets and node counts."""
+    rng = np.random.default_rng(seed)
+    op = BlockFourierOperator(NodeSet(rng.random((m, g.d))), g)
+    c1, c2 = (rng.normal(size=len(g)) + 1j * rng.normal(size=len(g)) for _ in "12")
+    a, b = rng.normal(size=2) + 1j * rng.normal(size=2)
+    tol = 1e-12 * np.sqrt(m) * (np.sum(np.abs(a * c1)) + np.sum(np.abs(b * c2)) + 1)
+    combo = op.forward(a * c1 + b * c2)
+    assert np.linalg.norm(combo - (a * op.forward(c1) + b * op.forward(c2))) <= tol
+    total = np.zeros(m, dtype=complex)
+    for sl in g.block_slices().values():
+        part = np.zeros_like(c1)
+        part[sl] = c1[sl]
+        total += op.forward(part)
+    assert np.linalg.norm(total - op.forward(c1)) <= tol
+
+
+@settings(max_examples=40, deadline=None)
+@given(grouped_sets(), st.integers(0, 2 ** 32 - 1))
+def test_lattice_solve_matches_lsqr_random_sets(g, seed):
+    """On a CBC lattice for a random grouped set, the one-FFT solve is the
+    least-squares solution LSQR finds, for data inside and outside the range."""
+    rng = np.random.default_rng(seed)
+    # an explicit cap: the default |I|^2 can lie below every prime that
+    # divides none of the set's differences (I = {0, 6} in d = 1 needs M = 5)
+    lat = cbc_construct(g, seed=seed % 1000, M_cap=10 ** 6)
+    op = BlockFourierOperator(lattice_nodes(lat), g)
+    y = rng.normal(size=lat.M) + 1j * rng.normal(size=lat.M)
+    direct = lattice_solve(lat, g, y)
+    iterative = lsqr(op, y, atol=1e-12, btol=1e-12, max_iter=50)
+    ref = np.linalg.norm(direct.coefficients.values) + 1e-300
+    assert np.linalg.norm(direct.coefficients.values
+                          - iterative.coefficients.values) <= 1e-9 * ref
+    assert direct.residual_norm == pytest.approx(iterative.residual_check, rel=1e-9,
+                                                 abs=1e-12 * np.linalg.norm(y))
 
 
 def test_lattice_solve_rejects_uncertified():
