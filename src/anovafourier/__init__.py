@@ -10,8 +10,7 @@ product-and-order-dependent weights.
 __version__ = "0.1.0"
 
 from ._kernels import BACKEND
-from .anova import (CoefficientMap, SensitivityReport, direct_formula_check,
-                    quadrature_projection, sensitivity, support,
+from .anova import (CoefficientMap, SensitivityReport, sensitivity, support,
                     term_family_ds, truncate, variance)
 from .index_sets import (GroupedIndexSet, LowDimIndexSet, TermFamily,
                          difference_set, diff_cardinality_bound, embed,

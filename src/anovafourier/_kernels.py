@@ -2,19 +2,21 @@
 
 The grouped Fourier products F c and F* y are per-term tensor contractions
 on per-axis phase powers (``fourier_layout``, ``fourier_forward``,
-``fourier_adjoint``): the nodes are taken in chunks of ``_NODES``, and for
-each chunk one table of exp(2 pi i v x_s), v = +-1..+-V_s, is filled per
-axis from one cosine and sine per node; each term's block becomes one
+``fourier_adjoint``): the unit phases exp(2 pi i x_s) are computed once per
+operator (``unit_phases``), the nodes are taken in chunks of ``_NODES``,
+and for each chunk one table of exp(2 pi i v x_s), v = +-1..+-V_s, is
+filled per axis from the chunk's unit phases; each term's block becomes one
 matrix product on its first axis followed by products of table rows on its
 remaining axes.  The same path serves every block, box-shaped (full grid)
 or not (hyperbolic cross, weighted).
 
-Memory: a product allocates one table of R x ``_NODES`` complex entries,
-R = sum_s 2 V_s, and refills it for every chunk; per term it adds work
-arrays of at most a few (max(P, n_a), ``_NODES``) matrices, freed before
-the next term.  Besides its result (length m for F c, |I| for F* y) nothing
-grows with the number of nodes, and nothing node-dependent is kept between
-calls.  At 2048 nodes a table row takes 32 KB.
+Memory: the unit phases take 16 bytes per node and used axis (V_s > 0) and
+are kept by the operator.  A product allocates one table of R x ``_NODES``
+complex entries, R = sum_s 2 V_s, and refills it for every chunk; per term
+it adds work arrays of at most a few (max(P, n_a), ``_NODES``) matrices,
+freed before the next term.  Besides its result (length m for F c, |I| for
+F* y) nothing in a product grows with the number of nodes.  At 2048 nodes a
+table row takes 32 KB.
 
 Determinism: chunk sizes depend only on the inputs, every reduction runs in
 a fixed order, and every BLAS call is a matrix product with a short inner
@@ -89,20 +91,31 @@ def _run(rows):
     return rows
 
 
+def bandwidths(d: int, blocks) -> np.ndarray:
+    """V_s, the largest |k_s| per axis over ``(term, freqs)`` blocks.
+
+    ``term`` holds 1-based axes and ``freqs`` its (n_u, |u|) frequencies.
+    """
+    vmax = np.zeros(d, dtype=np.int64)
+    for term, freqs in blocks:
+        freqs = np.asarray(freqs, dtype=np.int64)
+        if term and freqs.shape[0]:
+            axes = [c - 1 for c in term]
+            vmax[axes] = np.maximum(vmax[axes], np.abs(freqs).max(axis=0))
+    return vmax
+
+
 def fourier_layout(d: int, blocks) -> FourierLayout:
     """Layout of ``(term, freqs)`` blocks in canonical coefficient order.
 
     ``term`` holds 1-based axes and ``freqs`` its (n_u, |u|) frequencies,
     none of them zero; the empty term's block is the constant term.
     """
-    blocks = [(tuple(c - 1 for c in term), np.asarray(freqs, dtype=np.int64))
+    blocks = [(tuple(term), np.asarray(freqs, dtype=np.int64))
               for term, freqs in blocks]
-    vmax = np.zeros(d, dtype=np.int64)
-    for axes, freqs in blocks:
-        if axes and freqs.shape[0]:
-            if not np.all(freqs):
-                raise ValueError("frequency with a zero entry on its term's axes")
-            vmax[list(axes)] = np.maximum(vmax[list(axes)], np.abs(freqs).max(axis=0))
+    if any(term and not np.all(freqs) for term, freqs in blocks):
+        raise ValueError("frequency with a zero entry on its term's axes")
+    vmax = bandwidths(d, blocks)
     zero = _table_offsets(vmax)
 
     def rows(s, vals):
@@ -110,9 +123,10 @@ def fourier_layout(d: int, blocks) -> FourierLayout:
 
     const, terms = [], []
     off = 0
-    for axes, freqs in blocks:
+    for term, freqs in blocks:
         block = slice(off, off + freqs.shape[0])
         off += freqs.shape[0]
+        axes = [c - 1 for c in term]
         if not axes:
             const.append(block)
             continue
@@ -165,45 +179,64 @@ def _matmul(A, B):
     return out
 
 
-def _phase_table(X: np.ndarray, vmax, out: np.ndarray) -> np.ndarray:
+def unit_phases(X, vmax) -> np.ndarray:
+    """exp(2 pi i x_s) for every node, one row per used axis (V_s > 0).
+
+    One cosine and sine per node and used axis, (n_used, m) complex, with
+    no temporary beyond the result; the products copy a chunk of it into
+    their table's v = 1 rows.
+    """
+    X = np.asarray(X, dtype=np.float64)
+    axes = np.flatnonzero(vmax)
+    U = np.empty((axes.size, X.shape[0]), dtype=np.complex128)
+    for j, s in enumerate(axes):
+        phase = U[j].real  # 2 pi x_s, overwritten by its cosine
+        np.multiply(X[:, s], 2.0 * np.pi, out=phase)
+        np.sin(phase, out=U[j].imag)
+        np.cos(phase, out=phase)
+    return U
+
+
+def _phase_table(U: np.ndarray, vmax, out: np.ndarray) -> np.ndarray:
     """Fill ``out`` (rows, m) with the stacked tables exp(2 pi i v x_s).
 
     Axis s occupies 2 V_s rows, v = -V_s..-1 then 1..V_s, around row
-    ``_table_offsets(vmax)[s]``.  One cosine and sine per node and axis give
-    v = 1; higher powers are binary products E[v] = E[v//2] E[v - v//2], and
-    negative v are conjugates.  Everything is written in place.
+    ``_table_offsets(vmax)[s]``.  v = 1 is the axis' row of the unit phases
+    ``U`` (``unit_phases``); higher powers are binary products
+    E[v] = E[v//2] E[v - v//2], and negative v are conjugates.  Everything
+    is written in place.
     """
     zero = _table_offsets(vmax)
+    j = 0
     for s, V in enumerate(int(v) for v in vmax):
         if V == 0:
             continue
         Es = out[zero[s] - V:zero[s] + V]
         pos = Es[V:]  # v = 1..V
-        phase = 2.0 * np.pi * X[:, s]
-        np.cos(phase, out=pos[0].real)
-        np.sin(phase, out=pos[0].imag)
+        pos[0] = U[j]
+        j += 1
         for v in range(2, V + 1):
             np.multiply(pos[v // 2 - 1], pos[v - v // 2 - 1], out=pos[v - 1])
         np.conjugate(pos[::-1], out=Es[:V])
     return out
 
 
-def _chunks(X, layout: FourierLayout):
+def _chunks(U, layout: FourierLayout):
     """Yield (lo, hi, table) per chunk of _NODES nodes, one table refilled."""
-    m = X.shape[0]
+    m = U.shape[1]
     E = np.empty((int(np.sum(2 * layout.vmax)), min(m, _NODES)), dtype=np.complex128)
     for lo in range(0, m, _NODES):
         hi = min(m, lo + _NODES)
-        yield lo, hi, _phase_table(X[lo:hi], layout.vmax, E[:, :hi - lo])
+        yield lo, hi, _phase_table(U[:, lo:hi], layout.vmax, E[:, :hi - lo])
 
 
-def fourier_forward(X, layout: FourierLayout, coeffs) -> np.ndarray:
-    """F c at nodes X (m, d): per term, T = C @ E_a[A], then rows of the rest.
+def fourier_forward(U, layout: FourierLayout, coeffs) -> np.ndarray:
+    """F c at the nodes whose unit phases (``unit_phases``) are U: per term,
+    T = C @ E_a[A], then rows of the rest.
 
     C is the term's coefficient block zero-filled to (P, n_a); T (P, chunk)
     is multiplied by the table rows E_j[rest_j] and summed over P.
     """
-    X = np.asarray(X, dtype=np.float64)
     coeffs = np.asarray(coeffs, dtype=np.complex128)
     const = sum(complex(coeffs[b].sum()) for b in layout.const)
     mats = []
@@ -211,8 +244,8 @@ def fourier_forward(X, layout: FourierLayout, coeffs) -> np.ndarray:
         C = np.zeros((t.pos_r.max() + 1, t.pos_a.max() + 1), dtype=np.complex128)
         C[t.pos_r, t.pos_a] = coeffs[t.block]
         mats.append(C)
-    out = np.full(X.shape[0], const, dtype=np.complex128)
-    for lo, hi, E in _chunks(X, layout):
+    out = np.full(U.shape[1], const, dtype=np.complex128)
+    for lo, hi, E in _chunks(U, layout):
         acc = out[lo:hi]
         for t, C in zip(layout.terms, mats):
             T = _matmul(C, E[t.rows_a])
@@ -222,7 +255,7 @@ def fourier_forward(X, layout: FourierLayout, coeffs) -> np.ndarray:
     return out
 
 
-def fourier_adjoint(X, layout: FourierLayout, y) -> np.ndarray:
+def fourier_adjoint(U, layout: FourierLayout, y) -> np.ndarray:
     """F* y: the forward contraction mirrored on conjugated table rows.
 
     Conjugation is a row lookup, E[-v] = conj(E[v]).  Per term,
@@ -230,10 +263,9 @@ def fourier_adjoint(X, layout: FourierLayout, y) -> np.ndarray:
     (n_a, P), its rows in reverse first-axis order; the block reads G at
     its (first value, rest) positions.
     """
-    X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.complex128)
     out = np.zeros(layout.n, dtype=np.complex128)
-    for lo, hi, E in _chunks(X, layout):
+    for lo, hi, E in _chunks(U, layout):
         yc = y[lo:hi]
         for b in layout.const:
             out[b] += yc.sum()

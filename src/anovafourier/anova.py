@@ -5,21 +5,16 @@ out in the canonical block order of a :class:`GroupedIndexSet`.  Because the
 embedded blocks have disjoint supports, every term's contribution is exactly
 one contiguous slice; truncation, variance and sensitivity indices follow by
 slicing.
-
-The quadrature helpers at the bottom are test oracles (dyadic tensor grids,
-d <= 4): they validate the projection/term identities independently of the
-coefficient path.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import combinations
 
 import numpy as np
 
-from .index_sets import (GroupedIndexSet, TermFamily, term_sort_key,
-                         validate_term)
+from .index_sets import GroupedIndexSet, TermFamily, term_sort_key
 
 
 @dataclass(frozen=True, eq=False)
@@ -141,79 +136,3 @@ def sensitivity(coeffs: CoefficientMap) -> SensitivityReport:
         gsis = tuple(None for _ in terms)
     return SensitivityReport(total, coeffs.mean() if () in slices else 0j,
                              tuple(terms), variances, gsis)
-
-
-# ---------------------------------------------------------------------------
-# quadrature oracles (test fixtures; dyadic grids, d <= 4)
-# ---------------------------------------------------------------------------
-
-def _grid_samples(sampler, d, grid):
-    if grid & (grid - 1):
-        raise ValueError("grid resolution must be a power of two")
-    if d > 4:
-        raise ValueError("quadrature oracle is limited to d <= 4")
-    axes = [np.arange(grid) / grid] * d
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([m.ravel() for m in mesh], axis=1)
-    return np.asarray(sampler(pts), dtype=np.complex128).reshape((grid,) * d)
-
-
-def _fft_coeffs(samples):
-    # rectangle rule: c_hat[l] = mean over grid of f(x) e^{-2 pi i l.x}
-    return np.fft.fftn(samples) / samples.size
-
-
-def quadrature_projection(sampler, u, d, grid=64) -> dict:
-    """Rectangle-rule Fourier coefficients of the projection P_u f.
-
-    Returns a dict mapping |u|-dimensional integer tuples l (within the grid
-    window in each axis) to the approximate coefficient of P_u f.  Exact to
-    roundoff for trigonometric polynomials within the grid bandwidth.
-    """
-    u = validate_term(u, d)
-    c = _fft_coeffs(_grid_samples(sampler, d, grid))
-    half = grid // 2
-    out = {}
-    rng = range(-half, half)
-    for l in product(rng, repeat=len(u)):
-        idx = [0] * d
-        for coord, v in zip(u, l):
-            idx[coord - 1] = v % grid
-        out[tuple(l)] = complex(c[tuple(idx)])
-    return out
-
-
-def direct_formula_check(sampler, u, d, grid=64) -> float:
-    """Max pointwise gap between two constructions of the ANOVA term f_u.
-
-    Route (a): alternating sum over v subset u of (-1)^(|u|-|v|) P_v f with the
-    projections realized as grid means over the complementary axes.
-    Route (b): keep exactly the sampled coefficients whose support equals u
-    and evaluate back on the grid.  Both routes operate on the same samples,
-    so the discrepancy isolates the combinatorial identities.
-    """
-    u = validate_term(u, d)
-    samples = _grid_samples(sampler, d, grid)
-
-    # route (a): alternating sum of projections, broadcast over the x_u grid
-    acc = np.zeros_like(samples)
-    for r in range(len(u) + 1):
-        for v in combinations(u, r):
-            comp = tuple(i for i in range(d) if (i + 1) not in v)
-            proj = samples.mean(axis=comp, keepdims=True)
-            acc += ((-1) ** (len(u) - len(v))) * proj
-    # route (b): coefficient rule of the term series
-    c = np.fft.fftn(samples) / samples.size
-    half = grid // 2
-    freq_axis = np.fft.fftfreq(grid, d=1.0 / grid).astype(int)
-    keep = np.ones_like(c, dtype=bool)
-    for axis in range(d):
-        shape = [1] * d
-        shape[axis] = grid
-        nz = (freq_axis != 0).reshape(shape)
-        if (axis + 1) in u:
-            keep &= nz
-        else:
-            keep &= ~nz
-    term_vals = np.fft.ifftn(np.where(keep, c, 0)) * samples.size
-    return float(np.max(np.abs(acc - term_vals)))

@@ -146,8 +146,17 @@ def cbc_construct(freqs, seed: int = 0, M_cap: int | None = None) -> Rank1Lattic
     ``_CBC_CANDIDATES``) and keeping the residues injective on the distinct
     coordinate prefixes of I; exhausting a coordinate's budget advances to
     the next prime.  The result is certified with :func:`is_reconstructing`
-    before it is returned.  M_cap defaults to |I|^2 >= |D(I)|, past which
-    the prime-existence guarantee is void and a hard error is raised.
+    before it is returned.
+
+    A reconstructing z exists for every prime M above both the largest
+    coordinate spread of I (max_s of max k_s - min k_s) and
+    |I|(|I| - 1)/2 + 1: with M above the spread, each pair of distinct
+    prefixes rules out at most one z_s in {1, .., M-1}.  M_cap defaults to
+    the larger of |I|^2 and the first prime above that spread, so the sizes
+    up to the cap include such a prime (Bertrand's postulate when the
+    spread is below |I|^2).  The search tries only the scheduled sizes and
+    a sample of candidates, so it may still exhaust below the cap; then a
+    hard error is raised.
 
     Cost: testing one candidate is O(n), n the number of prefix
     representatives (<= |I|): one scatter of the indices into an int32 slot
@@ -166,7 +175,7 @@ def cbc_construct(freqs, seed: int = 0, M_cap: int | None = None) -> Rank1Lattic
     if n == 1:
         return Rank1Lattice(np.zeros(d, dtype=np.int64), 1)
     if M_cap is None:
-        M_cap = n * n
+        M_cap = max(n * n, next_prime(int(np.ptp(f, axis=0).max()) + 1))
     rng = np.random.Generator(np.random.Philox(seed))
 
     def size_schedule():

@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import _kernels
 from .anova import CoefficientMap, SensitivityReport, sensitivity, term_family_ds
 from .index_sets import (GroupedIndexSet, LowDimIndexSet, TermFamily,
                          empty_term_set, full_grid, grouped, hyperbolic_cross,
@@ -333,6 +334,33 @@ def _check_lattice_memory(lat: Rank1Lattice) -> None:
                           f"bytes, more than the {have} bytes of physical memory")
 
 
+#: bytes per node that a scattered stage holds at its peak besides the nodes
+#: and the operator's unit phases: the values, LSQR's vector u, a product's
+#: result and the residual.  From 20k to 80k nodes (d = 9), traced peaks of
+#: `detect` and `approximate` grew by 35 to 63.8 bytes per node beyond
+#: 8 d + 16 d_used on five index sets; rounded up to 4 complex values.
+_SCATTERED_BYTES_PER_NODE = 64
+
+
+def _check_scattered_memory(index_set: GroupedIndexSet, m: int) -> None:
+    """Raise ConfigError when a scattered stage on m nodes cannot fit.
+
+    The estimate: per node the coordinates (8 d bytes), the unit phases
+    (16 bytes per used axis) and ``_SCATTERED_BYTES_PER_NODE``; the phase
+    table of one node chunk; four length-|I| LSQR vectors.
+    """
+    vmax = _kernels.bandwidths(index_set.d,
+                               [(b.term, b.freqs) for b in index_set.blocks])
+    per_node = 8 * index_set.d + 16 * int(np.count_nonzero(vmax)) \
+        + _SCATTERED_BYTES_PER_NODE
+    table = 16 * 2 * int(vmax.sum()) * min(m, _kernels._NODES)
+    need = m * per_node + table + 4 * 16 * len(index_set)
+    have = _physical_memory()
+    if need > have:
+        raise ConfigError(f"scattered fit on m = {m} nodes needs about {need} "
+                          f"bytes, more than the {have} bytes of physical memory")
+
+
 def _acquire_data(index_set: GroupedIndexSet, target, sampling: dict):
     """Node set, values and provenance for either sampling scenario.
 
@@ -347,9 +375,11 @@ def _acquire_data(index_set: GroupedIndexSet, target, sampling: dict):
             raise ValueError("black-box sampling needs a callable target")
         X, y = target
         nodes = X if isinstance(X, NodeSet) else NodeSet(np.asarray(X))
+        _check_scattered_memory(index_set, len(nodes))
         y = np.asarray(y, dtype=np.complex128)
     else:
         if sampling["kind"] == "scattered":
+            _check_scattered_memory(index_set, int(sampling["count"]))
             nodes = uniform_nodes(index_set.d, int(sampling["count"]),
                                   int(sampling.get("seed", 0)))
         else:

@@ -87,14 +87,16 @@ def lattice_nodes(lat: Rank1Lattice) -> NodeSet:
 class BlockFourierOperator:
     """Matrix-free F and F* for a node set and grouped index set.
 
-    Each term's block only reads the coordinates x_u.  Per chunk of 2048
-    nodes, one table of phase powers exp(2 pi i v x_s) is filled per axis,
-    and a block's product is a matrix product on its first axis followed by
-    elementwise products of table rows on its other axes.  A product
-    allocates that table once, sum_s 2 V_s rows of 2048 complex entries
-    (32 KB a row), plus per-term work arrays of the same width and its
-    result; nothing node-dependent is kept between calls, so beyond the
-    result the memory of a product does not grow with the node count.
+    Each term's block only reads the coordinates x_u.  The operator computes
+    the unit phases exp(2 pi i x_s) once, one cosine and sine per node and
+    used axis (V_s > 0), and keeps them: 16 bytes per node and used axis.
+    Per chunk of 2048 nodes, a product fills one table of phase powers
+    exp(2 pi i v x_s) per axis from those phases, and a block's product is
+    a matrix product on its first axis followed by elementwise products of
+    table rows on its other axes.  A product allocates that table once,
+    sum_s 2 V_s rows of 2048 complex entries (32 KB a row), plus per-term
+    work arrays of the same width and its result, so beyond the result the
+    memory of a product does not grow with the node count.
     """
 
     def __init__(self, nodes: NodeSet, index_set: GroupedIndexSet):
@@ -105,7 +107,7 @@ class BlockFourierOperator:
         self.index_set = index_set
         self._layout = _kernels.fourier_layout(
             index_set.d, [(b.term, b.freqs) for b in index_set.blocks])
-        self._pts = np.ascontiguousarray(nodes.points)
+        self._phases = _kernels.unit_phases(nodes.points, self._layout.vmax)
 
     @property
     def shape(self):
@@ -117,14 +119,14 @@ class BlockFourierOperator:
             np.asarray(coeffs, dtype=np.complex128)
         if c.shape[0] != self.shape[1]:
             raise ValueError("coefficient length mismatch")
-        return _kernels.fourier_forward(self._pts, self._layout, c)
+        return _kernels.fourier_forward(self._phases, self._layout, c)
 
     def adjoint(self, y) -> np.ndarray:
         """F* y in canonical block order."""
         y = np.asarray(y, dtype=np.complex128)
         if y.shape[0] != self.shape[0]:
             raise ValueError("value length mismatch")
-        return _kernels.fourier_adjoint(self._pts, self._layout, y)
+        return _kernels.fourier_adjoint(self._phases, self._layout, y)
 
 
 @dataclass(frozen=True, eq=False)

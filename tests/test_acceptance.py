@@ -20,7 +20,7 @@ import pytest
 
 from anovafourier import bench
 from anovafourier.anova import CoefficientMap, sensitivity, term_family_ds, \
-    direct_formula_check, support
+    support
 from anovafourier.index_sets import grouped
 from anovafourier.lattice import (DualLatticeWindow, Rank1Lattice,
                                   aliasing_sum, cbc_construct,
@@ -32,6 +32,7 @@ from anovafourier.operator import (BlockFourierOperator, lattice_nodes,
                                    lattice_solve, lsqr, uniform_nodes)
 from anovafourier.weights import WeightParams, sobolev_trunc_bound_l2, \
     wiener_trunc_bound
+from quadrature_oracles import direct_formula_check
 
 
 def report(num, ok, detail):

@@ -99,7 +99,7 @@ def test_testfun_zero_structure():
 
 def test_testfun_coeffs_match_quadrature_slice():
     # 3-d slice (coords 4, 8, 9 pattern): quadrature oracle agrees to 1e-10
-    from anovafourier.anova import quadrature_projection
+    from quadrature_oracles import quadrature_projection
 
     def f(X):
         return (bench.bspline_value(2, X[:, 0]) * bench.bspline_value(4, X[:, 1])

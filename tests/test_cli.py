@@ -273,6 +273,19 @@ def test_oversized_lattice_exit_2(tmp_path, capsys, monkeypatch):
     assert "samples needs about" in err and "physical memory" in err
 
 
+def test_oversized_scattered_fit_exit_2(tmp_path, capsys, monkeypatch):
+    from anovafourier import method
+    monkeypatch.setattr(method, "_physical_memory", lambda: 1000)
+    cfg = dict(TINY_DETECT)
+    cfg["target"] = {"builtin": "bench"}
+    cfg["d"] = 9
+    code = run_cli(["detect", "--config", write_config(tmp_path, cfg),
+                    "--out", str(tmp_path / "scat")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "m = 2000 nodes needs about" in err and "physical memory" in err
+
+
 def test_bench_table4_row1_cli(tmp_path):
     code = run_cli(["bench", "--table", "4", "--row", "1",
                     "--out", str(tmp_path)])

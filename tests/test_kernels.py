@@ -63,30 +63,87 @@ def test_contraction_partial_last_chunk(name, search):
         _dense_check(g, uniform_nodes(4, m, seed=4), seed=1)
 
 
-def test_product_memory_does_not_grow_by_a_table_per_node():
-    """Traced peak of one forward and one adjoint from 20k to 80k nodes.
+def _table_from_nodes(X, vmax, out):
+    """Reference: the phase table filled from the chunk's nodes themselves,
+    one cosine and sine per node and used axis."""
+    zero = _kernels._table_offsets(vmax)
+    for s, V in enumerate(int(v) for v in vmax):
+        if V == 0:
+            continue
+        Es = out[zero[s] - V:zero[s] + V]
+        pos = Es[V:]
+        phase = 2.0 * np.pi * X[:, s]
+        np.cos(phase, out=pos[0].real)
+        np.sin(phase, out=pos[0].imag)
+        for v in range(2, V + 1):
+            np.multiply(pos[v // 2 - 1], pos[v - v // 2 - 1], out=pos[v - 1])
+        np.conjugate(pos[::-1], out=Es[:V])
+    return out
 
-    The phase table has chunk width, so the peak may grow by a few length-m
-    vectors (the result), not by a table of (rows, m): 40 rows here, which
-    over 60k more nodes would be 38 MB.
+
+@pytest.mark.parametrize("m", [1, _kernels._NODES - 1, 2 * _kernels._NODES + 77])
+def test_cached_phases_match_per_chunk_tables_bitwise(m, monkeypatch):
+    """Products from the operator's unit phases equal, bit for bit, products
+    whose tables are filled per chunk from the nodes themselves; axis 3 is
+    unused, so the phases skip it."""
+    fam = TermFamily.downward_closure(5, [(), (1, 2), (2, 4, 5)])
+    g = grouped(fam, build_search_sets(
+        5, 3, {"type": "hyperbolic_cross", "N": [20, 20, 30]}))
+    X = uniform_nodes(5, m, seed=6)
+    op = BlockFourierOperator(X, g)
+    assert op._phases.shape == (4, m)
+    rng = np.random.default_rng(m)
+    c = rng.normal(size=len(g)) + 1j * rng.normal(size=len(g))
+    y = rng.normal(size=m) + 1j * rng.normal(size=m)
+    got = op.forward(c), op.adjoint(y)
+
+    def chunks(_U, layout):
+        E = np.empty((int(np.sum(2 * layout.vmax)), min(m, _kernels._NODES)),
+                     dtype=np.complex128)
+        for lo in range(0, m, _kernels._NODES):
+            hi = min(m, lo + _kernels._NODES)
+            yield lo, hi, _table_from_nodes(X.points[lo:hi], layout.vmax,
+                                            E[:, :hi - lo])
+
+    monkeypatch.setattr(_kernels, "_chunks", chunks)
+    assert np.array_equal(got[0], op.forward(c))
+    assert np.array_equal(got[1], op.adjoint(y))
+
+
+def test_product_memory_does_not_grow_by_a_table_per_node():
+    """Traced peaks from 20k to 80k nodes, of building the operator and of
+    one forward and one adjoint.
+
+    The operator keeps 16 bytes per node and used axis (the unit phases),
+    plus the nodes X.  The phase table has chunk width, so a product's peak
+    may grow by a few length-m vectors (the result), not by a table of
+    (rows, m): 40 rows here, which over 60k more nodes would be 38 MB.
     """
     g = grouped(term_family_ds(5, 2),
                 build_search_sets(5, 2, {"type": "full_grid", "N": [8, 4]}))
 
-    def peak(m):
-        op = BlockFourierOperator(uniform_nodes(5, m, seed=5), g)
-        c = np.ones(len(g), dtype=np.complex128)
-        y = np.ones(m, dtype=np.complex128)
+    def traced(fn):
         tracemalloc.start()
         try:
-            op.forward(c)
-            op.adjoint(y)
-            return tracemalloc.get_traced_memory()[1]
+            out = fn()
+            return out, tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
 
-    grown = peak(80000) - peak(20000)
+    def peaks(m):
+        op, built = traced(lambda: BlockFourierOperator(
+            uniform_nodes(5, m, seed=5), g))
+        c = np.ones(len(g), dtype=np.complex128)
+        y = np.ones(m, dtype=np.complex128)
+        _, product = traced(lambda: (op.forward(c), op.adjoint(y)))
+        return built, product
+
+    (built20, product20), (built80, product80) = peaks(20000), peaks(80000)
+    grown = product80 - product20
     assert grown <= 3 * 60000 * 16, f"traced peak grew by {grown} bytes"
+    grown = built80 - built20
+    assert grown <= 60000 * (5 * 16 + 5 * 8), \
+        f"building the operator grew by {grown} bytes"
 
 
 def test_contraction_on_box_edges_and_empty_blocks():

@@ -145,6 +145,14 @@ def test_cbc_pins_blackbox_lattices():
                               92124, 625296, 1464889, 2346260]
 
 
+def test_cbc_default_cap_reaches_past_the_spread():
+    """Every prime M <= |I|^2 = 4 divides 6 - 0, so a cap of |I|^2 alone
+    exhausts; the default cap reaches the first prime above the spread."""
+    freqs = np.array([[0], [6]])
+    lat = cbc_construct(freqs)
+    assert lat.M == 5 and is_reconstructing(lat, freqs)
+
+
 def test_cbc_duplicate_frequencies_rejected():
     with pytest.raises(ValueError):
         cbc_construct(np.array([[1, 0], [1, 0]]))

@@ -150,6 +150,28 @@ def test_oversized_lattice_fails_before_sampling(monkeypatch):
         detect(tiny_config(kind="lattice"), never)
 
 
+def test_oversized_scattered_fit_fails_before_allocating(monkeypatch):
+    """Nodes, unit phases, one chunk's phase table and the LSQR vectors are
+    estimated before the nodes are drawn or the operator is built, for a
+    callable target and for fixed data alike."""
+    monkeypatch.setattr(method, "_physical_memory", lambda: 10_000)
+
+    def never(*_args):
+        raise AssertionError("allocated before the memory check")
+    X = uniform_nodes(3, 3000, seed=1).points
+    monkeypatch.setattr(method, "uniform_nodes", never)
+    monkeypatch.setattr(method, "BlockFourierOperator", never)
+    cfg = tiny_config()
+    g = grouped(term_family_ds(3, 2), build_search_sets(3, 2, cfg.search))
+    vmax = np.abs(g.embedded()).max(axis=0)
+    need = (3000 * (8 * 3 + 16 * 3 + method._SCATTERED_BYTES_PER_NODE)
+            + 16 * 2 * int(vmax.sum()) * 2048 + 4 * 16 * len(g))
+    for target in (never, (X, tiny_target(X))):
+        with pytest.raises(ConfigError,
+                           match=f"m = 3000 nodes needs about {need} bytes"):
+            detect(cfg, target)
+
+
 def test_detect_underdetermined_warns():
     cfg = DetectionConfig(d=3, d_s=2, search={"type": "full_grid", "N": [8, 8]},
                           thresholds=[0.0, 0.0],
