@@ -6,7 +6,10 @@ A rank-1 lattice is the node set {(j/M) z mod 1 : j = 0..M-1}.  It is
 pairwise distinct over I; this is equivalent to the difference-set condition
 m.z != 0 mod M for all nonzero m in D(I), and makes the normal-equations
 matrix F*F equal M times the identity, so least squares reduces to one
-adjoint multiplication realized by a single length-M FFT.
+adjoint multiplication realized by a single length-M FFT.  The CBC search
+returns 5-smooth M only, so that FFT never falls back to Bluestein's
+algorithm, which at prime M took about 9 times as long and most of a
+stage's memory.
 
 All residue arithmetic reduces k and z modulo M before multiplying, which
 keeps intermediates below 2^63 for any M < 2^31.
@@ -24,35 +27,24 @@ from . import _kernels
 from .index_sets import GroupedIndexSet
 
 
-def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin, valid for all 64-bit integers."""
-    if n < 2:
-        return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        if n % p == 0:
-            return n == p
-    d, r = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        r += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(r - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
+def next_smooth(n: int) -> int:
+    """The smallest 5-smooth integer 2^a 3^b 5^c that is >= n (1 for n <= 1).
 
-
-def next_prime(n: int) -> int:
-    n = max(2, n)
-    while not is_prime(n):
-        n += 1
-    return n
+    numpy's FFT factors such lengths into its own radix kernels; a length
+    with a large prime factor takes Bluestein's algorithm instead.
+    """
+    if n <= 1:
+        return 1
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            # p35 times the smallest power of two reaching n
+            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
 
 
 #: rows per block: ``Rank1Lattice.nodes`` fills its output, and
@@ -126,12 +118,11 @@ def is_reconstructing(lat: Rank1Lattice, freqs) -> bool:
     return bool(_kernels.residues_injective(res, lat.M))
 
 
-#: multiplicative escalation of the lattice-size search, relative to |I|
-_CBC_SCALES = (1.0, 1.1, 1.25, 1.5, 1.75, 2.0, 2.5, 3.0, 4.0, 5.0, 6.5, 8.0,
-               10.0, 13.0, 16.0, 20.0, 26.0, 32.0, 42.0, 55.0, 70.0, 90.0,
-               120.0, 160.0, 220.0, 300.0, 400.0, 550.0, 750.0, 1000.0)
-#: consecutive primes tried as lattice sizes at each scale
-_CBC_PRIMES_PER_SCALE = 2
+#: each lattice size tried is the first 5-smooth integer >= this ratio
+#: times the previous one
+_CBC_RATIO = 1.1
+#: the search tries no lattice size above this multiple of |I|
+_CBC_MAX_SCALE = 1000
 #: random candidates for z_s tried per coordinate before the next lattice size
 _CBC_CANDIDATES = 96
 
@@ -139,31 +130,32 @@ _CBC_CANDIDATES = 96
 def cbc_construct(freqs, seed: int = 0, M_cap: int | None = None) -> Rank1Lattice:
     """Component-by-component search for a reconstructing rank-1 lattice.
 
-    Candidate sizes are primes drawn from a geometric schedule starting at
-    the first prime >= |I| (a few consecutive primes per scale).  For each M
-    the generating vector is grown one coordinate at a time, drawing z_s
-    from a seeded random permutation of {1, .., M-1} (capped at
-    ``_CBC_CANDIDATES``) and keeping the residues injective on the distinct
-    coordinate prefixes of I; exhausting a coordinate's budget advances to
-    the next prime.  The result is certified with :func:`is_reconstructing`
-    before it is returned.
+    Candidate sizes are 5-smooth (2^a 3^b 5^c), so every lattice FFT runs
+    on numpy's radix kernels rather than Bluestein's algorithm.  The first
+    is the smallest 5-smooth integer >= |I|, each next one the smallest
+    5-smooth integer >= ceil(``_CBC_RATIO`` x the previous), up to
+    min(M_cap, ``_CBC_MAX_SCALE`` |I|).  For each M the generating vector is
+    grown one coordinate at a time, drawing z_s from a seeded random
+    permutation of {1, .., M-1} (capped at ``_CBC_CANDIDATES``) and keeping
+    the residues injective on the distinct coordinate prefixes of I;
+    exhausting a coordinate's budget advances to the next size.  The result
+    is certified with :func:`is_reconstructing` before it is returned.
 
-    A reconstructing z exists for every prime M above both the largest
-    coordinate spread of I (max_s of max k_s - min k_s) and
-    |I|(|I| - 1)/2 + 1: with M above the spread, each pair of distinct
-    prefixes rules out at most one z_s in {1, .., M-1}.  M_cap defaults to
-    the larger of |I|^2 and the first prime above that spread, so the sizes
-    up to the cap include such a prime (Bertrand's postulate when the
-    spread is below |I|^2).  The search tries only the scheduled sizes and
-    a sample of candidates, so it may still exhaust below the cap; then a
-    hard error is raised.
+    A reconstructing z exists for every M > S |I|(|I| - 1)/2 + 1, S the
+    largest coordinate spread of I (max_s of max k_s - min k_s): two
+    distinct prefixes whose s-th entries differ by m != 0 (|m| <= S < M)
+    collide for the z_s solving one congruence m z_s = c mod M, which has
+    at most gcd(m, M) <= S solutions, and prefixes with equal s-th entries
+    never collide.  M_cap defaults to the larger of |I|^2 and the first
+    5-smooth integer above that bound.  The search tries only the scheduled
+    sizes and a sample of candidates, so it may still exhaust below the
+    cap; then a hard error is raised.
 
     Cost: testing one candidate is O(n), n the number of prefix
     representatives (<= |I|): one scatter of the indices into an int32 slot
     array of length M and one gather back
     (:func:`_kernels.first_injective`).  The slot array is allocated once
-    per lattice size and takes at most min(4 M, 4096 |I|) bytes, since the
-    schedule ends near 1000 |I|.
+    per lattice size and takes at most min(4 M, 4000 |I|) bytes.
     """
     f = _embedded(freqs)
     n, d = f.shape
@@ -175,20 +167,18 @@ def cbc_construct(freqs, seed: int = 0, M_cap: int | None = None) -> Rank1Lattic
     if n == 1:
         return Rank1Lattice(np.zeros(d, dtype=np.int64), 1)
     if M_cap is None:
-        M_cap = max(n * n, next_prime(int(np.ptp(f, axis=0).max()) + 1))
+        spread = int(np.ptp(f, axis=0).max())
+        M_cap = max(n * n, next_smooth(spread * n * (n - 1) // 2 + 2))
+    M_last = min(M_cap, _CBC_MAX_SCALE * n)
     rng = np.random.Generator(np.random.Philox(seed))
 
     def size_schedule():
-        seen = set()
-        for scale in _CBC_SCALES:
-            M = next_prime(int(math.ceil(scale * n)))
-            for _ in range(_CBC_PRIMES_PER_SCALE):
-                if M > M_cap:
-                    break
-                if M not in seen:
-                    seen.add(M)
-                    yield M
-                M = next_prime(M + 1)
+        M = next_smooth(n)
+        while M <= M_last:
+            yield M
+            # a rounding error in 1.1 M moves ceil only where 1.1 M is an
+            # integer, a multiple of 11 and so never 5-smooth: same next M
+            M = next_smooth(math.ceil(_CBC_RATIO * M))
 
     # distinct-prefix representatives per coordinate, computed once
     reps_per_coord = []
@@ -227,7 +217,7 @@ def cbc_construct(freqs, seed: int = 0, M_cap: int | None = None) -> Rank1Lattic
             if is_reconstructing(lat, f):
                 return lat
     raise RuntimeError(
-        f"CBC search exhausted: no reconstructing lattice found with M <= {M_cap}")
+        f"CBC search exhausted: no reconstructing lattice found with M <= {M_last}")
 
 
 def lattice_evaluate(coeffs, lat: Rank1Lattice) -> np.ndarray:

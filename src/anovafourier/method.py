@@ -316,10 +316,12 @@ def _require_finite(y):
 
 
 #: bytes per sample that a lattice stage holds at its peak: the value
-#: vector, its spectrum and fitted values, and the Bluestein buffers of the
-#: prime-length FFTs.  Peak RSS over the RSS before the stage measured 180
-#: at M = 2456743 and 191 at M = 730021; rounded up to 12 complex values.
-_LATTICE_BYTES_PER_SAMPLE = 192
+#: vector, its spectrum and fitted values, and the work memory of the
+#: 5-smooth-length FFTs.  Peak RSS over the RSS before the stage measured
+#: 83-98 on the black-box pilot and refit sets (CBC seeds 1, 2, 5 and 10,
+#: M = 531441 to 2949120; the most at the smallest M); rounded up to 7
+#: complex values.
+_LATTICE_BYTES_PER_SAMPLE = 112
 
 
 def _physical_memory() -> int:

@@ -101,7 +101,7 @@ def test_criterion_03_blackbox_detection_full_scale():
     prod (1+|l_s|)^(3/2) <= N, and builds 13273 frequencies (pinned by
     ``test_index_sets.py::test_hyperbolic_cross_grouped_count`` and
     ``test_cli.py::test_bench_table4_row1_cli``).  On that 3.8 times larger
-    set eps_l2 = 7.69e-3 and eps_L2 = 7.74e-3, below the band; certification,
+    set eps_l2 = 7.71e-3 and eps_L2 = 7.72e-3, below the band; certification,
     the M range and all three gaps pass.  No cutoff of prod g(|l_s|) <= B,
     with g in {1+|l|, max(1,|l|), 2+|l|}, gives 3481 (or 2243 on U*) for
     any B, hence for no N and exponent t in prod g^t <= N.  The paper's

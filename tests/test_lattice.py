@@ -10,10 +10,10 @@ from anovafourier.bench import u_star
 from anovafourier.index_sets import (LowDimIndexSet, difference_set, full_grid,
                                      grouped)
 from anovafourier.lattice import (BLOCK_ROWS, DualLatticeWindow, Rank1Lattice,
-                                  aliasing_sum, cbc_construct, is_prime,
+                                  aliasing_sum, cbc_construct,
                                   is_reconstructing, lattice_evaluate,
                                   lattice_reconstruct, load_lattice,
-                                  next_prime, save_lattice)
+                                  next_smooth, save_lattice)
 from anovafourier.method import build_search_sets
 
 
@@ -93,11 +93,25 @@ def test_reconstruction_condition_equivalence():
                 assert res_inj == diff_ok
 
 
-def test_primes():
-    assert [p for p in range(20) if is_prime(p)] == [2, 3, 5, 7, 11, 13, 17, 19]
-    assert next_prime(14) == 17
-    assert is_prime(47351)
-    assert not is_prime(47350)
+def _is_smooth(m):
+    for p in (2, 3, 5):
+        while m % p == 0:
+            m //= p
+    return m == 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(-5, 10 ** 6))
+@example(1)
+@example(7)
+@example(2 ** 20 + 1)
+@example(730021)
+def test_next_smooth_matches_brute_force(n):
+    """next_smooth(n) is 5-smooth, >= n, and no 5-smooth integer lies in
+    [n, next_smooth(n))."""
+    m = next_smooth(n)
+    assert _is_smooth(m) and m >= n
+    assert not any(_is_smooth(k) for k in range(max(n, 1), m))
 
 
 def test_cbc_trivial_zero_set():
@@ -120,6 +134,7 @@ def test_cbc_random_grouped_roundtrip():
     g = grouped(fam, sets)
     assert len(g) <= 2000
     lat = cbc_construct(g, seed=5)
+    assert _is_smooth(lat.M) and len(g) <= lat.M
     assert is_reconstructing(lat, g)
     c = CoefficientMap(g, rng.normal(size=len(g)) + 1j * rng.normal(size=len(g)))
     rec = lattice_reconstruct(lattice_evaluate(c, lat), g, lat)
@@ -136,21 +151,27 @@ def test_cbc_pins_blackbox_lattices():
     refit = grouped(u_star(), build_search_sets(9, 3, cross(1000), u_star()))
     assert (len(pilot), len(refit)) == (13273, 11167)
     lat = cbc_construct(pilot, seed=1)
-    assert lat.M == 730021
-    assert lat.z.tolist() == [482480, 675202, 673922, 637572, 318355,
-                              201598, 520821, 471393, 349140]
+    assert lat.M == 729000
+    assert lat.z.tolist() == [271779, 97994, 59988, 550496, 81699,
+                              670062, 682861, 315983, 716046]
     lat = cbc_construct(refit, seed=1)
-    assert lat.M == 2456743
-    assert lat.z.tolist() == [1527227, 666743, 1835390, 1982746, 624265,
-                              92124, 625296, 1464889, 2346260]
+    assert lat.M == 2400000
+    assert lat.z.tolist() == [1175016, 1873752, 273513, 648944, 2216931,
+                              2342464, 1570403, 694029, 642722]
 
 
 def test_cbc_default_cap_reaches_past_the_spread():
-    """Every prime M <= |I|^2 = 4 divides 6 - 0, so a cap of |I|^2 alone
-    exhausts; the default cap reaches the first prime above the spread."""
+    """Every M <= |I|^2 = 4 divides 60 - 0, so a cap of |I|^2 alone
+    exhausts on {0, 60}; the default cap reaches past the spread.  On
+    {0, 6} the composite M = 4 reconstructs (z = 1)."""
     freqs = np.array([[0], [6]])
     lat = cbc_construct(freqs)
-    assert lat.M == 5 and is_reconstructing(lat, freqs)
+    assert lat.M == 4 and is_reconstructing(lat, freqs)
+    freqs = np.array([[0], [60]])
+    with pytest.raises(RuntimeError, match="M <= 4$"):
+        cbc_construct(freqs, M_cap=4)
+    lat = cbc_construct(freqs)
+    assert lat.M == 8 and is_reconstructing(lat, freqs)
 
 
 def test_cbc_duplicate_frequencies_rejected():

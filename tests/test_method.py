@@ -8,7 +8,8 @@ from anovafourier import bench, method
 from anovafourier.anova import sensitivity, term_family_ds
 from anovafourier.bench import u_star
 from anovafourier.index_sets import TermFamily, grouped
-from anovafourier.lattice import BLOCK_ROWS, Rank1Lattice, lattice_evaluate
+from anovafourier.lattice import (BLOCK_ROWS, Rank1Lattice, cbc_construct,
+                                  lattice_evaluate)
 from anovafourier.method import (ApproxModel, ConfigError, DetectionConfig,
                                  approximate, build_search_sets, detect,
                                  gap_intervals, tiered_sets)
@@ -95,7 +96,7 @@ def test_detect_rejects_non_finite_target(monkeypatch):
     lattice = tiny_config(kind="lattice")
     with pytest.raises(ValueError, match="non-finite"):
         detect(lattice, lambda X: np.full(X.shape[0], np.nan))
-    # the lattice (M = 67) sampled 8 rows at a time, a NaN in the fourth block
+    # the lattice (M = 72) sampled 8 rows at a time, a NaN in the fourth block
     monkeypatch.setattr(method, "BLOCK_ROWS", 8)
     k = 3 * 8 + 5
     calls = []
@@ -109,7 +110,7 @@ def test_detect_rejects_non_finite_target(monkeypatch):
         return y
     with pytest.raises(ValueError, match=f"1 non-finite target values, first at sample {k}$"):
         detect(lattice, late_nan)
-    assert sum(calls) == 67 and max(calls) == 8 and len(calls) == 9
+    assert sum(calls) == 72 and max(calls) == 8 and len(calls) == 9
 
 
 def test_lattice_sampling_keeps_no_node_array(monkeypatch):
@@ -141,13 +142,16 @@ def test_lattice_sampling_keeps_no_node_array(monkeypatch):
 
 
 def test_oversized_lattice_fails_before_sampling(monkeypatch):
-    monkeypatch.setattr(method, "_physical_memory", lambda: 10_000)
+    monkeypatch.setattr(method, "_physical_memory", lambda: 1_000)
 
     def never(X):
         raise AssertionError("target called")
-    need = 67 * method._LATTICE_BYTES_PER_SAMPLE
-    with pytest.raises(ConfigError, match=f"M = 67 samples needs about {need} bytes"):
-        detect(tiny_config(kind="lattice"), never)
+    cfg = tiny_config(kind="lattice")
+    g = grouped(term_family_ds(3, 2), build_search_sets(3, 2, cfg.search))
+    M = cbc_construct(g, seed=cfg.sampling["seed"]).M
+    need = M * method._LATTICE_BYTES_PER_SAMPLE
+    with pytest.raises(ConfigError, match=f"M = {M} samples needs about {need} bytes"):
+        detect(cfg, never)
 
 
 def test_oversized_scattered_fit_fails_before_allocating(monkeypatch):
