@@ -11,7 +11,7 @@ __version__ = "0.1.0"
 
 from ._kernels import BACKEND
 from .anova import (CoefficientMap, SensitivityReport, sensitivity, support,
-                    term_family_ds, truncate, variance)
+                    term_family_ds, variance)
 from .index_sets import (GroupedIndexSet, LowDimIndexSet, TermFamily,
                          difference_set, diff_cardinality_bound, embed,
                          family_cardinality, full_grid, grouped,

@@ -1,4 +1,5 @@
-"""Numerical kernels, vectorized with numpy.
+"""Numerical kernels, vectorized with numpy: the grouped Fourier products
+and the residue arithmetic of rank-1 lattices.
 
 The grouped Fourier products F c and F* y are per-term tensor contractions
 on per-axis phase powers (``fourier_layout``, ``fourier_forward``,
@@ -22,22 +23,19 @@ Determinism: chunk sizes depend only on the inputs, every reduction runs in
 a fixed order, and every BLAS call is a matrix product with a short inner
 dimension (``_matmul``), so results do not depend on the number of BLAS
 threads.
+
+Lattices: ``residues`` computes k.z mod M for a frequency array, and
+``first_injective`` is the CBC search's O(n) test of one candidate z_s.
 """
 
 from __future__ import annotations
 
-import math
 from typing import NamedTuple
 
 import numpy as np
 
 #: the only backend; kept as a constant for tools that record it
 BACKEND = "numpy"
-
-# B-spline normalization constants; chosen so the L2 norm over [0,1) is 1.
-BSPLINE_NORM = {2: math.sqrt(3.0 / 4.0),
-                4: math.sqrt(315.0 / 604.0),
-                6: math.sqrt(277200.0 / 655177.0)}
 
 _NODES = 2048  # nodes per chunk, a multiple of _KB; 1024 and 8192 timed slower
 _KB = 128  # inner length of one BLAS matrix product
@@ -278,33 +276,6 @@ def fourier_adjoint(U, layout: FourierLayout, y) -> np.ndarray:
     return out
 
 
-def _cardinal_bspline(j, t):
-    """Cardinal B-spline M_j on its support [0, j], vectorized."""
-    acc = np.zeros_like(t)
-    sign = 1.0
-    binom = 1.0
-    for i in range(j + 1):
-        acc += sign * binom * np.clip(t - i, 0.0, None) ** (j - 1)
-        sign = -sign
-        binom = binom * (j - i) / (i + 1)
-    return acc / math.factorial(j - 1)
-
-
-def bspline_values(j, x):
-    x = np.atleast_1d(np.asarray(x, dtype=np.float64))
-    t = x - np.floor(x)
-    return BSPLINE_NORM[j] * j * _cardinal_bspline(j, j * t)
-
-
-def testfun_values(X):
-    X = np.asarray(X, dtype=np.float64)
-    b2 = bspline_values(2, X[:, 0:4])
-    b4 = bspline_values(4, X[:, 4:8])
-    b6 = bspline_values(6, X[:, 8])
-    return (b2[:, 0] * b4[:, 0] + b2[:, 1] * b4[:, 1]
-            + b2[:, 2] * b4[:, 2] + b2[:, 3] * b4[:, 3] * b6)
-
-
 def residues(freqs, z, M):
     freqs = np.asarray(freqs, dtype=np.int64)
     zm = np.mod(np.asarray(z, dtype=np.int64), M).astype(np.int64)
@@ -312,12 +283,6 @@ def residues(freqs, z, M):
     for s in range(freqs.shape[1]):
         r = (r + np.mod(freqs[:, s], M) * zm[s]) % M
     return r
-
-
-def bucket_accumulate(res, coeffs, M):
-    out = np.zeros(M, dtype=np.complex128)
-    np.add.at(out, res, np.asarray(coeffs, dtype=np.complex128))
-    return out
 
 
 def first_injective(base, kcol, cands, M, slot):
@@ -343,7 +308,3 @@ def first_injective(base, kcol, cands, M, slot):
         if np.array_equal(back, idx):
             return i
     return -1
-
-
-def residues_injective(res, M):
-    return np.unique(res).size == res.size

@@ -3,8 +3,7 @@
 Works on :class:`CoefficientMap` objects: complex Fourier coefficients laid
 out in the canonical block order of a :class:`GroupedIndexSet`.  Because the
 embedded blocks have disjoint supports, every term's contribution is exactly
-one contiguous slice; truncation, variance and sensitivity indices follow by
-slicing.
+one contiguous slice; variance and sensitivity indices follow by slicing.
 """
 
 from __future__ import annotations
@@ -14,7 +13,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .index_sets import GroupedIndexSet, TermFamily, term_sort_key
+from .index_sets import GroupedIndexSet, TermFamily
 
 
 @dataclass(frozen=True, eq=False)
@@ -56,20 +55,6 @@ def term_family_ds(d, d_s) -> TermFamily:
     for n in range(1, d_s + 1):
         terms.extend(combinations(range(1, d + 1), n))
     return TermFamily(d, frozenset(terms))
-
-
-def truncate(coeffs: CoefficientMap, U: TermFamily) -> CoefficientMap:
-    """Keep exactly the blocks whose term lies in U (a new, smaller map)."""
-    fam = coeffs.index_set.family
-    if not U.issubset(fam):
-        extra = sorted(U.terms - fam.terms, key=term_sort_key)
-        raise ValueError(f"family contains terms without blocks: {extra[:3]}")
-    slices = coeffs.index_set.block_slices()
-    blocks = tuple(b for b in coeffs.index_set.blocks if b.term in U)
-    sub = GroupedIndexSet(coeffs.index_set.d, blocks)
-    vals = np.concatenate([coeffs.values[slices[b.term]] for b in sub.blocks]) \
-        if sub.blocks else np.zeros(0, dtype=np.complex128)
-    return CoefficientMap(sub, vals)
 
 
 def variance(coeffs: CoefficientMap) -> float:

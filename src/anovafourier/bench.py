@@ -25,9 +25,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import _kernels
-from .anova import SensitivityReport, term_family_ds
-from .index_sets import TermFamily, full_grid, hyperbolic_cross, term_sort_key
+from .anova import term_family_ds
+from .index_sets import TermFamily
 from .method import (ActiveSetResult, ApproxModel, ConfigError,
                      DetectionConfig, approximate, build_search_sets, detect,
                      gap_intervals)
@@ -41,7 +40,10 @@ PRODUCTS = (((1, 2), (5, 4)),
             ((3, 2), (7, 4)),
             ((4, 2), (8, 4), (9, 6)))
 
-BSPLINE_NORM = _kernels.BSPLINE_NORM
+# B-spline normalization constants; chosen so the L2 norm over [0,1) is 1.
+BSPLINE_NORM = {2: math.sqrt(3.0 / 4.0),
+                4: math.sqrt(315.0 / 604.0),
+                6: math.sqrt(277200.0 / 655177.0)}
 C2 = BSPLINE_NORM[2]
 C4 = BSPLINE_NORM[4]
 C6 = BSPLINE_NORM[6]
@@ -58,43 +60,44 @@ def u_plus() -> TermFamily:
         D, [(1, 5), (2, 6), (3, 7), (4, 8), (4, 9), (8, 9)])
 
 
-def bspline_value(j: int, x):
+def _cardinal_bspline(j, t):
+    """Cardinal B-spline M_j on its support [0, j], vectorized."""
+    acc = np.zeros_like(t)
+    sign = 1.0
+    binom = 1.0
+    for i in range(j + 1):
+        acc += sign * binom * np.clip(t - i, 0.0, None) ** (j - 1)
+        sign = -sign
+        binom = binom * (j - i) / (i + 1)
+    return acc / math.factorial(j - 1)
+
+
+def bspline_values(j: int, x) -> np.ndarray:
     """Closed-form piecewise-polynomial evaluation of B_j on the torus."""
-    if j not in (2, 4, 6):
-        raise ValueError("spline order must be 2, 4 or 6")
-    return _kernels.bspline_values(j, x)
-
-
-def bspline_coeff(j: int, k) -> float:
-    """Univariate coefficient c_j sinc^j(pi k / j) cos(pi k); sinc(0) = 1."""
-    if j not in (2, 4, 6):
-        raise ValueError("spline order must be 2, 4 or 6")
-    k = int(k)
-    if k == 0:
-        return _kernels.BSPLINE_NORM[j]
-    t = math.pi * k / j
-    return _kernels.BSPLINE_NORM[j] * (math.sin(t) / t) ** j * (-1.0) ** (k & 1)
+    x = np.atleast_1d(np.asarray(x, dtype=np.float64))
+    t = x - np.floor(x)
+    return BSPLINE_NORM[j] * j * _cardinal_bspline(j, j * t)
 
 
 def bspline_coeff_arr(j: int, k) -> np.ndarray:
+    """Univariate coefficients c_j sinc^j(pi k / j) cos(pi k); sinc(0) = 1."""
     k = np.asarray(k, dtype=np.int64)
     t = np.pi * k / j
     with np.errstate(invalid="ignore", divide="ignore"):
         sinc = np.where(k == 0, 1.0, np.sin(t) / np.where(t == 0, 1.0, t))
-    return _kernels.BSPLINE_NORM[j] * sinc ** j * np.where(k & 1, -1.0, 1.0)
+    return BSPLINE_NORM[j] * sinc ** j * np.where(k & 1, -1.0, 1.0)
 
 
 def testfun_value(x) -> np.ndarray:
     """Evaluate f at one point or at rows of an (m, 9) array."""
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim == 1:
-        return _kernels.testfun_values(x[None, :])[0]
-    return _kernels.testfun_values(x)
-
-
-def testfun_coeff(k) -> float:
-    """Exact Fourier coefficient of f at a single 9-dimensional frequency."""
-    return float(testfun_coeffs(np.asarray(k, dtype=np.int64)[None, :])[0])
+    X = np.atleast_2d(x)
+    b2 = bspline_values(2, X[:, 0:4])
+    b4 = bspline_values(4, X[:, 4:8])
+    b6 = bspline_values(6, X[:, 8])
+    f = (b2[:, 0] * b4[:, 0] + b2[:, 1] * b4[:, 1]
+         + b2[:, 2] * b4[:, 2] + b2[:, 3] * b4[:, 3] * b6)
+    return f[0] if x.ndim == 1 else f
 
 
 def testfun_coeffs(freqs) -> np.ndarray:
@@ -150,39 +153,6 @@ def exact_variance() -> float:
 
 def exact_norm_sq() -> float:
     return exact_variance() + exact_mean() ** 2
-
-
-def exact_gsi() -> dict:
-    total = exact_variance()
-    return {u: v / total for u, v in exact_term_variances().items()}
-
-
-def exact_sensitivity_report(d_s: int = 3) -> SensitivityReport:
-    """Exact sensitivities arranged like a pilot report over U_{d_s}."""
-    fam = term_family_ds(D, d_s)
-    tv = exact_term_variances()
-    terms = [u for u in fam.sorted_terms() if u]
-    variances = np.array([tv.get(u, 0.0) for u in terms])
-    total = exact_variance()
-    gsis = tuple(float(v / total) for v in variances)
-    return SensitivityReport(total, complex(exact_mean()), tuple(terms),
-                             variances, gsis)
-
-
-#: exact sensitivity indices listed for the ten published coordinates
-#: (matched by the acceptance suite within 1e-3)
-PUBLISHED_GSI = {
-    (5,): 0.13485590547067322,
-    (1,): 0.048995887099158836,
-    (9,): 0.08479925199524384,
-    (8,): 0.05705736651807279,
-    (4,): 0.020729792280798152,
-    (1, 5): 0.04495099140872069,
-    (8, 9): 0.07780131659625403,
-    (4, 9): 0.028265903218229544,
-    (4, 8): 0.019018986643685766,
-    (4, 8, 9): 0.025923436849895076,
-}
 
 
 def errors(model: ApproxModel, X, y):

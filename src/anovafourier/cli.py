@@ -23,8 +23,7 @@ from . import __version__
 from .index_sets import GroupedIndexSet, TermFamily
 from .lattice import cbc_construct, save_lattice
 from .method import (ApproxModel, ConfigError, DetectionConfig,
-                     build_search_sets, approximate, detect, gap_intervals,
-                     tiered_sets)
+                     build_search_sets, approximate, detect, gap_intervals)
 from .operator import NodeSet
 from .weights import (WeightParams, bound_curve, parse_weight_sequence,
                       sobolev_trunc_bound_l2, sobolev_trunc_bound_linf)
@@ -93,8 +92,7 @@ def _target_from_config(cfg, d):
         if wrapped:
             print(f"warning: {wrapped} coordinates reduced mod 1", file=sys.stderr)
             X = X - np.floor(X)
-        return (NodeSet(X, {"kind": "scattered", "source": target["csv"]}),
-                data[:, d])
+        return NodeSet(X), data[:, d]
     raise ConfigError("target must specify 'builtin' or 'csv'")
 
 
@@ -168,13 +166,7 @@ def cmd_approximate(args) -> int:
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"active_set: {exc}")
     sets = build_search_sets(dc.d, dc.d_s, dc.search, family=family)
-    tier_record = None
-    if cfg.get("tiering"):
-        pilot = detect(dc, target)
-        sets, tier_record = tiered_sets(family, pilot.report, dc.search, dc.d)
     model = approximate(family, sets, target, dc.sampling, dc.solver)
-    if tier_record:
-        model.provenance["tiering"] = tier_record
     model.provenance["config"] = {k: v for k, v in cfg.items() if k != "target"}
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -206,7 +198,8 @@ def cmd_bench(args) -> int:
     else:
         raise ConfigError("bench needs --config, --table or --desk")
     if args.seed is not None:
-        cfg.setdefault("sampling", {})["seed"] = args.seed
+        # a fresh dict: the registries' configs share their sampling dicts
+        cfg["sampling"] = {**cfg.get("sampling", {}), "seed": args.seed}
     row = run_experiment(cfg)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)

@@ -84,9 +84,6 @@ class TermFamily:
     def __len__(self):
         return len(self.terms)
 
-    def issubset(self, other: "TermFamily") -> bool:
-        return self.terms <= other.terms
-
 
 def _proper_subsets(u: Term):
     for r in range(len(u)):

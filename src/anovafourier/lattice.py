@@ -97,10 +97,6 @@ class Rank1Lattice:
                 "z": [int(v) for v in self.z],
                 "index_set_digest": index_set_digest}
 
-    @staticmethod
-    def from_json_dict(doc) -> "Rank1Lattice":
-        return Rank1Lattice(np.asarray(doc["z"], dtype=np.int64), int(doc["M"]))
-
 
 def _embedded(freqs) -> np.ndarray:
     if isinstance(freqs, GroupedIndexSet):
@@ -114,8 +110,7 @@ def is_reconstructing(lat: Rank1Lattice, freqs) -> bool:
     f = _embedded(freqs)
     if f.shape[0] > lat.M:
         return False  # pigeonhole
-    res = lat.residues(f)
-    return bool(_kernels.residues_injective(res, lat.M))
+    return np.unique(lat.residues(f)).size == f.shape[0]
 
 
 #: each lattice size tried is the first 5-smooth integer >= this ratio
@@ -228,8 +223,8 @@ def lattice_evaluate(coeffs, lat: Rank1Lattice) -> np.ndarray:
     as the aliasing formula predicts.
     """
     freqs, values = _coeff_pair(coeffs)
-    res = lat.residues(freqs)
-    buckets = _kernels.bucket_accumulate(res, values, lat.M)
+    buckets = np.zeros(lat.M, dtype=np.complex128)
+    np.add.at(buckets, lat.residues(freqs), values)
     return lat.M * np.fft.ifft(buckets)
 
 
@@ -301,8 +296,3 @@ def aliasing_sum(exact_coeff, k, window: DualLatticeWindow,
 def save_lattice(path, lat: Rank1Lattice, index_set_digest: str = "") -> None:
     with open(path, "w") as fh:
         json.dump(lat.to_json_dict(index_set_digest), fh, indent=2, sort_keys=True)
-
-
-def load_lattice(path) -> Rank1Lattice:
-    with open(path) as fh:
-        return Rank1Lattice.from_json_dict(json.load(fh))

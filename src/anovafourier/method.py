@@ -490,35 +490,3 @@ def approximate(active: TermFamily, sets: dict, target, sampling: dict,
                  "solver_report": report.to_json_dict(),
                  "imag_residual": float(np.max(np.abs(fitted.imag)))})
     return ApproxModel(report.coefficients, prov, nodes, y)
-
-
-def tiered_sets(active: TermFamily, report: SensitivityReport, search: dict,
-                d: int) -> tuple[dict, dict]:
-    """Two-tier refinement sets: high-GSI terms keep the full cutoff N_j,
-    the lower-ranked half of each order gets N_j halved.
-
-    Returns (sets, tier_record); the record goes into model provenance.
-    """
-    _check_search(search, active.max_order())
-    N = search["N"]
-    weight = _weight_fn(search)
-    sets = {(): empty_term_set()}
-    record = {}
-    by_order = {}
-    for u in active.sorted_terms():
-        if u:
-            by_order.setdefault(len(u), []).append(u)
-    for order, terms in by_order.items():
-        ranked = sorted(terms, key=lambda u: -(report.gsi(u) or 0.0))
-        cut = (len(ranked) + 1) // 2
-        for rank, u in enumerate(ranked):
-            if rank < cut:
-                Nu = N[order - 1]
-            else:
-                Nu = max(2, int(N[order - 1]) // 2)
-                if search["type"] == "full_grid" and Nu % 2:
-                    Nu -= 1
-            freqs = _order_set(search["type"], order, Nu, weight)
-            sets[u] = LowDimIndexSet(u, freqs)
-            record[",".join(map(str, u))] = Nu
-    return sets, record

@@ -29,7 +29,7 @@ from .lattice import Rank1Lattice, is_reconstructing, lattice_evaluate, lattice_
 
 
 class NodeSet:
-    """Sampling nodes in [0,1)^d plus provenance (seed or lattice).
+    """Sampling nodes in [0,1)^d.
 
     ``points`` is an (m, d) array, checked and kept, or a
     :class:`Rank1Lattice`, kept in its place: its M nodes are generated on
@@ -37,8 +37,7 @@ class NodeSet:
     ``points`` (a fresh M x d array on each access).
     """
 
-    def __init__(self, points, provenance: dict | None = None):
-        self.provenance = dict(provenance or {})
+    def __init__(self, points):
         if isinstance(points, Rank1Lattice):
             self.lattice, self._points = points, None
             return
@@ -75,13 +74,12 @@ def uniform_nodes(d: int, m: int, seed: int) -> NodeSet:
         raise ValueError("need at least one node")
     rng = np.random.Generator(np.random.Philox(seed))
     pts = rng.random((m, d))
-    return NodeSet(pts, {"kind": "scattered", "seed": int(seed), "count": int(m)})
+    return NodeSet(pts)
 
 
 def lattice_nodes(lat: Rank1Lattice) -> NodeSet:
     """The M nodes of ``lat``, kept as the lattice, not as an array."""
-    return NodeSet(lat, {"kind": "lattice",
-                         "z": [int(v) for v in lat.z], "M": int(lat.M)})
+    return NodeSet(lat)
 
 
 class BlockFourierOperator:

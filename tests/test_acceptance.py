@@ -33,6 +33,7 @@ from anovafourier.operator import (BlockFourierOperator, lattice_nodes,
 from anovafourier.weights import WeightParams, sobolev_trunc_bound_l2, \
     wiener_trunc_bound
 from quadrature_oracles import direct_formula_check
+import bench_oracles as oracles
 
 
 def report(num, ok, detail):
@@ -81,13 +82,13 @@ def test_criterion_01_exact_lattice_reconstruction():
 
 def test_criterion_02_gsi_oracle_match():
     t0 = time.time()
-    gsi = bench.exact_gsi()
-    worst = max(abs(gsi[u] - v) for u, v in bench.PUBLISHED_GSI.items())
+    gsi = oracles.exact_gsi()
+    worst = max(abs(gsi[u] - v) for u, v in oracles.PUBLISHED_GSI.items())
     elapsed = time.time() - t0
     ok = worst < 1e-3 and elapsed < 60
     report(2, ok, f"ten published sensitivity indices matched to "
                   f"{worst:.1e} (< 1e-3), {elapsed:.2f}s (< 60s)")
-    for u, v in bench.PUBLISHED_GSI.items():
+    for u, v in oracles.PUBLISHED_GSI.items():
         assert gsi[u] == pytest.approx(v, abs=1e-3)
     assert elapsed < 60
 
@@ -328,8 +329,8 @@ def test_criterion_08_anova_lemma_oracles():
     t0 = time.time()
 
     def slice_fun(X):
-        return (bench.bspline_value(2, X[:, 0]) * bench.bspline_value(4, X[:, 1])
-                * bench.bspline_value(6, X[:, 2]))
+        return (oracles.bspline_value(2, X[:, 0]) * oracles.bspline_value(4, X[:, 1])
+                * oracles.bspline_value(6, X[:, 2]))
 
     worst = 0.0
     from itertools import combinations

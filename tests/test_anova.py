@@ -4,11 +4,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from anovafourier.anova import (CoefficientMap, sensitivity, support,
-                                term_family_ds, truncate, variance)
+                                term_family_ds, variance)
 from anovafourier.index_sets import (LowDimIndexSet, TermFamily, full_grid,
                                      grouped)
 from quadrature_oracles import direct_formula_check, quadrature_projection
 from anovafourier import bench
+import bench_oracles as oracles
+from bench_oracles import truncate
 
 
 def _grouped(d, d_s, N):
@@ -140,7 +142,7 @@ def test_sensitivity_zero_variance_tagged():
 
 
 def test_sensitivity_bench_exact_values():
-    gsi = bench.exact_gsi()
+    gsi = oracles.exact_gsi()
     assert gsi[(5,)] == pytest.approx(0.13485590547067322, abs=1e-3)
     assert gsi[(1, 5)] == pytest.approx(0.04495099140872069, abs=1e-3)
     assert gsi[(4, 8, 9)] == pytest.approx(0.025923436849895076, abs=1e-3)
@@ -183,20 +185,20 @@ def test_quadrature_projection_bench_slice():
     # tail, here dominated by the k^-2 decay of the B2 series beyond the
     # grid bandwidth: |alias| <= 2 c2 (2/pi)^2 sum_{k >= 63} k^-2 ~ 9e-4.
     def f(X):
-        return (bench.bspline_value(2, X[:, 0]) * bench.bspline_value(4, X[:, 1])
-                * bench.bspline_value(6, X[:, 2]))
+        return (oracles.bspline_value(2, X[:, 0]) * oracles.bspline_value(4, X[:, 1])
+                * oracles.bspline_value(6, X[:, 2]))
     proj = quadrature_projection(f, (1,), 3, grid=64)
     import math
     alias = 2 * bench.BSPLINE_NORM[2] * (2 / math.pi) ** 2 / 62
     for l in (-2, -1, 0, 1, 2):
-        expect = bench.bspline_coeff(2, l) * bench.bspline_coeff(4, 0) \
-            * bench.bspline_coeff(6, 0)
+        expect = oracles.bspline_coeff(2, l) * oracles.bspline_coeff(4, 0) \
+            * oracles.bspline_coeff(6, 0)
         assert proj[(l,)] == pytest.approx(expect, abs=alias)
     # the faster-decaying axes reach near-roundoff agreement at grid 64
     proj2 = quadrature_projection(f, (3,), 3, grid=64)
     for l in (-2, 0, 3):
-        expect = bench.bspline_coeff(2, 0) * bench.bspline_coeff(4, 0) \
-            * bench.bspline_coeff(6, l)
+        expect = oracles.bspline_coeff(2, 0) * oracles.bspline_coeff(4, 0) \
+            * oracles.bspline_coeff(6, l)
         assert proj2[(l,)] == pytest.approx(expect, abs=1e-9)
 
 
@@ -212,8 +214,8 @@ def test_direct_formula_check_full_support_mode():
 
 def test_direct_formula_check_bench_slice():
     def f(X):
-        return (bench.bspline_value(2, X[:, 0]) * bench.bspline_value(4, X[:, 1])
-                * bench.bspline_value(6, X[:, 2]))
+        return (oracles.bspline_value(2, X[:, 0]) * oracles.bspline_value(4, X[:, 1])
+                * oracles.bspline_value(6, X[:, 2]))
     assert direct_formula_check(f, (1, 3), 3, grid=64) < 1e-8
 
 

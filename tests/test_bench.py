@@ -8,26 +8,27 @@ from anovafourier.anova import CoefficientMap, term_family_ds
 from anovafourier.index_sets import grouped
 from anovafourier.method import ApproxModel, build_search_sets
 from anovafourier.operator import uniform_nodes
+import bench_oracles as oracles
 
 
 def test_bspline_coeff_examples():
-    assert bench.bspline_coeff(2, 0) == pytest.approx(math.sqrt(3 / 4))
-    assert bench.bspline_coeff(2, 2) == pytest.approx(0.0, abs=1e-15)
-    assert bench.bspline_coeff(2, 4) == pytest.approx(0.0, abs=1e-15)
+    assert oracles.bspline_coeff(2, 0) == pytest.approx(math.sqrt(3 / 4))
+    assert oracles.bspline_coeff(2, 2) == pytest.approx(0.0, abs=1e-15)
+    assert oracles.bspline_coeff(2, 4) == pytest.approx(0.0, abs=1e-15)
     # c_2 * sinc^2(pi/2) * cos(pi) = -c_2 (2/pi)^2
-    assert bench.bspline_coeff(2, 1) == pytest.approx(
+    assert oracles.bspline_coeff(2, 1) == pytest.approx(
         -math.sqrt(0.75) * (2 / math.pi) ** 2, rel=1e-12)
     with pytest.raises(ValueError):
-        bench.bspline_coeff(3, 0)
+        oracles.bspline_coeff(3, 0)
 
 
 def test_bspline_value_published_points():
-    assert bench.bspline_value(2, 0.5)[()] == pytest.approx(1.7320508075688772)
-    assert bench.bspline_value(4, 0.5)[()] == pytest.approx(1.9257749794623442)
-    assert bench.bspline_value(2, 0.0)[()] == pytest.approx(0.0, abs=1e-15)
-    assert bench.bspline_value(4, 0.25)[()] == pytest.approx(0.4814437448655848)
-    assert bench.bspline_value(6, 0.3)[()] == pytest.approx(0.550597192760102)
-    assert bench.bspline_value(2, 0.17)[()] == pytest.approx(0.5888972745734183)
+    assert oracles.bspline_value(2, 0.5)[()] == pytest.approx(1.7320508075688772)
+    assert oracles.bspline_value(4, 0.5)[()] == pytest.approx(1.9257749794623442)
+    assert oracles.bspline_value(2, 0.0)[()] == pytest.approx(0.0, abs=1e-15)
+    assert oracles.bspline_value(4, 0.25)[()] == pytest.approx(0.4814437448655848)
+    assert oracles.bspline_value(6, 0.3)[()] == pytest.approx(0.550597192760102)
+    assert oracles.bspline_value(2, 0.17)[()] == pytest.approx(0.5888972745734183)
 
 
 def test_bspline_value_matches_series_oracle():
@@ -41,7 +42,7 @@ def test_bspline_value_matches_series_oracle():
         coeffs = bench.bspline_coeff_arr(j, ks)
         series = (np.exp(2j * np.pi * np.outer(x, ks)) @ coeffs).real
         tail = 2 * bench.BSPLINE_NORM[j] * (j / math.pi) ** j * K ** (1 - j) / (j - 1)
-        got = bench.bspline_value(j, x)
+        got = oracles.bspline_value(j, x)
         assert np.max(np.abs(got - series)) <= tail + 1e-12
 
 
@@ -60,7 +61,7 @@ BSPLINE_NORM = bench.BSPLINE_NORM
 def test_testfun_values():
     assert bench.testfun_value(np.zeros(9)) == 0.0
     mid = bench.testfun_value(np.full(9, 0.5))
-    b2, b4, b6 = (bench.bspline_value(j, 0.5)[()] for j in (2, 4, 6))
+    b2, b4, b6 = (oracles.bspline_value(j, 0.5)[()] for j in (2, 4, 6))
     assert mid == pytest.approx(3 * b2 * b4 + b2 * b4 * b6, rel=1e-12)
     # periodicity
     x = np.random.default_rng(1).random(9)
@@ -70,7 +71,7 @@ def test_testfun_values():
 def test_testfun_mean_and_norm():
     assert bench.exact_mean() == pytest.approx(3 * BSPLINE_NORM[2] * BSPLINE_NORM[4]
                                                + BSPLINE_NORM[2] * BSPLINE_NORM[4] * BSPLINE_NORM[6])
-    assert bench.testfun_coeff(np.zeros(9, int)) == pytest.approx(bench.exact_mean())
+    assert oracles.testfun_coeff(np.zeros(9, int)) == pytest.approx(bench.exact_mean())
     # variance from closed form vs quadrature on one product (spot check)
     assert bench.exact_variance() == pytest.approx(2.6611, abs=2e-4)
     assert bench.exact_norm_sq() == pytest.approx(7.8734, abs=2e-4)
@@ -79,12 +80,12 @@ def test_testfun_mean_and_norm():
 def test_testfun_coeff_examples():
     k = np.zeros(9, int)
     k[0] = 1
-    expect = bench.bspline_coeff(2, 1) * bench.bspline_coeff(4, 0)
-    assert bench.testfun_coeff(k) == pytest.approx(expect, rel=1e-12)
+    expect = oracles.bspline_coeff(2, 1) * oracles.bspline_coeff(4, 0)
+    assert oracles.testfun_coeff(k) == pytest.approx(expect, rel=1e-12)
     k2 = np.zeros(9, int)
     k2[0] = 1
     k2[1] = 1  # support {1,2} is contained in no product
-    assert bench.testfun_coeff(k2) == 0.0
+    assert oracles.testfun_coeff(k2) == 0.0
 
 
 def test_testfun_zero_structure():
@@ -94,7 +95,7 @@ def test_testfun_zero_structure():
     for _ in range(200):
         k = rng.integers(-3, 4, size=9)
         if support(k) not in star:
-            assert bench.testfun_coeff(k) == 0.0
+            assert oracles.testfun_coeff(k) == 0.0
 
 
 def test_testfun_coeffs_match_quadrature_slice():
@@ -102,21 +103,21 @@ def test_testfun_coeffs_match_quadrature_slice():
     from quadrature_oracles import quadrature_projection
 
     def f(X):
-        return (bench.bspline_value(2, X[:, 0]) * bench.bspline_value(4, X[:, 1])
-                * bench.bspline_value(6, X[:, 2]))
+        return (oracles.bspline_value(2, X[:, 0]) * oracles.bspline_value(4, X[:, 1])
+                * oracles.bspline_value(6, X[:, 2]))
 
     proj = quadrature_projection(f, (1, 2, 3), 3, grid=64)
     import math
     alias = 2 * bench.BSPLINE_NORM[2] * (2 / math.pi) ** 2 / 62  # B2 tail
     for l in ((0, 0, 0), (1, 1, 1), (-2, 1, 3), (5, -3, 2)):
-        expect = (bench.bspline_coeff(2, l[0]) * bench.bspline_coeff(4, l[1])
-                  * bench.bspline_coeff(6, l[2]))
+        expect = (oracles.bspline_coeff(2, l[0]) * oracles.bspline_coeff(4, l[1])
+                  * oracles.bspline_coeff(6, l[2]))
         assert proj[l] == pytest.approx(expect, abs=alias)
 
 
 def test_exact_gsi_published_points():
-    gsi = bench.exact_gsi()
-    for u, published in bench.PUBLISHED_GSI.items():
+    gsi = oracles.exact_gsi()
+    for u, published in oracles.PUBLISHED_GSI.items():
         assert gsi[u] == pytest.approx(published, abs=1e-3)
 
 

@@ -1,3 +1,4 @@
+import copy
 import json
 import os
 import subprocess
@@ -215,6 +216,31 @@ def test_bench_tiny_config(tmp_path):
 def test_bench_unknown_table_exit_2(tmp_path):
     assert run_cli(["bench", "--table", "9", "--row", "1",
                     "--out", str(tmp_path)]) == 2
+
+
+def test_bench_seed_leaves_registries_unchanged(tmp_path, monkeypatch):
+    # tables 5 and 6 share one config dict, so a --seed written into it
+    # would reseed the other table for every later run in the process
+    from anovafourier import bench
+    tables = copy.deepcopy(bench.TABLE_CONFIGS)
+    desks = copy.deepcopy(bench.DESK_CONFIGS)
+    seen = []
+
+    def fake_run(cfg):
+        seen.append(copy.deepcopy(cfg))
+        return bench.ExperimentRow(cfg["id"], cfg["scenario"], cfg["d_s"],
+                                   tuple(cfg["sets"]["N"]), 1, 1, 0.0, 0.0,
+                                   None, 0.0)
+
+    monkeypatch.setattr(bench, "run_experiment", fake_run)
+    assert run_cli(["bench", "--table", "5", "--seed", "7",
+                    "--out", str(tmp_path)]) == 0
+    assert run_cli(["bench", "--desk", "lattice-ds3", "--seed", "7",
+                    "--out", str(tmp_path)]) == 0
+    assert run_cli(["bench", "--table", "6", "--out", str(tmp_path)]) == 0
+    assert [cfg["sampling"]["seed"] for cfg in seen] == [7, 7, 1]
+    assert bench.TABLE_CONFIGS == tables
+    assert bench.DESK_CONFIGS == desks
 
 
 def test_cli_entry_point_subprocess():

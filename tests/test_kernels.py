@@ -1,5 +1,5 @@
 """Kernel checks: the grouped Fourier contraction against a dense matrix,
-its adjoint identity, and the lattice and test-function kernels."""
+its adjoint identity, and the lattice residue kernels."""
 
 import tracemalloc
 
@@ -220,13 +220,6 @@ def test_residues_match_python_mod():
     expect = np.array([sum(int(k) * int(v) for k, v in zip(row, z)) % M
                        for row in freqs])
     assert np.array_equal(got, expect)
-
-
-def test_bucket_accumulate():
-    res = np.array([0, 2, 2, 4], dtype=np.int64)
-    coeffs = np.array([1 + 1j, 2, 3, -1j])
-    out = _kernels.bucket_accumulate(res, coeffs, 5)
-    assert out[0] == 1 + 1j and out[2] == 5 and out[4] == -1j and out[1] == 0
 
 
 def test_first_injective():

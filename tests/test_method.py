@@ -12,7 +12,7 @@ from anovafourier.lattice import (BLOCK_ROWS, Rank1Lattice, cbc_construct,
                                   lattice_evaluate)
 from anovafourier.method import (ApproxModel, ConfigError, DetectionConfig,
                                  approximate, build_search_sets, detect,
-                                 gap_intervals, tiered_sets)
+                                 gap_intervals)
 from anovafourier.operator import uniform_nodes
 
 
@@ -261,7 +261,7 @@ def test_approximate_checks_sampling_and_solver():
 
 
 def test_gap_intervals_perfect_and_shuffled():
-    from anovafourier.bench import exact_sensitivity_report
+    from bench_oracles import exact_sensitivity_report
     rep = exact_sensitivity_report(3)
     gaps = gap_intervals(rep, u_star(), 3)
     assert all(g is not None for g in gaps)
@@ -335,15 +335,6 @@ def test_evaluate_at_lattice_nodes_matches_fft_path():
     direct = res.pilot.evaluate(lat.nodes())
     fft = lattice_evaluate(res.pilot.coefficients, lat)
     assert np.linalg.norm(direct - fft) < 1e-10 * np.linalg.norm(fft)
-
-
-def test_tiered_sets_two_sizes():
-    res = detect(tiny_config(thresholds=(0.0, 0.0)), tiny_target)
-    sets, record = tiered_sets(res.active, res.report,
-                               {"type": "full_grid", "N": [8, 8]}, d=3)
-    sizes = {u: len(s) for u, s in sets.items() if u}
-    assert len(set(sizes[u] for u in sizes if len(u) == 1)) == 2  # two tiers
-    assert record  # recorded for provenance
 
 
 def test_detect_zero_variance_errors():

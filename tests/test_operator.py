@@ -239,7 +239,6 @@ def test_uniform_nodes_reproducible():
     c = uniform_nodes(4, 1000, seed=43)
     assert np.array_equal(a.points, b.points)
     assert not np.array_equal(a.points, c.points)
-    assert a.provenance == {"kind": "scattered", "seed": 42, "count": 1000}
 
 
 def test_uniform_nodes_statistics():
