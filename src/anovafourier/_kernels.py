@@ -6,18 +6,23 @@ on per-axis phase powers (``fourier_layout``, ``fourier_forward``,
 ``fourier_adjoint``): the unit phases exp(2 pi i x_s) are computed once per
 operator (``unit_phases``), the nodes are taken in chunks of ``_NODES``,
 and for each chunk one table of exp(2 pi i v x_s), v = +-1..+-V_s, is
-filled per axis from the chunk's unit phases; each term's block becomes one
-matrix product on its first axis followed by products of table rows on its
-remaining axes.  The same path serves every block, box-shaped (full grid)
-or not (hyperbolic cross, weighted).
+filled per axis from the chunk's unit phases.  Terms with the same
+remaining axes and the same tuples on them form a group (37 groups of 129
+terms on U_3, d = 9).  Per group and chunk, the forward sums its terms'
+first-axis matrix products, multiplies by the table rows of the remaining
+axes and sums over the tuples once; the adjoint multiplies the values by
+the conjugate rows once and gives each term one first-axis matrix product.
+The same path serves every block, box-shaped (full grid) or not
+(hyperbolic cross, weighted).
 
 Memory: the unit phases take 16 bytes per node and used axis (V_s > 0) and
 are kept by the operator.  A product allocates one table of R x ``_NODES``
-complex entries, R = sum_s 2 V_s, and refills it for every chunk; per term
-it adds work arrays of at most a few (max(P, n_a), ``_NODES``) matrices,
-freed before the next term.  Besides its result (length m for F c, |I| for
-F* y) nothing in a product grows with the number of nodes.  At 2048 nodes a
-table row takes 32 KB.
+complex entries, R = sum_s 2 V_s, and refills it for every chunk; per group
+it adds work arrays of at most (P, ``_NODES``) entries, freed before the
+next group, and once a flat buffer of the terms' zero-filled (P, n_a)
+matrices (1 to 7.2 |I| entries on the sets of ``perfbench``).  Besides its
+result (length m for F c, |I| for F* y) nothing in a product grows with the
+number of nodes.  At 2048 nodes a table row takes 32 KB.
 
 Determinism: chunk sizes depend only on the inputs, every reduction runs in
 a fixed order, and every BLAS call is a matrix product with a short inner
@@ -42,24 +47,27 @@ _KB = 128  # inner length of one BLAS matrix product
 
 
 class _TermLayout(NamedTuple):
-    """One term's block as a dense (P, n_a) matrix over phase-table rows.
-
-    Frequency i of the block sits at row ``pos_r[i]`` (its tuple on the
-    remaining axes) and column ``pos_a[i]`` (its value on the first axis).
-    ``rows_a`` and ``rows_rest`` are the table rows of those values; the
-    ``_adj`` variants hold the rows of the negated values (the conjugates),
-    with ``rows_a_adj`` in ascending order, i.e. for the first-axis values
-    in reverse.  Rows that form an arithmetic run are a slice, which reads
-    the table as a view instead of a copy.
+    """One term of a group: ``mat`` is its place in the flat buffer, which
+    holds its (P, n_a) coefficient matrix over (rest tuple, first-axis
+    value) in the forward and its (n_a, P) result in the adjoint.
+    ``rows_a`` are the table rows of the n_a first-axis values,
+    ``rows_a_adj`` those of the negated values (the conjugates), ascending.
+    Rows that form an arithmetic run are a slice, read as a view.
     """
 
-    block: slice           # coefficient positions in the grouped vector
-    rows_a: slice | np.ndarray      # n_a rows
-    rows_rest: tuple                # of P rows, one per remaining axis
+    mat: slice
+    n_a: int
+    rows_a: slice | np.ndarray
     rows_a_adj: slice | np.ndarray
-    rows_rest_adj: tuple
-    pos_r: np.ndarray
-    pos_a: np.ndarray
+
+
+class _Group(NamedTuple):
+    """Terms with the same remaining axes and the same P tuples on them."""
+
+    P: int
+    rows_rest: tuple      # table rows of the P tuples, one per axis
+    rows_rest_adj: tuple  # of their negations
+    terms: list           # of _TermLayout
 
 
 class FourierLayout(NamedTuple):
@@ -68,7 +76,11 @@ class FourierLayout(NamedTuple):
     n: int             # number of frequencies
     vmax: np.ndarray   # (d,) largest |k_s| per axis
     const: tuple       # slices of zero-order blocks (the constant term)
-    terms: tuple       # of _TermLayout
+    groups: tuple      # of _Group
+    size: int          # length of the flat buffer of all terms' matrices
+    coef: np.ndarray   # positions of the terms' coefficients in the vector,
+    fwd: np.ndarray    # their places in the buffer's (P, n_a) matrices
+    adj: np.ndarray    # and in its (n_a, P) adjoint results
 
 
 def _table_offsets(vmax) -> np.ndarray:
@@ -119,8 +131,9 @@ def fourier_layout(d: int, blocks) -> FourierLayout:
     def rows(s, vals):
         return _run(zero[s] + vals - (vals > 0))
 
-    const, terms = [], []
-    off = 0
+    const, groups = [], {}
+    coef, fwd, adj = ([np.zeros(0, dtype=np.int64)] for _ in range(3))
+    off = size = 0
     for term, freqs in blocks:
         block = slice(off, off + freqs.shape[0])
         off += freqs.shape[0]
@@ -132,13 +145,20 @@ def fourier_layout(d: int, blocks) -> FourierLayout:
             continue
         a_vals, pos_a = np.unique(freqs[:, 0], return_inverse=True)
         rest, pos_r = np.unique(freqs[:, 1:], axis=0, return_inverse=True)
-        terms.append(_TermLayout(
-            block, rows(axes[0], a_vals),
-            tuple(rows(s, rest[:, j]) for j, s in enumerate(axes[1:])),
-            rows(axes[0], -a_vals[::-1]),
-            tuple(rows(s, -rest[:, j]) for j, s in enumerate(axes[1:])),
-            pos_r.reshape(-1), pos_a.reshape(-1)))
-    return FourierLayout(off, vmax, tuple(const), tuple(terms))
+        pos_a, pos_r = pos_a.reshape(-1), pos_r.reshape(-1)
+        P, n_a = rest.shape[0], a_vals.size
+        coef.append(np.arange(block.start, block.stop))
+        fwd.append(size + pos_r * n_a + pos_a)
+        adj.append(size + (n_a - 1 - pos_a) * P + pos_r)
+        group = groups.setdefault((tuple(axes[1:]), rest.tobytes()), _Group(
+            P, tuple(rows(s, rest[:, j]) for j, s in enumerate(axes[1:])),
+            tuple(rows(s, -rest[:, j]) for j, s in enumerate(axes[1:])), []))
+        group.terms.append(_TermLayout(
+            slice(size, size + P * n_a), n_a, rows(axes[0], a_vals),
+            rows(axes[0], -a_vals[::-1])))
+        size += P * n_a
+    return FourierLayout(off, vmax, tuple(const), tuple(groups.values()), size,
+                         *map(np.concatenate, (coef, fwd, adj)))
 
 
 def _matmul(A, B):
@@ -229,25 +249,26 @@ def _chunks(U, layout: FourierLayout):
 
 
 def fourier_forward(U, layout: FourierLayout, coeffs) -> np.ndarray:
-    """F c at the nodes whose unit phases (``unit_phases``) are U: per term,
-    T = C @ E_a[A], then rows of the rest.
+    """F c at the nodes whose unit phases (``unit_phases``) are U.
 
-    C is the term's coefficient block zero-filled to (P, n_a); T (P, chunk)
-    is multiplied by the table rows E_j[rest_j] and summed over P.
+    Per group and chunk, T = sum over its terms of C @ E_a[A] (P, chunk),
+    C the term's (P, n_a) coefficient matrix; T is multiplied by the
+    group's table rows E_j[rest_j] and summed over P.
     """
     coeffs = np.asarray(coeffs, dtype=np.complex128)
     const = sum(complex(coeffs[b].sum()) for b in layout.const)
-    mats = []
-    for t in layout.terms:
-        C = np.zeros((t.pos_r.max() + 1, t.pos_a.max() + 1), dtype=np.complex128)
-        C[t.pos_r, t.pos_a] = coeffs[t.block]
-        mats.append(C)
+    buf = np.zeros(layout.size, dtype=np.complex128)
+    buf[layout.fwd] = coeffs[layout.coef]
+    mats = [[buf[t.mat].reshape(g.P, t.n_a) for t in g.terms]
+            for g in layout.groups]
     out = np.full(U.shape[1], const, dtype=np.complex128)
     for lo, hi, E in _chunks(U, layout):
         acc = out[lo:hi]
-        for t, C in zip(layout.terms, mats):
-            T = _matmul(C, E[t.rows_a])
-            for r in t.rows_rest:
+        for g, Cs in zip(layout.groups, mats):
+            T = _matmul(Cs[0], E[g.terms[0].rows_a])
+            for t, C in zip(g.terms[1:], Cs[1:]):
+                T += _matmul(C, E[t.rows_a])
+            for r in g.rows_rest:
                 T *= E[r]
             acc += T.sum(axis=0)
     return out
@@ -256,23 +277,28 @@ def fourier_forward(U, layout: FourierLayout, coeffs) -> np.ndarray:
 def fourier_adjoint(U, layout: FourierLayout, y) -> np.ndarray:
     """F* y: the forward contraction mirrored on conjugated table rows.
 
-    Conjugation is a row lookup, E[-v] = conj(E[v]).  Per term,
-    W = y * prod_j conj(E_j[rest_j]) (P, chunk) and G = conj(E_a[A]) @ W^T
-    (n_a, P), its rows in reverse first-axis order; the block reads G at
-    its (first value, rest) positions.
+    Conjugation is a row lookup, E[-v] = conj(E[v]).  Per group and chunk,
+    W = y * prod_j conj(E_j[rest_j]) (P, chunk); each of its terms adds
+    G = conj(E_a[A]) @ W^T (n_a, P), rows in reverse first-axis order, to
+    its place in the buffer, and after the last chunk every block reads its
+    (first value, rest) positions there.
     """
     y = np.asarray(y, dtype=np.complex128)
     out = np.zeros(layout.n, dtype=np.complex128)
+    buf = np.zeros(layout.size, dtype=np.complex128)
+    mats = [[buf[t.mat].reshape(t.n_a, g.P) for t in g.terms]
+            for g in layout.groups]
     for lo, hi, E in _chunks(U, layout):
         yc = y[lo:hi]
         for b in layout.const:
             out[b] += yc.sum()
-        for t in layout.terms:
+        for g, Gs in zip(layout.groups, mats):
             W = yc[None, :]
-            for r in t.rows_rest_adj:
+            for r in g.rows_rest_adj:
                 W = W * E[r]
-            G = _matmul(E[t.rows_a_adj], W.T)
-            out[t.block] += G[::-1][t.pos_a, t.pos_r]
+            for t, G in zip(g.terms, Gs):
+                G += _matmul(E[t.rows_a_adj], W.T)
+    out[layout.coef] = buf[layout.adj]
     return out
 
 

@@ -22,7 +22,7 @@ import numpy as np
 from . import __version__
 from .index_sets import GroupedIndexSet, TermFamily
 from .lattice import cbc_construct, save_lattice
-from .method import (ApproxModel, ConfigError, DetectionConfig,
+from .method import (ApproxModel, ConfigError, DetectionConfig, _check_keys,
                      build_search_sets, approximate, detect, gap_intervals)
 from .operator import NodeSet
 from .weights import (WeightParams, bound_curve, parse_weight_sequence,
@@ -96,9 +96,15 @@ def _target_from_config(cfg, d):
     raise ConfigError("target must specify 'builtin' or 'csv'")
 
 
+#: top-level keys of a config, which may serve both detect and approximate
+_CONFIG_KEYS = ("d", "d_s", "search", "thresholds", "scenario", "sampling",
+                "solver", "target", "truth", "active_set")
+
+
 def _detection_config(cfg, args, zero_thresholds=False) -> DetectionConfig:
     """The config's detection fields with ``scenario`` and --seed applied;
     DetectionConfig checks their values."""
+    _check_keys(cfg, "config", _CONFIG_KEYS)
     d_s = _require(cfg, "d_s", int)
     thresholds = [0.0] * d_s if zero_thresholds else cfg.get("thresholds", [0.0] * d_s)
     sampling = dict(_require(cfg, "sampling", dict))

@@ -484,9 +484,9 @@ def approximate(active: TermFamily, sets: dict, target, sampling: dict,
         warnings.warn(f"underdetermined refit: |I(U)| = {len(index_set)} "
                       f"exceeds |X| = {len(nodes)}")
     report = _solve(index_set, nodes, y, lat, solver, "final")
-    fitted = lattice_evaluate(report.coefficients, lat) if lat is not None \
-        else BlockFourierOperator(nodes, index_set).forward(report.coefficients)
+    imag = report.imag_residual if lat is None else \
+        float(np.max(np.abs(lattice_evaluate(report.coefficients, lat).imag)))
     prov.update({"stage": "approximate",
                  "solver_report": report.to_json_dict(),
-                 "imag_residual": float(np.max(np.abs(fitted.imag)))})
+                 "imag_residual": imag})
     return ApproxModel(report.coefficients, prov, nodes, y)

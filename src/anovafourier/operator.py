@@ -89,12 +89,13 @@ class BlockFourierOperator:
     the unit phases exp(2 pi i x_s) once, one cosine and sine per node and
     used axis (V_s > 0), and keeps them: 16 bytes per node and used axis.
     Per chunk of 2048 nodes, a product fills one table of phase powers
-    exp(2 pi i v x_s) per axis from those phases, and a block's product is
-    a matrix product on its first axis followed by elementwise products of
-    table rows on its other axes.  A product allocates that table once,
-    sum_s 2 V_s rows of 2048 complex entries (32 KB a row), plus per-term
-    work arrays of the same width and its result, so beyond the result the
-    memory of a product does not grow with the node count.
+    exp(2 pi i v x_s) per axis from those phases.  A block's product is a
+    matrix product on its first axis and elementwise products of table rows
+    on its other axes, done once per group of terms that share those axes
+    and their tuples.  A product allocates that table once (sum_s 2 V_s rows
+    of 2048 complex entries, 32 KB a row), per group work arrays of the same
+    width, the terms' zero-filled coefficient matrices and its result, so
+    beyond the result its memory does not grow with the node count.
     """
 
     def __init__(self, nodes: NodeSet, index_set: GroupedIndexSet):
@@ -132,7 +133,9 @@ class SolveReport:
     """Least-squares solution plus convergence record.
 
     ``residual_norm`` is the solver's internal estimate; ``residual_check``
-    recomputes ||y - F h|| through one extra forward pass.
+    recomputes ||y - F h|| through one extra forward pass, and LSQR records
+    max |Im F h| of that pass in ``imag_residual`` (None from
+    :func:`lattice_solve`).
     """
 
     coefficients: CoefficientMap
@@ -141,6 +144,7 @@ class SolveReport:
     residual_check: float
     stop_reason: str
     provenance: dict = field(default_factory=dict)
+    imag_residual: float | None = None
 
     def to_json_dict(self) -> dict:
         return {"iterations": int(self.iterations),
@@ -178,13 +182,16 @@ def lsqr(op, y, atol: float = 1e-8, btol: float = 1e-8,
     bnorm = beta = _norm(u)
     if beta == 0.0:
         coeffs = CoefficientMap(op.index_set, x)
-        return SolveReport(coeffs, 0, 0.0, 0.0, "zero right-hand side")
+        return SolveReport(coeffs, 0, 0.0, 0.0, "zero right-hand side",
+                           imag_residual=0.0)
     u /= beta
     v = op.adjoint(u)
     alpha = _norm(v)
     if alpha == 0.0:
         coeffs = CoefficientMap(op.index_set, x)
-        return SolveReport(coeffs, 0, beta, beta, "right-hand side orthogonal to range")
+        return SolveReport(coeffs, 0, beta, beta,
+                           "right-hand side orthogonal to range",
+                           imag_residual=0.0)
     v /= alpha
     w = v.copy()
     phibar = beta
@@ -222,10 +229,11 @@ def lsqr(op, y, atol: float = 1e-8, btol: float = 1e-8,
             stop = "normal-equations tolerance reached"
             break
     coeffs = CoefficientMap(op.index_set, x)
-    check = _norm(y - op.forward(x))
-    return SolveReport(coeffs, it, float(phibar), check, stop,
+    fitted = op.forward(x)
+    return SolveReport(coeffs, it, float(phibar), _norm(y - fitted), stop,
                        {"solver": "lsqr", "atol": atol, "btol": btol,
-                        "max_iter": max_iter})
+                        "max_iter": max_iter},
+                       float(np.max(np.abs(fitted.imag))))
 
 
 def lattice_solve(lat: Rank1Lattice, index_set: GroupedIndexSet, y,

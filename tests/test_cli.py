@@ -243,10 +243,10 @@ def test_bench_seed_leaves_registries_unchanged(tmp_path, monkeypatch):
     assert bench.DESK_CONFIGS == desks
 
 
-def test_cli_entry_point_subprocess():
+def test_cli_entry_point_subprocess(tmp_path):
     proc = subprocess.run([sys.executable, "-m", "anovafourier.cli",
                            "bound", "--alpha", "0", "--beta", "1", "--ds", "2",
-                           "--out", "/tmp/anovafourier-cli-test"],
+                           "--out", str(tmp_path)],
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert "bound =" in proc.stdout
@@ -376,6 +376,10 @@ _WEIGHT_NO_GAMMA = {"alpha": 0.0, "beta": 1.0, "gamma": [1.0] * 9}
     ("approximate", {"d_s": 1, "search": {"type": "full_grid", "N": [4]}},
      "search.N"),
     ("approximate", {"solver": {"max_iters": 5}}, "max_iters"),
+    ("detect", {"tiering": True}, "config.tiering"),
+    ("approximate", {"tiering": True}, "config.tiering"),
+    ("approximate", {"solvr": {"max_iter": 1}}, "config.solvr"),
+    ("approximate", {"threshold": [0.5]}, "config.threshold"),
 ])
 def test_malformed_config_exit_2(tmp_path, capsys, command, change, key):
     base = BUILTIN_DETECT if command == "detect" else BUILTIN_APPROXIMATE

@@ -211,6 +211,76 @@ def test_adjoint_identity_random_sets(g, m, seed):
     assert abs(lhs - rhs) <= 1e-12 * scale
 
 
+@st.composite
+def shared_rest_blocks(draw):
+    """(d, blocks) whose terms share remaining axes: per set of remaining
+    axes, some terms take one shared list of rest tuples and others their
+    own, and a block may lose some of its (first value, rest) pairs.  Draws
+    reach P = 1 (and no remaining axis), n_a = 1 and single frequencies."""
+    d = draw(st.integers(2, 5))
+    value = st.integers(1, 4).flatmap(lambda a: st.sampled_from([a, -a]))
+
+    def tuples(r):
+        return draw(st.lists(st.tuples(*[value] * r), min_size=1, max_size=4,
+                             unique=True))
+
+    blocks = {(): np.zeros((1, 0), dtype=np.int64)}
+    for _ in range(draw(st.integers(1, 3))):
+        rest_axes = tuple(sorted(draw(st.sets(st.integers(2, d), max_size=3))))
+        firsts = range(1, rest_axes[0] if rest_axes else d + 1)
+        shared = tuples(len(rest_axes))
+        for a in draw(st.sets(st.sampled_from(firsts), min_size=1, max_size=3)):
+            rest = tuples(len(rest_axes)) if draw(st.booleans()) else shared
+            a_vals = draw(st.lists(value, min_size=1, max_size=3, unique=True))
+            freqs = [(v,) + t for v in a_vals for t in rest]
+            keep = draw(st.lists(st.booleans(), min_size=len(freqs),
+                                 max_size=len(freqs)))
+            freqs = [f for f, k in zip(freqs, keep) if k] or freqs[:1]
+            blocks[(a,) + rest_axes] = np.array(freqs, dtype=np.int64)
+    return d, list(blocks.items())
+
+
+@settings(max_examples=60, deadline=None)
+@given(shared_rest_blocks(), st.integers(1, 300), st.integers(0, 2 ** 32 - 1))
+def test_grouped_products_match_dense(case, m, seed):
+    """One group per (remaining axes, rest tuples); the grouped forward and
+    adjoint match exp(2 pi i X K^T) to rel 1e-12 and satisfy the adjoint
+    identity."""
+    d, blocks = case
+    layout = _kernels.fourier_layout(d, blocks)
+    keys = {(u[1:], frozenset(map(tuple, f[:, 1:]))) for u, f in blocks if u}
+    assert len(layout.groups) == len(keys)
+    assert sum(len(g.terms) for g in layout.groups) == len(blocks) - 1
+    K = np.zeros((layout.n, d), dtype=np.int64)
+    off = 0
+    for u, f in blocks:
+        K[off:off + len(f), [s - 1 for s in u]] = f
+        off += len(f)
+    rng = np.random.default_rng(seed)
+    X = rng.random((m, d))
+    dense = np.exp(2j * np.pi * (X @ K.T))
+    U = _kernels.unit_phases(X, layout.vmax)
+    c = rng.normal(size=layout.n) + 1j * rng.normal(size=layout.n)
+    y = rng.normal(size=m) + 1j * rng.normal(size=m)
+    Fc = _kernels.fourier_forward(U, layout, c)
+    Fy = _kernels.fourier_adjoint(U, layout, y)
+    for got, ref in ((Fc, dense @ c), (Fy, dense.conj().T @ y)):
+        assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
+    scale = np.linalg.norm(Fc) * np.linalg.norm(y) + np.linalg.norm(Fy) * np.linalg.norm(c)
+    assert abs(np.vdot(y, Fc) - np.vdot(Fy, c)) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("search", [{"type": "hyperbolic_cross", "N": [30] * 3},
+                                    {"type": "full_grid", "N": [16, 6, 2]}])
+def test_pilot_layout_groups_terms_by_remaining_axes(search):
+    """U_3 on d = 9: 129 terms in 37 groups, one per set of remaining axes
+    (28 pairs, 8 single axes and none for the order-1 terms)."""
+    g = grouped(term_family_ds(9, 3), build_search_sets(9, 3, search))
+    layout = _kernels.fourier_layout(9, [(b.term, b.freqs) for b in g.blocks])
+    assert sum(len(grp.terms) for grp in layout.groups) == 129
+    assert len(layout.groups) == 37
+
+
 def test_residues_match_python_mod():
     rng = np.random.default_rng(0)
     freqs = rng.integers(-10 ** 6, 10 ** 6, size=(200, 9))

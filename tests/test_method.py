@@ -289,6 +289,18 @@ def test_approximate_and_idempotent_refit():
         assert np.linalg.norm(got - pilot_vals[b.term]) < 1e-6
 
 
+def test_imag_residual_is_that_of_the_fitted_values():
+    """On scattered data ``approximate`` records max |Im| of the fitted
+    values from LSQR's check pass; it equals a fresh evaluation's."""
+    cfg = tiny_config()
+    fam = TermFamily.downward_closure(3, [(1, 2)])
+    sets = build_search_sets(3, 2, cfg.search, family=fam)
+    model = approximate(fam, sets, tiny_target, cfg.sampling, {"max_iter": 5})
+    fitted = model.evaluate_on(model.fit_data()[0])
+    imag = float(np.max(np.abs(fitted.imag)))
+    assert imag > 0 and model.provenance["imag_residual"] == imag
+
+
 def test_model_json_round_trip_exact(tmp_path):
     res = detect(tiny_config(), tiny_target)
     path = tmp_path / "model.json"
