@@ -31,10 +31,16 @@ threads.
 
 Lattices: ``residues`` computes k.z mod M for a frequency array, and
 ``first_injective`` is the CBC search's O(n) test of one candidate z_s.
+``lattice_fft`` is the length-M DFT of a lattice solve, done in place as
+short FFTs along both axes of an M1 x M2 view (the four-step FFT), so it
+needs O(sqrt M) work memory where one length-M ``np.fft.fft`` needs about
+two more M-vectors; it leaves the spectrum in transposed order, and
+``spectrum_slots`` says where each residue sits.
 """
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -44,6 +50,8 @@ BACKEND = "numpy"
 
 _NODES = 2048  # nodes per chunk, a multiple of _KB; 1024 and 8192 timed slower
 _KB = 128  # inner length of one BLAS matrix product
+_TWIDDLE_BLOCK = 1 << 16  # entries per block of rows that one twiddle step scales
+_PREFIX = 1024  # representatives in a CBC candidate's first test
 
 
 class _TermLayout(NamedTuple):
@@ -320,17 +328,108 @@ def first_injective(base, kcol, cands, M, slot):
     indices, so the other reads back wrong.  Every slot read was written for
     the same candidate, so ``slot`` (int32, length >= M) may hold anything
     on entry and is reused across candidates and calls.  O(n) per candidate.
+
+    A candidate is tested on the first ``_PREFIX`` entries, then on 4 times
+    as many, and so on up to all n; each stage computes and scatters only its
+    new entries and gathers the whole prefix.  A collision in a prefix is a
+    collision in the whole set, so the pick is the same as with one test of
+    all n, and most rejected candidates cost O(``_PREFIX``).
     """
     n = base.shape[0]
+    stops = [_PREFIX]
+    while stops[-1] < n:
+        stops.append(4 * stops[-1])
+    stops[-1] = n
     idx = np.arange(n, dtype=np.int32)
     r = np.empty(n, dtype=np.int64)
     back = np.empty(n, dtype=np.int32)
     for i, zs in enumerate(cands):
-        np.multiply(kcol, zs % M, out=r)
-        r += base
-        np.remainder(r, M, out=r)
-        slot[r] = idx
-        np.take(slot, r, out=back)
-        if np.array_equal(back, idx):
+        zs = zs % M
+        lo = 0
+        for hi in stops:
+            new = r[lo:hi]
+            np.multiply(kcol[lo:hi], zs, out=new)
+            new += base[lo:hi]
+            np.remainder(new, M, out=new)
+            slot[new] = idx[lo:hi]
+            np.take(slot, r[:hi], out=back[:hi])
+            if not np.array_equal(back[:hi], idx[:hi]):
+                break
+            lo = hi
+        else:
             return i
     return -1
+
+
+def _split(n: int) -> tuple:
+    """(n1, n2) with n = n1 n2 and n1 the largest divisor of n <= sqrt(n)."""
+    n1 = math.isqrt(n)
+    while n % n1:
+        n1 -= 1
+    return n1, n // n1
+
+
+def spectrum_slots(r, M: int) -> np.ndarray:
+    """Positions of residues r in the spectrum that ``lattice_fft`` leaves.
+
+    Residue r sits at (r mod M1, r div M1) of the M1 x M2 view, M1 x M2 =
+    ``_split(M)``; for prime M (M1 = 1) that is r itself.
+    """
+    M1, M2 = _split(M)
+    q, k1 = np.divmod(r, M1)
+    return k1 * M2 + q
+
+
+def _twiddle(A, M: int, sign: int) -> None:
+    """A[k1, j2] *= exp(sign 2 pi i k1 j2 / M), in place, block of rows by block.
+
+    With j2 = s jh + jl, (s, t) = ``_split(M2)``, each block multiplies by
+    two short tables, exp(sign 2 pi i k1 s jh / M) (rows x t) and
+    exp(sign 2 pi i k1 jl / M) (rows x s), so only O(rows sqrt M2) values
+    take a cosine and a sine.  The integer exponents are below M (k1 < M1,
+    j2 < M2), so each angle is one rounding from exact.
+    """
+    M1, M2 = A.shape
+    s, t = _split(M2)
+    low = np.arange(s)
+    high = s * np.arange(t)
+    step = sign * 2j * np.pi / M
+    rows = max(1, _TWIDDLE_BLOCK // M2)
+    for lo in range(1, M1, rows):  # row k1 = 0 has all factors 1
+        hi = min(M1, lo + rows)
+        k1 = np.arange(lo, hi)[:, None]
+        block = A[lo:hi].reshape(hi - lo, t, s)
+        block *= np.exp(k1 * high * step)[:, :, None]
+        block *= np.exp(k1 * low * step)[:, None, :]
+
+
+def lattice_fft(a: np.ndarray, inverse: bool = False) -> np.ndarray:
+    """Unnormalized length-M DFT of the contiguous complex vector ``a``, in place.
+
+    The forward transform reads ``a`` in natural order and leaves
+    X_r = sum_j a_j exp(-2 pi i j r / M) at ``spectrum_slots(r, M)``; the
+    inverse reads that order and leaves sum_r X_r exp(2 pi i j r / M) at j.
+    With j = M2 j1 + j2 and r = k1 + M1 k2 on the M1 x M2 view (``_split``),
+    the forward runs length-M1 FFTs down the columns, multiplies by the
+    twiddles exp(-2 pi i k1 j2 / M) and runs length-M2 FFTs along the rows;
+    the inverse runs those steps backwards with conjugate factors.  numpy
+    transforms each line of a view through a buffer of the line's length,
+    so the work memory is O(M1 + M2) besides one block of twiddles.  A
+    prime M gives M1 = 1: one ordinary FFT, still written in place.
+    """
+    if a.dtype != np.complex128 or a.ndim != 1 or not a.flags.c_contiguous:
+        raise ValueError("lattice_fft needs a contiguous complex128 vector")
+    M = a.shape[0]
+    M1, M2 = _split(M)
+    A = a.reshape(M1, M2)
+    if inverse:
+        np.fft.ifft(A, axis=1, norm="forward", out=A)
+        _twiddle(A, M, 1)
+        if M1 > 1:
+            np.fft.ifft(A, axis=0, norm="forward", out=A)
+    else:
+        if M1 > 1:
+            np.fft.fft(A, axis=0, out=A)
+        _twiddle(A, M, -1)
+        np.fft.fft(A, axis=1, out=A)
+    return a

@@ -6,10 +6,18 @@ A rank-1 lattice is the node set {(j/M) z mod 1 : j = 0..M-1}.  It is
 pairwise distinct over I; this is equivalent to the difference-set condition
 m.z != 0 mod M for all nonzero m in D(I), and makes the normal-equations
 matrix F*F equal M times the identity, so least squares reduces to one
-adjoint multiplication realized by a single length-M FFT.  The CBC search
-returns 5-smooth M only, so that FFT never falls back to Bluestein's
-algorithm, which at prime M took about 9 times as long and most of a
-stage's memory.
+adjoint multiplication, a length-M DFT.  ``_kernels.lattice_fft`` computes
+it in place as two passes of short FFTs over an M1 x M2 view of one
+buffer, with O(sqrt M) work memory where one length-M ``np.fft.fft`` took
+about two more M-vectors.  The spectrum stays in the transform's
+transposed order: reconstruction reads only the |I| residues it needs, and
+evaluation scatters into that order.  A lattice solve so holds the samples
+and one work vector (77 MB at the black-box refit's M = 2400000), and the
+black-box pipeline peaks at about 130 MB where one ``np.fft.fft`` per
+transform took 240 MB.
+The CBC search returns 5-smooth M only, so M splits into two factors near
+sqrt M and no short FFT falls back to Bluestein's algorithm, which at
+prime M took about 9 times as long.
 
 All residue arithmetic reduces k and z modulo M before multiplying, which
 keeps intermediates below 2^63 for any M < 2^31.
@@ -148,7 +156,8 @@ def cbc_construct(freqs, seed: int = 0, M_cap: int | None = None) -> Rank1Lattic
 
     Cost: testing one candidate is O(n), n the number of prefix
     representatives (<= |I|): one scatter of the indices into an int32 slot
-    array of length M and one gather back
+    array of length M and one gather back, first on the first 1024
+    representatives, so most rejected candidates cost O(1024)
     (:func:`_kernels.first_injective`).  The slot array is allocated once
     per lattice size and takes at most min(4 M, 4000 |I|) bytes.
     """
@@ -220,12 +229,14 @@ def lattice_evaluate(coeffs, lat: Rank1Lattice) -> np.ndarray:
 
     ``coeffs`` is a CoefficientMap or a pair (freqs, values).  Works for any
     lattice; coefficients landing in the same residue class add up, exactly
-    as the aliasing formula predicts.
+    as the aliasing formula predicts.  The coefficients are scattered into
+    the transposed order of ``_kernels.lattice_fft``, which inverts them in
+    place: the result is the only length-M array.
     """
     freqs, values = _coeff_pair(coeffs)
-    buckets = np.zeros(lat.M, dtype=np.complex128)
-    np.add.at(buckets, lat.residues(freqs), values)
-    return lat.M * np.fft.ifft(buckets)
+    out = np.zeros(lat.M, dtype=np.complex128)
+    np.add.at(out, _kernels.spectrum_slots(lat.residues(freqs), lat.M), values)
+    return _kernels.lattice_fft(out, inverse=True)
 
 
 def lattice_reconstruct(values, index_set, lat: Rank1Lattice):
@@ -234,18 +245,20 @@ def lattice_reconstruct(values, index_set, lat: Rank1Lattice):
     For a polynomial supported on the index set of a reconstructing lattice
     this recovers the coefficients exactly up to roundoff (the Moore-Penrose
     solve, since F*F = M Id).  Non-reconstructing lattices are permitted;
-    exactness is then void.
+    exactness is then void.  ``values`` is copied once into the work vector
+    of ``_kernels.lattice_fft``; only the |I| residues read from its
+    spectrum are divided by M.
     """
     from .anova import CoefficientMap
-    values = np.asarray(values, dtype=np.complex128)
-    if values.shape[0] != lat.M:
+    work = np.array(values, dtype=np.complex128)
+    if work.shape != (lat.M,):
         raise ValueError("need exactly M sample values")
-    spectrum = np.fft.fft(values) / lat.M
-    if isinstance(index_set, GroupedIndexSet):
-        res = lat.residues(index_set.embedded())
-        return CoefficientMap(index_set, spectrum[res])
+    _kernels.lattice_fft(work)
     res = lat.residues(_embedded(index_set))
-    return spectrum[res]
+    coeffs = work[_kernels.spectrum_slots(res, lat.M)] / lat.M
+    if isinstance(index_set, GroupedIndexSet):
+        return CoefficientMap(index_set, coeffs)
+    return coeffs
 
 
 def _coeff_pair(coeffs):

@@ -316,12 +316,13 @@ def _require_finite(y):
 
 
 #: bytes per sample that a lattice stage holds at its peak: the value
-#: vector, its spectrum and fitted values, and the work memory of the
-#: 5-smooth-length FFTs.  Peak RSS over the RSS before the stage measured
-#: 83-98 on the black-box pilot and refit sets (CBC seeds 1, 2, 5 and 10,
-#: M = 531441 to 2949120; the most at the smallest M); rounded up to 7
-#: complex values.
-_LATTICE_BYTES_PER_SAMPLE = 112
+#: vector and one work vector (the in-place transform's, then the fitted
+#: values), plus the stage's index sets and sampling blocks, which do not
+#: grow with M.  Peak RSS over the RSS before the stage measured 35.4-38.2
+#: on the black-box refit sets and 45.8-51.0 on the pilot sets (CBC seeds
+#: 1, 2, 5 and 10, M = 531441 to 2949120; the most at the smallest M);
+#: rounded up to 4 complex values.
+_LATTICE_BYTES_PER_SAMPLE = 64
 
 
 def _physical_memory() -> int:
@@ -484,8 +485,11 @@ def approximate(active: TermFamily, sets: dict, target, sampling: dict,
         warnings.warn(f"underdetermined refit: |I(U)| = {len(index_set)} "
                       f"exceeds |X| = {len(nodes)}")
     report = _solve(index_set, nodes, y, lat, solver, "final")
-    imag = report.imag_residual if lat is None else \
-        float(np.max(np.abs(lattice_evaluate(report.coefficients, lat).imag)))
+    if lat is None:
+        imag = report.imag_residual
+    else:
+        fitted = lattice_evaluate(report.coefficients, lat)
+        imag = float(np.abs(fitted.imag, out=fitted.imag).max())
     prov.update({"stage": "approximate",
                  "solver_report": report.to_json_dict(),
                  "imag_residual": imag})

@@ -242,13 +242,17 @@ def lattice_solve(lat: Rank1Lattice, index_set: GroupedIndexSet, y,
 
     Refuses lattices that fail certification (pass ``certified=True`` to
     skip the re-check when the lattice was just certified by construction).
+    Besides the samples it holds one length-M vector at a time: the
+    transform's work vector, then the fitted values, which become the
+    residual in place.
     """
     if not certified and not is_reconstructing(lat, index_set):
         raise ValueError("lattice is not reconstructing for this index set")
     y = np.asarray(y, dtype=np.complex128)
     coeffs = lattice_reconstruct(y, index_set, lat)
-    fitted = lattice_evaluate(coeffs, lat)
-    res = _norm(y - fitted)
+    residual = lattice_evaluate(coeffs, lat)
+    residual -= y
+    res = _norm(residual)
     return SolveReport(coeffs, 1, res, res, "direct adjoint solve",
                        {"solver": "lattice", "M": int(lat.M),
                         "z": [int(v) for v in lat.z]})

@@ -341,3 +341,69 @@ def test_first_injective_matches_unique(seed, M, doomed):
         expect = _first_injective_unique(base, kcol, cands, M)
         assert _kernels.first_injective(base, kcol, cands, M, slot) == expect
         assert expect == -1 or not clash
+
+
+def _smooth(a, b, c):
+    return 2 ** a * 3 ** b * 5 ** c
+
+
+_FFT_LENGTHS = st.one_of(
+    st.just(1),
+    st.sampled_from([2, 3, 5, 7, 97, 7919, 104729]),            # primes
+    st.builds(_smooth, st.integers(0, 7), st.integers(0, 4), st.integers(0, 3)),
+    st.sampled_from([2 * 7919, 11 * 13 * 17, 49 * 121, 3 * 104729]),
+    st.integers(2, 5000))
+
+
+@settings(max_examples=80, deadline=None)
+@given(M=_FFT_LENGTHS, seed=st.integers(0, 2 ** 32 - 1))
+def test_lattice_fft_matches_numpy(M, seed):
+    """Forward, inverse and round trip against np.fft at relative error
+    1e-12 of the largest entry; the spectrum is read through
+    ``spectrum_slots``, which must be a permutation of 0..M-1."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(M) + 1j * rng.standard_normal(M)
+    slots = _kernels.spectrum_slots(np.arange(M), M)
+    assert np.array_equal(np.sort(slots), np.arange(M))
+
+    def rel(got, ref):
+        return np.abs(got - ref).max() / np.abs(ref).max()
+
+    spectrum = _kernels.lattice_fft(x.copy())
+    assert rel(spectrum[slots], np.fft.fft(x)) <= 1e-12
+    scattered = np.empty(M, dtype=np.complex128)
+    scattered[slots] = x
+    assert rel(_kernels.lattice_fft(scattered, inverse=True),
+               M * np.fft.ifft(x)) <= 1e-12
+    assert rel(_kernels.lattice_fft(spectrum, inverse=True) / M, x) <= 1e-12
+
+
+def test_lattice_fft_rejects_views_it_cannot_write_in_place():
+    x = np.zeros(8, dtype=np.complex128)
+    for bad in (x[::2], x.real, x.reshape(2, 4)):
+        with pytest.raises(ValueError, match="contiguous complex128"):
+            _kernels.lattice_fft(bad)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 20000),
+       planted=st.integers(0, 4), dense=st.booleans())
+def test_first_injective_prefix_stages_match_unique(seed, n, planted, dense):
+    """Sets beyond the first prefix stages (1024, 4096, 16384 entries).
+
+    ``dense`` problems draw every kcol, so nearly every candidate collides
+    within the first stage.  The others keep base distinct and kcol zero
+    except at ``planted`` random positions, so a candidate collides only
+    where a planted residue meets another, often in a late stage; with
+    n <= M <= 3n + 1 each planted residue lands on an occupied one with
+    probability n / M, at least about a third."""
+    rng = np.random.default_rng(seed)
+    M = int(rng.integers(max(n, 2), 3 * n + 2))
+    slot = rng.integers(-1, n, size=M).astype(np.int32)
+    base = rng.choice(M, size=n, replace=False).astype(np.int64)
+    kcol = np.zeros(n, dtype=np.int64)
+    where = rng.integers(0, n, size=n if dense else planted)
+    kcol[where] = rng.integers(1, M, size=where.size)
+    cands = rng.integers(0, 3 * M, size=int(rng.integers(1, 30)))
+    expect = _first_injective_unique(base, kcol, cands, M)
+    assert _kernels.first_injective(base, kcol, cands, M, slot) == expect

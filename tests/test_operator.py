@@ -1,3 +1,8 @@
+import json
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -270,3 +275,56 @@ def test_operator_dimension_mismatch():
         op.forward(np.zeros(3, dtype=complex))
     with pytest.raises(ValueError):
         op.adjoint(np.zeros(4, dtype=complex))
+
+
+
+_SOLVE_PEAK = """
+import json
+import numpy as np
+from anovafourier.anova import term_family_ds
+from anovafourier.index_sets import grouped
+from anovafourier.lattice import Rank1Lattice
+from anovafourier.method import build_search_sets
+from anovafourier.operator import lattice_solve
+
+def status_kb(key):
+    with open("/proc/self/status") as fh:
+        return next(int(ln.split()[1]) for ln in fh if ln.startswith(key))
+
+M = 10 ** 6
+g = grouped(term_family_ds(2, 1),
+            build_search_sets(2, 1, {"type": "full_grid", "N": [8]}))
+lat = Rank1Lattice(np.array([1, 17]), M)
+y = np.full(M, 1.0 + 0.5j)
+y[::3] = 2.0
+start = status_kb("VmRSS:")
+report = lattice_solve(lat, g, y)
+print(json.dumps({"M": M, "rise": (status_kb("VmHWM:") - start) * 1024,
+                  "residual": report.residual_norm}))
+"""
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(),
+                    reason="reads VmRSS from /proc")
+def test_lattice_solve_peak_memory_per_sample():
+    """At the 5-smooth M = 10^6, one lattice solve (certification, the
+    transform, the evaluation and the residual) raises the peak RSS over the
+    RSS it starts from by at most ``method._LATTICE_BYTES_PER_SAMPLE`` per
+    sample, the figure the memory check charges a whole lattice stage.
+
+    The solve holds one length-M vector besides the samples (16 bytes per
+    sample, 16.7 measured); the check allows two.  A solve through one
+    out-of-place ``np.fft.fft`` and a scaled copy of its result rose by
+    49 bytes per sample.  The samples exist before the solve starts; a fresh
+    interpreter keeps earlier tests' allocations out of the peak, read as
+    VmHWM: ``ru_maxrss`` would carry the forking process's peak across
+    ``exec``."""
+    from anovafourier.method import _LATTICE_BYTES_PER_SAMPLE
+    proc = subprocess.run([sys.executable, "-c", _SOLVE_PEAK],
+                          capture_output=True, text=True, check=True)
+    out = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert np.isfinite(out["residual"])
+    per_sample = out["rise"] / out["M"]
+    assert per_sample <= _LATTICE_BYTES_PER_SAMPLE, \
+        f"peak rose {per_sample:.1f} bytes per sample"
+    assert per_sample <= 2 * 16, f"peak rose {per_sample:.1f} bytes per sample"

@@ -1,17 +1,23 @@
-"""Every module-level import of the package modules is used.
+"""Every module-level import of the package modules is used, and the
+package imports nothing but numpy, the standard library and itself.
 
-``__init__.py`` is left out: its imports are the package's exports.
+``__init__.py`` is left out of the first check: its imports are the
+package's exports.
 """
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
 
 import anovafourier
 
-MODULES = sorted(p for p in Path(anovafourier.__file__).parent.glob("*.py")
-                 if p.name != "__init__.py")
+PACKAGE = Path(anovafourier.__file__).parent
+MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+
+#: top-level modules the package may import: numpy is its one dependency
+ALLOWED = {"numpy", "anovafourier"} | set(sys.stdlib_module_names)
 
 
 def unused_imports(source: str) -> list:
@@ -27,11 +33,39 @@ def unused_imports(source: str) -> list:
     return [name for name in bound if name not in read]
 
 
+def foreign_imports(source: str) -> list:
+    """Modules imported anywhere in the source, at module level or inside a
+    function, that are neither numpy, the standard library nor the package.
+    Relative imports are the package's own."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        found += [n for n in names if n.split(".")[0] not in ALLOWED]
+    return found
+
+
 def test_detects_an_unused_import():
     assert unused_imports("import os\nimport sys\nfrom a import b, c\nos.sep\nc()\n") \
         == ["sys", "b"]
 
 
+def test_detects_a_foreign_import():
+    source = ("import numpy as np\nimport os.path\nfrom . import lattice\n"
+              "from anovafourier.anova import sensitivity\n"
+              "def f():\n    import scipy.fft\n    from numba import njit\n")
+    assert foreign_imports(source) == ["scipy.fft", "numba"]
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_imports_are_used(path):
     assert unused_imports(path.read_text()) == []
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_package_imports_only_numpy_and_stdlib(path):
+    assert foreign_imports(path.read_text()) == []
