@@ -13,8 +13,14 @@ term family exactly
 
     U* = P({1,5}) u P({2,6}) u P({3,7}) u P({4,8,9}).
 
-Closed-form spline evaluation is certified against the truncated Fourier
-series in the tests (the series tail is analytically bounded).
+B_j is evaluated piecewise: on the torus t = j (x - floor x) falls in
+piece i = min(floor t, j - 1) of the cardinal B-spline, where B_j is a
+polynomial of degree j - 1 in u = t - i.  Its coefficients are tabulated
+once per order from exact integer sums, and one Horner pass evaluates them
+(de Boor, A Practical Guide to Splines, 1978); B2 is the hat
+2 C2 (1 - |t - 1|).  The tests check these values against the
+truncated-power sum and the truncated Fourier series (whose tail is
+analytically bounded).
 """
 
 from __future__ import annotations
@@ -60,23 +66,60 @@ def u_plus() -> TermFamily:
         D, [(1, 5), (2, 6), (3, 7), (4, 8), (4, 9), (8, 9)])
 
 
-def _cardinal_bspline(j, t):
-    """Cardinal B-spline M_j on its support [0, j], vectorized."""
-    acc = np.zeros_like(t)
-    sign = 1.0
-    binom = 1.0
-    for i in range(j + 1):
-        acc += sign * binom * np.clip(t - i, 0.0, None) ** (j - 1)
-        sign = -sign
-        binom = binom * (j - i) / (i + 1)
-    return acc / math.factorial(j - 1)
+def _piece_table(j: int) -> np.ndarray:
+    """(j, j) table of B_j's pieces: entry [p, i] multiplies u^p on piece i.
+
+    On piece i, t = i + u with u in [0, 1], the cardinal B-spline is the
+    truncated-power sum (1/(j-1)!) sum_{l <= i} (-1)^l C(j, l) (u + i - l)^(j-1);
+    its binomial expansion in u is summed in integers and divided by
+    (j-1)! with one rounding (int / int is correctly rounded), then scaled
+    by BSPLINE_NORM[j] * j.
+    """
+    table = np.empty((j, j))
+    for i in range(j):
+        for p in range(j):
+            s = sum((-1) ** l * math.comb(j, l) * math.comb(j - 1, p)
+                    * (i - l) ** (j - 1 - p) for l in range(i + 1))
+            table[p, i] = s / math.factorial(j - 1)
+    return table * (BSPLINE_NORM[j] * j)
+
+
+_PIECES = {j: _piece_table(j) for j in (4, 6)}
 
 
 def bspline_values(j: int, x) -> np.ndarray:
-    """Closed-form piecewise-polynomial evaluation of B_j on the torus."""
+    """B_j at every entry of x, for the orders j in BSPLINE_NORM (2, 4, 6).
+
+    Piecewise Horner: t = j (x - floor x), piece i = min(floor t, j - 1)
+    (x - floor x rounds to 1.0 for tiny negative x), one gather of the
+    piece's coefficient per power and one Horner pass in u = t - i.  B2 is
+    the closed-form hat.  NaN or infinite x gives NaN.
+    """
+    if j not in BSPLINE_NORM:
+        raise ValueError(f"spline order must be one of "
+                         f"{', '.join(map(str, BSPLINE_NORM))}, got {j!r}")
     x = np.atleast_1d(np.asarray(x, dtype=np.float64))
-    t = x - np.floor(x)
-    return BSPLINE_NORM[j] * j * _cardinal_bspline(j, j * t)
+    t = np.floor(x)
+    np.subtract(x, t, out=t)
+    if j == 2:
+        t *= 2.0
+        t -= 1.0
+        np.abs(t, out=t)
+        np.subtract(1.0, t, out=t)
+        t *= 2.0 * C2
+        return t
+    t *= j
+    with np.errstate(invalid="ignore"):  # NaN t: any piece, NaN result
+        i = t.astype(np.intp)
+    np.minimum(i, j - 1, out=i)
+    t -= i
+    table = _PIECES[j]
+    acc = table[j - 1].take(i, mode="clip")
+    coef = np.empty_like(t)
+    for p in range(j - 2, -1, -1):
+        acc *= t
+        acc += table[p].take(i, out=coef, mode="clip")
+    return acc
 
 
 def bspline_coeff_arr(j: int, k) -> np.ndarray:
@@ -89,14 +132,17 @@ def bspline_coeff_arr(j: int, k) -> np.ndarray:
 
 
 def testfun_value(x) -> np.ndarray:
-    """Evaluate f at one point or at rows of an (m, 9) array."""
+    """Evaluate f at one point or at rows of an (m, 9) array; any other
+    shape raises ValueError."""
     x = np.asarray(x, dtype=np.float64)
+    if x.ndim not in (1, 2) or x.shape[-1] != D:
+        raise ValueError(f"testfun_value needs one point of {D} coordinates "
+                         f"or an (m, {D}) array, got shape {x.shape}")
     X = np.atleast_2d(x)
-    b2 = bspline_values(2, X[:, 0:4])
-    b4 = bspline_values(4, X[:, 4:8])
-    b6 = bspline_values(6, X[:, 8])
-    f = (b2[:, 0] * b4[:, 0] + b2[:, 1] * b4[:, 1]
-         + b2[:, 2] * b4[:, 2] + b2[:, 3] * b4[:, 3] * b6)
+    f = bspline_values(2, X[:, 0:4])
+    f *= bspline_values(4, X[:, 4:8])
+    f[:, 3] *= bspline_values(6, X[:, 8])
+    f = f.sum(axis=1)
     return f[0] if x.ndim == 1 else f
 
 

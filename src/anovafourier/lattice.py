@@ -56,11 +56,13 @@ def next_smooth(n: int) -> int:
 
 
 #: rows per block: ``Rank1Lattice.nodes`` fills its output, and
-#: ``method`` samples a target, this many rows at a time (576 KB of nodes
-#: at d = 9).  Sampling the 9-d test function on 2456743 lattice nodes took
-#: 1.3-1.6 s with blocks of 2048 to 8192 rows, 1.8-1.9 s with 32768 to
-#: 65536 and 2.3 s with 131072 (one BLAS thread, 2-CPU VM).
-BLOCK_ROWS = 8192
+#: ``method`` samples a target, this many rows at a time (144 KB of nodes
+#: at d = 9).  Sampling the torus-shifted 9-d test function on the 2400000
+#: nodes of a refit lattice took 0.82 s with blocks of 2048 rows, 0.97 s
+#: with 4096, 1.14 s with 8192, 1.21 s with 16384 and 1.13-1.16 s with
+#: 32768 to 65536 (medians of 9 to 24 timings), and the process peaked at
+#: 72.4, 73.3, 74.7, 77.6, 83.3 and 94.4 MB (one BLAS thread, 2-CPU VM).
+BLOCK_ROWS = 2048
 
 
 @dataclass(frozen=True, eq=False)

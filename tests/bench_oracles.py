@@ -1,9 +1,10 @@
 """Oracles for the test-function and ANOVA tests.
 
-Scalar forms of the closed-form coefficients and spline values of
-``anovafourier.bench``, the exact sensitivity indices of the test function
-with the published values they are checked against, and block truncation of
-a coefficient map.
+Scalar forms of the closed-form coefficients of ``anovafourier.bench``,
+the truncated-power formula of its spline values (the independent
+reference for its piecewise-Horner evaluation), the exact sensitivity
+indices of the test function with the published values they are checked
+against, and block truncation of a coefficient map.
 """
 
 import math
@@ -21,10 +22,25 @@ def _check_order(j):
         raise ValueError("spline order must be 2, 4 or 6")
 
 
+def _cardinal_bspline(j, t):
+    """Cardinal B-spline M_j on its support [0, j], vectorized."""
+    acc = np.zeros_like(t)
+    sign = 1.0
+    binom = 1.0
+    for i in range(j + 1):
+        acc += sign * binom * np.clip(t - i, 0.0, None) ** (j - 1)
+        sign = -sign
+        binom = binom * (j - i) / (i + 1)
+    return acc / math.factorial(j - 1)
+
+
 def bspline_value(j: int, x):
-    """Closed-form piecewise-polynomial evaluation of B_j on the torus."""
+    """B_j on the torus from the truncated-power sum
+    (1/(j-1)!) sum_l (-1)^l C(j, l) (t - l)_+^(j-1) at t = j (x - floor x)."""
     _check_order(j)
-    return bench.bspline_values(j, x)
+    x = np.atleast_1d(np.asarray(x, dtype=np.float64))
+    t = x - np.floor(x)
+    return bench.BSPLINE_NORM[j] * j * _cardinal_bspline(j, j * t)
 
 
 def bspline_coeff(j: int, k) -> float:

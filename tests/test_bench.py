@@ -1,7 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from anovafourier import bench
 from anovafourier.anova import CoefficientMap, term_family_ds
@@ -42,8 +45,37 @@ def test_bspline_value_matches_series_oracle():
         coeffs = bench.bspline_coeff_arr(j, ks)
         series = (np.exp(2j * np.pi * np.outer(x, ks)) @ coeffs).real
         tail = 2 * bench.BSPLINE_NORM[j] * (j / math.pi) ** j * K ** (1 - j) / (j - 1)
-        got = oracles.bspline_value(j, x)
-        assert np.max(np.abs(got - series)) <= tail + 1e-12
+        for values in (oracles.bspline_value, bench.bspline_values):
+            assert np.max(np.abs(values(j, x) - series)) <= tail + 1e-12
+
+
+def _edge_points(j):
+    """The knots i/j over two periods each side of 0, their float
+    neighbours, and points whose x - floor(x) rounds to 1.0 (the piece
+    index must be clamped to j - 1 there)."""
+    knots = np.arange(-2 * j, 2 * j + 1) / j
+    return np.concatenate([knots, np.nextafter(knots, -np.inf),
+                           np.nextafter(knots, np.inf),
+                           [-0.0, -1e-20, -1e-300, -5e-324]])
+
+
+@settings(max_examples=200, deadline=None)
+@given(j=st.sampled_from([2, 4, 6]),
+       x=st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=64))
+def test_bspline_values_match_truncated_power_oracle(j, x):
+    x = np.concatenate([np.asarray(x, dtype=np.float64), _edge_points(j)])
+    got = bench.bspline_values(j, x)
+    want = oracles.bspline_value(j, x)
+    assert got.shape == x.shape
+    assert np.max(np.abs(got - want)) <= 1e-12
+
+
+def test_bspline_values_rejects_unknown_order_and_propagates_nan():
+    with pytest.raises(ValueError, match="2, 4, 6"):
+        bench.bspline_values(3, 0.5)
+    with np.errstate(invalid="ignore"):  # inf - floor(inf)
+        for j in (2, 4, 6):
+            assert np.isnan(bench.bspline_values(j, [np.nan, np.inf])).all()
 
 
 def test_bspline_norm_certified():
@@ -66,6 +98,35 @@ def test_testfun_values():
     # periodicity
     x = np.random.default_rng(1).random(9)
     assert bench.testfun_value(x + 1.0) == pytest.approx(bench.testfun_value(x), rel=1e-12)
+
+
+def test_testfun_value_matches_truncated_power_products():
+    X = np.random.default_rng(4).random((100_000, 9))
+    b = {(c, j): oracles.bspline_value(j, X[:, c - 1])
+         for prod in bench.PRODUCTS for c, j in prod}
+    want = sum(math.prod(b[f] for f in prod) for prod in bench.PRODUCTS)
+    assert np.max(np.abs(bench.testfun_value(X) - want)) <= 1e-12
+
+
+@pytest.mark.parametrize("shape", [(5, 10), (5, 8), (8,), (2, 3, 9), ()])
+def test_testfun_value_rejects_wrong_shape(shape):
+    with pytest.raises(ValueError, match=r"\(m, 9\)"):
+        bench.testfun_value(np.full(shape, 0.5))
+
+
+def test_testfun_value_block_memory():
+    # lattice sampling charges nothing per sample for its blocks
+    # (method._LATTICE_BYTES_PER_SAMPLE): one block's temporaries stay
+    # within a few copies of the block
+    X = np.random.default_rng(3).random((8192, 9))
+    bench.testfun_value(X)
+    tracemalloc.start()
+    try:
+        bench.testfun_value(X)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * X.nbytes
 
 
 def test_testfun_mean_and_norm():
