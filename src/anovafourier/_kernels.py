@@ -35,7 +35,10 @@ Lattices: ``residues`` computes k.z mod M for a frequency array, and
 short FFTs along both axes of an M1 x M2 view (the four-step FFT), so it
 needs O(sqrt M) work memory where one length-M ``np.fft.fft`` needs about
 two more M-vectors; it leaves the spectrum in transposed order, and
-``spectrum_slots`` says where each residue sits.
+``spectrum_slots`` says where each residue sits.  For real samples of even
+length M, ``real_spectrum`` and ``real_synthesis`` run that transform at
+length M/2 on the float64 vector viewed as M/2 complex values, so the work
+vector takes 8 bytes per sample instead of 16.
 """
 
 from __future__ import annotations
@@ -433,3 +436,46 @@ def lattice_fft(a: np.ndarray, inverse: bool = False) -> np.ndarray:
         _twiddle(A, M, -1)
         np.fft.fft(A, axis=1, out=A)
     return a
+
+
+def real_spectrum(y: np.ndarray, r) -> np.ndarray:
+    """Y_r = sum_j y_j exp(-2 pi i j r / M) at residues r (0 <= r < M) of a
+    real y of even length M, overwriting ``y``.
+
+    ``y`` (contiguous float64) is transformed in place by ``lattice_fft`` as
+    the H = M/2 complex values z_j = y_2j + i y_2j+1.  With a = r mod H and
+    b = -r mod H, the even and odd samples' spectra are (Z_a + conj Z_b)/2
+    and (Z_a - conj Z_b)/2i, and Y_r is the first plus exp(-2 pi i r/M)
+    times the second (Sorensen, Jones, Heideman and Burrus, IEEE Trans.
+    ASSP 1987).  Only the requested residues are formed.
+    """
+    M = y.shape[0]
+    H = M // 2
+    Z = lattice_fft(y.view(np.complex128))
+    za = Z[spectrum_slots(r % H, H)]
+    zb = Z[spectrum_slots(-r % H, H)].conj()
+    w = np.exp(r * (-2j * np.pi / M))
+    return 0.5 * (za + zb) - 0.5j * w * (za - zb)
+
+
+def real_synthesis(r, X, M: int) -> np.ndarray:
+    """g_j = Re sum X_r exp(2 pi i j r / M), j = 0..M-1, for even M, as a new
+    float64 vector; entries of X at equal residues r add up.
+
+    Re of the sum is the sum over the Hermitian spectrum
+    G_r = (X_r + conj X_-r)/2.  The H = M/2 complex values g_2j + i g_2j+1
+    are the length-H inverse transform of Z_k = sum over r = k mod H of
+    G_r (1 + i exp(2 pi i r/M)), so each X_r adds X_r (1 + i t)/2 at
+    r mod H and conj(X_r (1 - i t))/2 at -r mod H, t = exp(2 pi i r/M).
+    ``lattice_fft`` inverts Z in place in the output's buffer, the only
+    length-M array.
+    """
+    H = M // 2
+    out = np.zeros(M)
+    Z = out.view(np.complex128)
+    half = 0.5 * X
+    it = np.exp(r * (2j * np.pi / M)) * 1j
+    np.add.at(Z, spectrum_slots(r % H, H), half * (1 + it))
+    np.add.at(Z, spectrum_slots(-r % H, H), np.conj(half * (1 - it)))
+    lattice_fft(Z, inverse=True)
+    return out

@@ -327,28 +327,6 @@ def difference_set(freqs) -> np.ndarray:
     return np.unique(diffs, axis=0)
 
 
-def difference_set_size(freqs, chunk=512) -> int:
-    """|D(I)| without materializing all pairs at once (packed-key dedup)."""
-    f = np.asarray(freqs, dtype=np.int64)
-    if f.ndim == 1:
-        f = f[:, None]
-    n, d = f.shape
-    if n == 0:
-        return 0
-    span = int(np.abs(f).max()) if f.size else 0
-    width = 2 * (2 * span) + 1
-    if d * math.log2(max(width, 2)) > 62:
-        raise ValueError("frequencies too large to pack for exact difference count")
-    keys = []
-    for lo in range(0, n, chunk):
-        diffs = (f[lo:lo + chunk, None, :] - f[None, :, :]).reshape(-1, d)
-        k = np.zeros(diffs.shape[0], dtype=np.int64)
-        for s in range(d):
-            k = k * width + (diffs[:, s] + 2 * span)
-        keys.append(np.unique(k))
-    return int(np.unique(np.concatenate(keys)).size)
-
-
 def family_cardinality(d, d_s):
     """|U_{d_s}| = sum_{n<=d_s} C(d,n) and the growth bound (e*d/d_s)^d_s."""
     if not 1 <= d_s <= d:

@@ -11,10 +11,13 @@ it in place as two passes of short FFTs over an M1 x M2 view of one
 buffer, with O(sqrt M) work memory where one length-M ``np.fft.fft`` took
 about two more M-vectors.  The spectrum stays in the transform's
 transposed order: reconstruction reads only the |I| residues it needs, and
-evaluation scatters into that order.  A lattice solve so holds the samples
-and one work vector (77 MB at the black-box refit's M = 2400000), and the
-black-box pipeline peaks at about 130 MB where one ``np.fft.fft`` per
-transform took 240 MB.
+evaluation scatters into that order.  Real samples at even M stay float64
+and take transforms of length M/2 on the float64 vector viewed as M/2
+complex values (``_kernels.real_spectrum``, ``_kernels.real_synthesis``).
+A lattice solve so holds the samples and one work vector, 38 MB of real
+samples at the black-box refit's M = 2400000 (77 MB as complex ones), and
+the black-box pipeline peaks at about 88 MB, where complex samples took
+130 MB and one ``np.fft.fft`` per transform 240 MB.
 The CBC search returns 5-smooth M only, so M splits into two factors near
 sqrt M and no short FFT falls back to Bluestein's algorithm, which at
 prime M took about 9 times as long.
@@ -226,7 +229,7 @@ def cbc_construct(freqs, seed: int = 0, M_cap: int | None = None) -> Rank1Lattic
         f"CBC search exhausted: no reconstructing lattice found with M <= {M_last}")
 
 
-def lattice_evaluate(coeffs, lat: Rank1Lattice) -> np.ndarray:
+def lattice_evaluate(coeffs, lat: Rank1Lattice, real: bool = False) -> np.ndarray:
     """Evaluate the trigonometric polynomial at all lattice nodes via one FFT.
 
     ``coeffs`` is a CoefficientMap or a pair (freqs, values).  Works for any
@@ -234,11 +237,20 @@ def lattice_evaluate(coeffs, lat: Rank1Lattice) -> np.ndarray:
     as the aliasing formula predicts.  The coefficients are scattered into
     the transposed order of ``_kernels.lattice_fft``, which inverts them in
     place: the result is the only length-M array.
+
+    ``real=True`` returns the real part as float64; for even M it comes
+    from one inverse transform of length M/2 in a buffer of M floats
+    (``_kernels.real_synthesis``).  The imaginary part is the real part of
+    the polynomial with coefficients -i c.
     """
     freqs, values = _coeff_pair(coeffs)
+    r = lat.residues(freqs)
+    if real and lat.M % 2 == 0:
+        return _kernels.real_synthesis(r, values, lat.M)
     out = np.zeros(lat.M, dtype=np.complex128)
-    np.add.at(out, _kernels.spectrum_slots(lat.residues(freqs), lat.M), values)
-    return _kernels.lattice_fft(out, inverse=True)
+    np.add.at(out, _kernels.spectrum_slots(r, lat.M), values)
+    _kernels.lattice_fft(out, inverse=True)
+    return out.real.copy() if real else out
 
 
 def lattice_reconstruct(values, index_set, lat: Rank1Lattice):
@@ -248,16 +260,22 @@ def lattice_reconstruct(values, index_set, lat: Rank1Lattice):
     this recovers the coefficients exactly up to roundoff (the Moore-Penrose
     solve, since F*F = M Id).  Non-reconstructing lattices are permitted;
     exactness is then void.  ``values`` is copied once into the work vector
-    of ``_kernels.lattice_fft``; only the |I| residues read from its
-    spectrum are divided by M.
+    of the transform, and only the |I| residues read from its spectrum are
+    divided by M.  Real values at even M take a float64 work vector and a
+    transform of length M/2 (``_kernels.real_spectrum``); complex values or
+    odd M take a complex128 one and ``_kernels.lattice_fft`` at length M.
     """
     from .anova import CoefficientMap
-    work = np.array(values, dtype=np.complex128)
-    if work.shape != (lat.M,):
+    values = np.asarray(values)
+    if values.shape != (lat.M,):
         raise ValueError("need exactly M sample values")
-    _kernels.lattice_fft(work)
     res = lat.residues(_embedded(index_set))
-    coeffs = work[_kernels.spectrum_slots(res, lat.M)] / lat.M
+    if np.iscomplexobj(values) or lat.M % 2:
+        work = _kernels.lattice_fft(np.array(values, dtype=np.complex128))
+        spectrum = work[_kernels.spectrum_slots(res, lat.M)]
+    else:
+        spectrum = _kernels.real_spectrum(np.array(values, dtype=np.float64), res)
+    coeffs = spectrum / lat.M
     if isinstance(index_set, GroupedIndexSet):
         return CoefficientMap(index_set, coeffs)
     return coeffs

@@ -318,10 +318,14 @@ def _require_finite(y):
 #: bytes per sample that a lattice stage holds at its peak: the value
 #: vector and one work vector (the in-place transform's, then the fitted
 #: values), plus the stage's index sets and sampling blocks, which do not
-#: grow with M.  Peak RSS over the RSS before the stage measured 35.4-38.2
-#: on the black-box refit sets and 45.8-51.0 on the pilot sets (CBC seeds
-#: 1, 2, 5 and 10, M = 531441 to 2949120; the most at the smallest M);
-#: rounded up to 4 complex values.
+#: grow with M.  Both vectors take 8 bytes per sample for real values at
+#: even M and 16 otherwise.  Peak RSS over the RSS before the stage, test
+#: function, CBC seeds 1, 2, 5 and 10: at even M 19.4-22.5 on the black-box
+#: refit sets (M = 1440000 to 2949120) and 30.7-34.2 on the pilot sets
+#: (589824 to 729000); at odd M 36.5 (refit, 5^9) and 51.2 (pilot, 3^12),
+#: as complex values read at every M (35.4-51.6).  The check runs before
+#: the target is sampled, so it cannot know the values' type: rounded up
+#: to 4 complex values.
 _LATTICE_BYTES_PER_SAMPLE = 64
 
 
@@ -370,6 +374,8 @@ def _acquire_data(index_set: GroupedIndexSet, target, sampling: dict):
     ``sampling`` has passed ``_check_sampling``.  A callable target is
     evaluated ``BLOCK_ROWS`` nodes at a time, straight into the value
     vector; lattice nodes are generated block by block, never all at once.
+    A lattice stage keeps real values as float64 and switches to complex128
+    at the first block that returns complex values.
     """
     prov = {"sampling": {k: v for k, v in sampling.items()}}
     lat = None
@@ -389,10 +395,13 @@ def _acquire_data(index_set: GroupedIndexSet, target, sampling: dict):
             lat = cbc_construct(index_set, seed=int(sampling.get("seed", 0)))
             _check_lattice_memory(lat)
             nodes = lattice_nodes(lat)
-        y = np.empty(len(nodes), dtype=np.complex128)
+        y = np.empty(len(nodes), dtype=np.complex128 if lat is None else np.float64)
         for lo in range(0, len(nodes), BLOCK_ROWS):
             hi = min(lo + BLOCK_ROWS, len(nodes))
-            y[lo:hi] = target(nodes.rows(lo, hi))
+            block = target(nodes.rows(lo, hi))
+            if np.iscomplexobj(block) and not np.iscomplexobj(y):
+                y = y.astype(np.complex128)
+            y[lo:hi] = block
     _require_finite(y)
     prov["sample_count"] = len(nodes)
     if lat is not None:
@@ -488,8 +497,12 @@ def approximate(active: TermFamily, sets: dict, target, sampling: dict,
     if lat is None:
         imag = report.imag_residual
     else:
-        fitted = lattice_evaluate(report.coefficients, lat)
-        imag = float(np.abs(fitted.imag, out=fitted.imag).max())
+        # report.imag_residual holds the same value (to roundoff for complex
+        # samples); this second evaluation stays while perfbench's tracer
+        # requires it (ROADMAP item 7)
+        fitted_imag = lattice_evaluate(
+            (index_set, -1j * report.coefficients.values), lat, real=True)
+        imag = float(max(fitted_imag.max(), -fitted_imag.min()))
     prov.update({"stage": "approximate",
                  "solver_report": report.to_json_dict(),
                  "imag_residual": imag})

@@ -18,6 +18,7 @@ surface.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -133,9 +134,8 @@ class SolveReport:
     """Least-squares solution plus convergence record.
 
     ``residual_norm`` is the solver's internal estimate; ``residual_check``
-    recomputes ||y - F h|| through one extra forward pass, and LSQR records
-    max |Im F h| of that pass in ``imag_residual`` (None from
-    :func:`lattice_solve`).
+    recomputes ||y - F h|| from the fitted values F h, and ``imag_residual``
+    is max |Im F h| of those values (both solvers record it).
     """
 
     coefficients: CoefficientMap
@@ -154,14 +154,23 @@ class SolveReport:
                 "provenance": self.provenance}
 
 
-def _norm(v) -> float:
-    """Euclidean norm by numpy's own single-threaded loop.
+def _sumsq(v) -> float:
+    """Squared Euclidean norm by numpy's own single-threaded loop.
 
     BLAS dot products split long vectors across threads, which makes their
     rounding, and so every LSQR iterate, depend on the thread count.
     """
     w = np.ascontiguousarray(v).view(np.float64)
-    return math.sqrt(float(np.einsum("i,i->", w, w)))
+    return float(np.einsum("i,i->", w, w))
+
+
+def _norm(v) -> float:
+    return math.sqrt(_sumsq(v))
+
+
+def _max_abs(v) -> float:
+    """max |v| of a real vector, with no temporary."""
+    return float(max(v.max(), -v.min()))
 
 
 def lsqr(op, y, atol: float = 1e-8, btol: float = 1e-8,
@@ -171,8 +180,8 @@ def lsqr(op, y, atol: float = 1e-8, btol: float = 1e-8,
     Works natively on complex operators; the bidiagonalization scalars are
     the real norms of the Lanczos vectors, so the plane rotations stay real.
     Stopping follows the standard criteria driven by (atol, btol); running
-    out of iterations is reported in ``stop_reason`` and the current iterate
-    is still returned.
+    out of iterations raises a ``RuntimeWarning`` with the stop reason, which
+    ``stop_reason`` also records, and the current iterate is still returned.
     """
     y = np.asarray(y, dtype=np.complex128)
     m, n = op.shape
@@ -228,12 +237,14 @@ def lsqr(op, y, atol: float = 1e-8, btol: float = 1e-8,
         if anorm * rnorm > 0 and arnorm / (anorm * rnorm) <= atol:
             stop = "normal-equations tolerance reached"
             break
+    else:
+        warnings.warn(f"LSQR: {stop}", RuntimeWarning, stacklevel=2)
     coeffs = CoefficientMap(op.index_set, x)
     fitted = op.forward(x)
     return SolveReport(coeffs, it, float(phibar), _norm(y - fitted), stop,
                        {"solver": "lsqr", "atol": atol, "btol": btol,
                         "max_iter": max_iter},
-                       float(np.max(np.abs(fitted.imag))))
+                       _max_abs(fitted.imag))
 
 
 def lattice_solve(lat: Rank1Lattice, index_set: GroupedIndexSet, y,
@@ -243,16 +254,30 @@ def lattice_solve(lat: Rank1Lattice, index_set: GroupedIndexSet, y,
     Refuses lattices that fail certification (pass ``certified=True`` to
     skip the re-check when the lattice was just certified by construction).
     Besides the samples it holds one length-M vector at a time: the
-    transform's work vector, then the fitted values, which become the
-    residual in place.
+    transform's work vector, then fitted values, which become the residual
+    in place.  Real samples stay float64, and every such vector is real:
+    ||y - F h||^2 = ||y - Re F h||^2 + ||Im F h||^2, one part after the
+    other, so at even M the solve holds 8 bytes per sample beyond them
+    (16 for complex samples).
     """
     if not certified and not is_reconstructing(lat, index_set):
         raise ValueError("lattice is not reconstructing for this index set")
-    y = np.asarray(y, dtype=np.complex128)
+    y = np.asarray(y)
+    y = y.astype(np.complex128 if np.iscomplexobj(y) else np.float64, copy=False)
     coeffs = lattice_reconstruct(y, index_set, lat)
-    residual = lattice_evaluate(coeffs, lat)
-    residual -= y
-    res = _norm(residual)
+    if np.iscomplexobj(y):
+        fitted = lattice_evaluate(coeffs, lat)
+        imag = _max_abs(fitted.imag)
+        fitted -= y
+        res = _norm(fitted)
+    else:
+        fitted = lattice_evaluate(coeffs, lat, real=True)
+        fitted -= y
+        sq = _sumsq(fitted)
+        del fitted
+        imag_part = lattice_evaluate((index_set, -1j * coeffs.values), lat, real=True)
+        imag = _max_abs(imag_part)
+        res = math.sqrt(sq + _sumsq(imag_part))
     return SolveReport(coeffs, 1, res, res, "direct adjoint solve",
                        {"solver": "lattice", "M": int(lat.M),
-                        "z": [int(v) for v in lat.z]})
+                        "z": [int(v) for v in lat.z]}, imag)

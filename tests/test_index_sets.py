@@ -8,10 +8,9 @@ from hypothesis import strategies as st
 from anovafourier.index_sets import (DEFAULT_AXIS_CAP, GroupedIndexSet,
                                      LowDimIndexSet, TermFamily,
                                      diff_cardinality_bound, difference_set,
-                                     difference_set_size, embed,
-                                     family_cardinality, full_grid, grouped,
-                                     hyperbolic_cross, is_downward_closed,
-                                     weighted_index_set)
+                                     embed, family_cardinality, full_grid,
+                                     grouped, hyperbolic_cross,
+                                     is_downward_closed, weighted_index_set)
 from anovafourier.anova import term_family_ds
 
 
@@ -132,13 +131,6 @@ def test_difference_set_examples():
     assert len(D) == 25
     assert set(map(tuple, D.tolist())) == set(
         itertools.product(range(-2, 3), repeat=2))
-
-
-def test_difference_set_size_matches_enumeration():
-    rng = np.random.default_rng(0)
-    I = rng.integers(-5, 6, size=(40, 3))
-    I = np.unique(I, axis=0)
-    assert difference_set_size(I) == len(difference_set(I))
 
 
 def test_family_cardinality():

@@ -248,6 +248,31 @@ def test_exact_reconstruction_many_random_polynomials():
         assert np.linalg.norm(rec.values - c.values) < 1e-10 * np.linalg.norm(c.values)
 
 
+@settings(max_examples=60, deadline=None)
+@given(a=st.integers(0, 6), b=st.integers(0, 3), c=st.integers(0, 3),
+       d=st.integers(1, 4), n=st.integers(1, 40), seed=st.integers(0, 2 ** 32 - 1))
+@example(a=1, b=0, c=0, d=1, n=1, seed=0)  # M = 2: transforms of length 1
+def test_real_samples_match_the_complex_path(a, b, c, d, n, seed):
+    """On random lattices of even and odd 5-smooth M, reconstruction from
+    real samples agrees with reconstruction from the same samples as
+    complex128, and ``real=True`` evaluation with the real part of the
+    complex evaluation, to 1e-14 of the largest value.  Even M takes the
+    half-length transforms."""
+    M = 2 ** a * 3 ** b * 5 ** c
+    rng = np.random.default_rng(seed)
+    lat = Rank1Lattice(rng.integers(0, M, size=d), M)
+    freqs = rng.integers(-20, 21, size=(n, d))
+    y = rng.standard_normal(M)
+    got = lattice_reconstruct(y, freqs, lat)
+    ref = lattice_reconstruct(y.astype(np.complex128), freqs, lat)
+    assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
+    coeffs = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    got = lattice_evaluate((freqs, coeffs), lat, real=True)
+    ref = lattice_evaluate((freqs, coeffs), lat).real
+    assert got.dtype == np.float64
+    assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
+
+
 def test_dual_window_members():
     lat = Rank1Lattice(np.array([1, 3]), 9)
     members = DualLatticeWindow(lat, 4).members()

@@ -9,7 +9,7 @@ from anovafourier.anova import sensitivity, term_family_ds
 from anovafourier.bench import u_star
 from anovafourier.index_sets import TermFamily, grouped
 from anovafourier.lattice import (BLOCK_ROWS, Rank1Lattice, cbc_construct,
-                                  lattice_evaluate)
+                                  lattice_evaluate, lattice_reconstruct)
 from anovafourier.method import (ApproxModel, ConfigError, DetectionConfig,
                                  approximate, build_search_sets, detect,
                                  gap_intervals)
@@ -139,6 +139,77 @@ def test_lattice_sampling_keeps_no_node_array(monkeypatch):
     assert peak < M * d * 8 + M * 16, f"traced peak {peak} bytes"
     assert sum(rows) == M and max(rows) <= BLOCK_ROWS and len(rows) > 1
     assert nodes.lattice is lat and len(nodes) == M and y.shape == (M,)
+
+
+def test_lattice_stage_keeps_real_samples_real():
+    """A real target's lattice samples stay float64, and the model agrees
+    with the one fitted on the same samples as complex128."""
+    res = detect(tiny_config(kind="lattice"), tiny_target)
+    nodes, y = res.pilot.fit_data()
+    assert y.dtype == np.float64 and nodes.lattice.M % 2 == 0
+    ref = lattice_reconstruct(y.astype(np.complex128), res.pilot.index_set,
+                              nodes.lattice)
+    got = res.pilot.coefficients.values
+    assert np.abs(got - ref.values).max() <= 1e-14 * np.abs(ref.values).max()
+
+
+@pytest.mark.parametrize("first_block_real", [False, True])
+def test_lattice_stage_keeps_a_complex_target_complex(monkeypatch, first_block_real):
+    """A target block of complex values switches the stage to complex
+    samples, also after real blocks: no imaginary part is dropped, no
+    ComplexWarning is raised, and the model is the complex transform's of
+    exactly the target's values."""
+    monkeypatch.setattr(method, "BLOCK_ROWS", 8)
+    calls = []
+
+    def target(X):
+        calls.append(len(X))
+        y = tiny_target(X)
+        if first_block_real and len(calls) == 1:
+            return y
+        return y + 0.5j * np.cos(2 * np.pi * X[:, 2])
+    cfg = tiny_config(kind="lattice")
+    fam = TermFamily.downward_closure(3, [(1, 2), (3,)])
+    sets = build_search_sets(3, 2, cfg.search, family=fam)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        model = approximate(fam, sets, target, cfg.sampling)
+    nodes, y = model.fit_data()
+    X = nodes.points
+    expect = tiny_target(X) + 0.5j * np.cos(2 * np.pi * X[:, 2])
+    if first_block_real:
+        expect[:8] = tiny_target(X[:8])
+    assert len(calls) > 1 and y.dtype == np.complex128
+    assert np.array_equal(y, expect)
+    ref = lattice_reconstruct(expect, model.index_set, nodes.lattice)
+    assert np.array_equal(model.coefficients.values, ref.values)
+    # the imaginary part is fitted: 0.5i cos(2 pi x_3) gives Im c = 0.25 at
+    # k_3 = -1 and 1 (entries 1 and 2 of the block's frequencies -2, -1, 1),
+    # less where the first block's values are real
+    k3 = model.index_set.block_slices()[(3,)]
+    imag = model.coefficients.values[k3][[1, 2]].imag
+    assert np.all(imag > 0.1)
+    if not first_block_real:
+        assert np.allclose(imag, 0.25, atol=1e-12)
+
+
+def test_lsqr_warns_at_its_iteration_limit():
+    """LSQR stopped by its iteration limit raises a RuntimeWarning with its
+    stop reason; a converged one raises none."""
+    cfg = DetectionConfig(d=9, d_s=2, search={"type": "full_grid", "N": [6, 2]},
+                          thresholds=[0.01, 0.01],
+                          sampling={"kind": "scattered", "count": 3000, "seed": 1},
+                          solver={"max_iter": 1})
+    stop = "iteration limit 1 reached without convergence"
+    with pytest.warns(RuntimeWarning, match=stop):
+        res = detect(cfg, bench.testfun_value)
+    assert res.pilot.provenance["solver_report"]["stop_reason"] == stop
+    converging = DetectionConfig(d=9, d_s=2, search=cfg.search, thresholds=[0.01, 0.01],
+                                 sampling=cfg.sampling)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = detect(converging, bench.testfun_value)
+    assert "iteration limit" not in res.pilot.provenance["solver_report"]["stop_reason"]
 
 
 def test_oversized_lattice_fails_before_sampling(monkeypatch):

@@ -228,6 +228,39 @@ def test_lattice_solve_matches_lsqr_random_sets(g, seed):
                                                  abs=1e-12 * np.linalg.norm(y))
 
 
+def _odd_reconstructing(g, M, rng):
+    from anovafourier.lattice import Rank1Lattice, is_reconstructing
+    while True:
+        lat = Rank1Lattice(rng.integers(1, M, size=g.d), M)
+        if is_reconstructing(lat, g):
+            return lat
+
+
+@pytest.mark.parametrize("odd", [False, True])
+def test_lattice_solve_real_samples_keep_the_exact_residual(odd):
+    """Real samples and the same samples as complex128 give the same
+    residual norm and max |Im F h|, at even M (half-length transforms) and
+    odd M.  The full grid {-4..3} is not closed under negation, so Im F h
+    of real data is far from zero and enters the residual."""
+    from anovafourier.lattice import lattice_evaluate
+    g = grouped(term_family_ds(3, 2),
+                build_search_sets(3, 2, {"type": "full_grid", "N": [8, 4]}))
+    rng = np.random.default_rng(4)
+    lat = _odd_reconstructing(g, 3 ** 5 * 5 ** 2, rng) if odd else cbc_construct(g, seed=3)
+    assert lat.M % 2 == odd
+    y = rng.standard_normal(lat.M)
+    real = lattice_solve(lat, g, y)
+    cplx = lattice_solve(lat, g, y.astype(np.complex128))
+    imag = np.abs(lattice_evaluate(cplx.coefficients, lat).imag).max()
+    assert imag > 0.01
+    assert cplx.imag_residual == imag
+    assert real.imag_residual == pytest.approx(imag, rel=1e-12)
+    assert real.residual_norm == pytest.approx(cplx.residual_norm, rel=1e-12)
+    assert real.residual_norm == real.residual_check
+    ref = cplx.coefficients.values
+    assert np.abs(real.coefficients.values - ref).max() <= 1e-14 * np.abs(ref).max()
+
+
 def test_lattice_solve_rejects_uncertified():
     from anovafourier.lattice import Rank1Lattice
     fam = term_family_ds(2, 2)
@@ -280,6 +313,7 @@ def test_operator_dimension_mismatch():
 
 _SOLVE_PEAK = """
 import json
+import sys
 import numpy as np
 from anovafourier.anova import term_family_ds
 from anovafourier.index_sets import grouped
@@ -295,13 +329,24 @@ M = 10 ** 6
 g = grouped(term_family_ds(2, 1),
             build_search_sets(2, 1, {"type": "full_grid", "N": [8]}))
 lat = Rank1Lattice(np.array([1, 17]), M)
-y = np.full(M, 1.0 + 0.5j)
+y = np.full(M, 1.0 + 0.5j if sys.argv[1] == "complex" else 1.0)
 y[::3] = 2.0
 start = status_kb("VmRSS:")
 report = lattice_solve(lat, g, y)
 print(json.dumps({"M": M, "rise": (status_kb("VmHWM:") - start) * 1024,
                   "residual": report.residual_norm}))
 """
+
+
+def _solve_peak(samples):
+    """Run ``_SOLVE_PEAK`` on "complex" or "real" samples in a fresh
+    interpreter: it keeps earlier tests' allocations out of the peak, read as
+    VmHWM (``ru_maxrss`` would carry the forking process's peak across
+    ``exec``).  Returns (peak rise per sample in bytes, residual norm)."""
+    proc = subprocess.run([sys.executable, "-c", _SOLVE_PEAK, samples],
+                          capture_output=True, text=True, check=True)
+    out = json.loads(proc.stdout.strip().splitlines()[-1])
+    return out["rise"] / out["M"], out["residual"]
 
 
 @pytest.mark.skipif(not Path("/proc/self/status").exists(),
@@ -315,16 +360,21 @@ def test_lattice_solve_peak_memory_per_sample():
     The solve holds one length-M vector besides the samples (16 bytes per
     sample, 16.7 measured); the check allows two.  A solve through one
     out-of-place ``np.fft.fft`` and a scaled copy of its result rose by
-    49 bytes per sample.  The samples exist before the solve starts; a fresh
-    interpreter keeps earlier tests' allocations out of the peak, read as
-    VmHWM: ``ru_maxrss`` would carry the forking process's peak across
-    ``exec``."""
+    49 bytes per sample.  The samples exist before the solve starts."""
     from anovafourier.method import _LATTICE_BYTES_PER_SAMPLE
-    proc = subprocess.run([sys.executable, "-c", _SOLVE_PEAK],
-                          capture_output=True, text=True, check=True)
-    out = json.loads(proc.stdout.strip().splitlines()[-1])
-    assert np.isfinite(out["residual"])
-    per_sample = out["rise"] / out["M"]
+    per_sample, residual = _solve_peak("complex")
+    assert np.isfinite(residual)
     assert per_sample <= _LATTICE_BYTES_PER_SAMPLE, \
         f"peak rose {per_sample:.1f} bytes per sample"
     assert per_sample <= 2 * 16, f"peak rose {per_sample:.1f} bytes per sample"
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(),
+                    reason="reads VmRSS from /proc")
+def test_lattice_solve_peak_memory_per_real_sample():
+    """The same solve on float64 samples holds one float64 length-M vector
+    at a time (8 bytes per sample, 9.0 measured): the half-length transform's
+    work vector, then Re F h, then Im F h.  At most 12 bytes per sample."""
+    per_sample, residual = _solve_peak("real")
+    assert np.isfinite(residual)
+    assert per_sample <= 12, f"peak rose {per_sample:.1f} bytes per sample"
