@@ -18,12 +18,12 @@ from .index_sets import (GroupedIndexSet, LowDimIndexSet, TermFamily,
                          hyperbolic_cross, weighted_index_set)
 from .lattice import (DualLatticeWindow, Rank1Lattice, aliasing_sum,
                       cbc_construct, is_reconstructing, lattice_evaluate,
-                      lattice_reconstruct)
+                      lattice_nodes, lattice_reconstruct)
 from .method import (ActiveSetResult, ApproxModel, ConfigError,
                      DetectionConfig, approximate, build_search_sets, detect,
                      gap_intervals)
 from .operator import (BlockFourierOperator, NodeSet, SolveReport,
-                       lattice_nodes, lattice_solve, lsqr, uniform_nodes)
+                       lattice_solve, lsqr, uniform_nodes)
 from .weights import (WeightParams, min_excluded_weight, pod_weight,
                       sobolev_trunc_bound_l2, sobolev_trunc_bound_linf,
                       sobolev_trunc_bound_linf_closed, superposition_threshold,

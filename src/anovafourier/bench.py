@@ -231,6 +231,7 @@ class ExperimentRow:
     gaps: tuple | None
     seconds: float
     extra: dict = field(default_factory=dict)
+    stop_reason: str = ""  # the solver's; not part of the row's CSV line
 
     def csv_line(self) -> str:
         def gap_str(g):
@@ -298,14 +299,13 @@ def run_experiment(cfg: dict) -> ExperimentRow:
 
     X, y = model.fit_data()
     eps_l2, eps_L2 = errors(model, X, y)
-    samples = model.provenance.get("sample_count", len(y))
     extra = {}
     if "lattice" in model.provenance:
         extra["M"] = model.provenance["lattice"]["M"]
-    row = ExperimentRow(str(cfg.get("id", "run")), scenario, d_s,
-                        tuple(cfg["sets"]["N"]), set_size, int(samples),
-                        eps_l2, eps_L2, gaps, time.time() - t0, extra)
-    return row
+    return ExperimentRow(str(cfg.get("id", "run")), scenario, d_s,
+                         tuple(cfg["sets"]["N"]), set_size, len(y),
+                         eps_l2, eps_L2, gaps, time.time() - t0, extra,
+                         model.provenance["solver_report"]["stop_reason"])
 
 
 #: published experiment configurations, keyed by (table, row).

@@ -5,7 +5,8 @@ Subcommands: ``detect``, ``approximate``, ``bench``, ``lattice``, ``bound``,
 identical configuration and seed produce byte-identical artifacts apart from
 the timing fields.
 
-Exit codes: 0 success, 1 pipeline failure, 2 configuration/schema error.
+Exit codes: 0 success, 1 pipeline failure, 2 configuration/schema error or
+an LSQR stopped at its iteration limit (after the artifacts are written).
 """
 
 from __future__ import annotations
@@ -22,9 +23,9 @@ import numpy as np
 from . import __version__
 from .index_sets import GroupedIndexSet, TermFamily
 from .lattice import cbc_construct, save_lattice
-from .method import (ApproxModel, ConfigError, DetectionConfig, _check_keys,
-                     build_search_sets, approximate, detect, gap_intervals)
-from .operator import NodeSet
+from .method import (_SAMPLING_KINDS, ApproxModel, ConfigError, DetectionConfig,
+                     _check_keys, build_search_sets, approximate, detect,
+                     gap_intervals)
 from .weights import (WeightParams, bound_curve, parse_weight_sequence,
                       sobolev_trunc_bound_l2, sobolev_trunc_bound_linf)
 
@@ -68,6 +69,14 @@ def _write_manifest(outdir: Path, command: str, cfg, seeds, artifacts, t0,
     return path
 
 
+def _exit_code(stage: str, stop: str) -> int:
+    """2, with the stop reason on stderr, if the stage's LSQR hit its limit."""
+    if stop.startswith("iteration limit"):
+        print(f"error: {stage}: LSQR {stop}", file=sys.stderr)
+        return 2
+    return 0
+
+
 def _target_from_config(cfg, d):
     target = cfg.get("target", {"builtin": "bench"})
     if "builtin" in target:
@@ -92,7 +101,7 @@ def _target_from_config(cfg, d):
         if wrapped:
             print(f"warning: {wrapped} coordinates reduced mod 1", file=sys.stderr)
             X = X - np.floor(X)
-        return NodeSet(X), data[:, d]
+        return X, data[:, d]
     raise ConfigError("target must specify 'builtin' or 'csv'")
 
 
@@ -158,7 +167,7 @@ def cmd_detect(args) -> int:
         extra["lattice_M"] = result.pilot.provenance["lattice"]["M"]
     _write_manifest(outdir, "detect", cfg, dc.sampling.get("seed"), artifacts,
                     t0, **extra)
-    return 0
+    return _exit_code("detect", result.pilot.provenance["solver_report"]["stop_reason"])
 
 
 def cmd_approximate(args) -> int:
@@ -181,7 +190,7 @@ def cmd_approximate(args) -> int:
     artifacts = [p]
     artifacts.append(_write_manifest(outdir, "approximate", cfg,
                                      dc.sampling.get("seed"), artifacts, t0))
-    return 0
+    return _exit_code("approximate", model.provenance["solver_report"]["stop_reason"])
 
 
 def cmd_bench(args) -> int:
@@ -226,7 +235,7 @@ def cmd_bench(args) -> int:
     print(row.csv_line())
     _write_manifest(outdir, "bench", cfg, cfg.get("sampling", {}).get("seed"),
                     [csv_path, json_path], t0)
-    return 0
+    return _exit_code("bench", row.stop_reason)
 
 
 def cmd_lattice(args) -> int:
@@ -329,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--out", default=".")
         if scenario:
-            p.add_argument("--scenario", choices=("scattered", "lattice"),
+            p.add_argument("--scenario", choices=tuple(_SAMPLING_KINDS),
                            default=None)
 
     p = sub.add_parser("detect", help="pilot fit + sensitivity thresholding")

@@ -28,13 +28,13 @@ from .anova import CoefficientMap, SensitivityReport, sensitivity, term_family_d
 from .index_sets import (GroupedIndexSet, LowDimIndexSet, TermFamily,
                          empty_term_set, full_grid, grouped, hyperbolic_cross,
                          weighted_index_set)
-from .lattice import BLOCK_ROWS, Rank1Lattice, cbc_construct, lattice_evaluate
-from .operator import (BlockFourierOperator, NodeSet, SolveReport,
-                       lattice_nodes, lattice_solve, lsqr, uniform_nodes)
+from .lattice import (BLOCK_ROWS, Rank1Lattice, cbc_construct, lattice_evaluate,
+                      lattice_nodes)
+from .operator import (BlockFourierOperator, NodeSet, SolveReport, _max_abs,
+                       lattice_solve, lsqr, uniform_nodes)
 from .weights import WeightParams, pod_weight
 
 _SEARCH_TYPES = ("full_grid", "hyperbolic_cross", "weighted")
-_SAMPLING_KINDS = ("scattered", "lattice")  # the first is the default
 SOLVER_DEFAULTS = {"atol": 1e-8, "btol": 1e-8, "max_iter_detect": 50,
                    "max_iter_final": 200}
 _WEIGHT_KEYS = ("alpha", "beta", "gamma", "Gamma")
@@ -112,7 +112,7 @@ def _check_sampling(sampling, target=None) -> dict:
     sampled at scattered nodes needs ``count``.
     """
     _check_keys(sampling, "sampling", ("kind", "count", "seed"))
-    sampling = {"kind": _SAMPLING_KINDS[0], **sampling}
+    sampling = {"kind": next(iter(_SAMPLING_KINDS)), **sampling}
     if sampling["kind"] not in _SAMPLING_KINDS:
         raise ConfigError(f"sampling.kind must be one of {', '.join(_SAMPLING_KINDS)}, "
                           f"got {sampling['kind']!r}")
@@ -231,7 +231,7 @@ class ApproxModel:
 
     coefficients: CoefficientMap
     provenance: dict = field(default_factory=dict)
-    _nodes: NodeSet | None = None
+    _design: ScatteredDesign | LatticeDesign | None = None
     _values: np.ndarray | None = None
 
     @property
@@ -239,25 +239,21 @@ class ApproxModel:
         return self.coefficients.index_set
 
     def fit_data(self):
-        """The node set and target values the model was fitted on."""
-        return self._nodes, self._values
+        """The sampling design and target values the model was fitted on."""
+        return self._design, self._values
 
     def evaluate(self, x) -> np.ndarray:
         """Blockwise partial-sum evaluation at points (coordinates mod 1)."""
         x = np.asarray(x, dtype=np.float64)
-        single = x.ndim == 1
         pts = np.atleast_2d(x)
-        pts = pts - np.floor(pts)
-        op = BlockFourierOperator(NodeSet(pts), self.index_set)
-        out = op.forward(self.coefficients)
-        return out[0] if single else out
+        out = ScatteredDesign(NodeSet(pts - np.floor(pts))).evaluate(self.coefficients)
+        return out[0] if x.ndim == 1 else out
 
     def evaluate_on(self, nodes) -> np.ndarray:
-        """Evaluate at a NodeSet, using the lattice FFT path when possible."""
-        if isinstance(nodes, NodeSet) and nodes.lattice is not None:
-            return lattice_evaluate(self.coefficients, nodes.lattice)
-        pts = nodes.points if isinstance(nodes, NodeSet) else np.asarray(nodes)
-        return self.evaluate(pts)
+        """Evaluate at points, a NodeSet, or a design's nodes by its transform."""
+        if isinstance(nodes, tuple(_SAMPLING_KINDS.values())):
+            return nodes.evaluate(self.coefficients)
+        return self.evaluate(nodes.points if isinstance(nodes, NodeSet) else nodes)
 
     def to_json_dict(self) -> dict:
         blocks = []
@@ -309,12 +305,6 @@ class ActiveSetResult:
     pilot: ApproxModel
 
 
-def _require_finite(y):
-    bad = np.flatnonzero(~np.isfinite(y))
-    if bad.size:
-        raise ValueError(f"{bad.size} non-finite target values, first at sample {bad[0]}")
-
-
 #: bytes per sample that a lattice stage holds at its peak: the value
 #: vector and one work vector (the in-place transform's, then the fitted
 #: values), plus the stage's index sets and sampling blocks, which do not
@@ -333,12 +323,11 @@ def _physical_memory() -> int:
     return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
 
 
-def _check_lattice_memory(lat: Rank1Lattice) -> None:
-    need = lat.M * _LATTICE_BYTES_PER_SAMPLE
+def _check_memory(need: int, what: str) -> None:
     have = _physical_memory()
     if need > have:
-        raise ConfigError(f"lattice with M = {lat.M} samples needs about {need} "
-                          f"bytes, more than the {have} bytes of physical memory")
+        raise ConfigError(f"{what} needs about {need} bytes, more than the "
+                          f"{have} bytes of physical memory")
 
 
 #: bytes per node that a scattered stage holds at its peak besides the nodes
@@ -361,63 +350,100 @@ def _check_scattered_memory(index_set: GroupedIndexSet, m: int) -> None:
     per_node = 8 * index_set.d + 16 * int(np.count_nonzero(vmax)) \
         + _SCATTERED_BYTES_PER_NODE
     table = 16 * 2 * int(vmax.sum()) * min(m, _kernels._NODES)
-    need = m * per_node + table + 4 * 16 * len(index_set)
-    have = _physical_memory()
-    if need > have:
-        raise ConfigError(f"scattered fit on m = {m} nodes needs about {need} "
-                          f"bytes, more than the {have} bytes of physical memory")
+    _check_memory(m * per_node + table + 4 * 16 * len(index_set),
+                  f"scattered fit on m = {m} nodes")
+
+
+def _sample(target, n: int, rows, dtype) -> np.ndarray:
+    """The target's values at n nodes, ``rows(lo, hi)`` giving nodes lo..hi-1,
+    evaluated ``BLOCK_ROWS`` nodes at a time straight into the value vector.
+    A float64 vector switches to complex128 at the first complex block."""
+    y = np.empty(n, dtype=dtype)
+    for lo in range(0, n, BLOCK_ROWS):
+        hi = min(lo + BLOCK_ROWS, n)
+        block = target(rows(lo, hi))
+        if np.iscomplexobj(block) and not np.iscomplexobj(y):
+            y = y.astype(np.complex128)
+        y[lo:hi] = block
+    return y
+
+
+@dataclass(frozen=True, eq=False)
+class ScatteredDesign:
+    """Scattered nodes, fitted by LSQR on the matrix-free Fourier operator."""
+
+    nodes: NodeSet
+
+    @classmethod
+    def acquire(cls, index_set: GroupedIndexSet, target, sampling: dict):
+        """Fixed data (X, y), or the target at ``count`` nodes from ``seed``."""
+        if isinstance(target, tuple):
+            X, y = target
+            nodes = X if isinstance(X, NodeSet) else NodeSet(np.asarray(X))
+            _check_scattered_memory(index_set, len(nodes))
+            return cls(nodes), np.asarray(y, dtype=np.complex128), {}
+        m = int(sampling["count"])
+        _check_scattered_memory(index_set, m)
+        nodes = uniform_nodes(index_set.d, m, int(sampling.get("seed", 0)))
+        y = _sample(target, m, lambda lo, hi: nodes.points[lo:hi], np.complex128)
+        return cls(nodes), y, {}
+
+    def solve(self, index_set, y, solver: dict, stage: str) -> SolveReport:
+        m = len(self.nodes)
+        if stage == "detect" and m / 10 < len(index_set) <= m:
+            warnings.warn("pilot system has fewer than 10 samples per unknown; "
+                          "overfitting may distort the ranking")
+        opts = {**SOLVER_DEFAULTS, "max_iter": SOLVER_DEFAULTS[f"max_iter_{stage}"],
+                **solver}
+        return lsqr(BlockFourierOperator(self.nodes, index_set), y,
+                    atol=float(opts["atol"]), btol=float(opts["btol"]),
+                    max_iter=int(opts["max_iter"]))
+
+    def evaluate(self, coeffs: CoefficientMap) -> np.ndarray:
+        return BlockFourierOperator(self.nodes, coeffs.index_set).forward(coeffs)
+
+
+@dataclass(frozen=True, eq=False)
+class LatticeDesign:
+    """A reconstructing rank-1 lattice, fitted by one FFT."""
+
+    lattice: Rank1Lattice
+
+    @classmethod
+    def acquire(cls, index_set: GroupedIndexSet, target, sampling: dict):
+        """A CBC lattice for the index set from ``seed``, and the target's
+        values at its nodes, made one block at a time; real ones stay float64."""
+        if isinstance(target, tuple):
+            raise ValueError("black-box sampling needs a callable target")
+        lat = cbc_construct(index_set, seed=int(sampling.get("seed", 0)))
+        _check_memory(lat.M * _LATTICE_BYTES_PER_SAMPLE,
+                      f"lattice with M = {lat.M} samples")
+        y = _sample(target, lat.M, lambda lo, hi: lattice_nodes(lat, lo, hi),
+                    np.float64)
+        return cls(lat), y, {"lattice": lat.to_json_dict(index_set.digest())}
+
+    def solve(self, index_set, y, solver: dict, stage: str) -> SolveReport:
+        return lattice_solve(self.lattice, index_set, y, certified=True)
+
+    def evaluate(self, coeffs: CoefficientMap) -> np.ndarray:
+        return lattice_evaluate(coeffs, self.lattice)
+
+
+#: sampling kind -> design class; the first is the default
+_SAMPLING_KINDS = {"scattered": ScatteredDesign, "lattice": LatticeDesign}
 
 
 def _acquire_data(index_set: GroupedIndexSet, target, sampling: dict):
-    """Node set, values and provenance for either sampling scenario.
-
-    ``sampling`` has passed ``_check_sampling``.  A callable target is
-    evaluated ``BLOCK_ROWS`` nodes at a time, straight into the value
-    vector; lattice nodes are generated block by block, never all at once.
-    A lattice stage keeps real values as float64 and switches to complex128
-    at the first block that returns complex values.
-    """
-    prov = {"sampling": {k: v for k, v in sampling.items()}}
-    lat = None
-    if isinstance(target, tuple):
-        if sampling["kind"] == "lattice":
-            raise ValueError("black-box sampling needs a callable target")
-        X, y = target
-        nodes = X if isinstance(X, NodeSet) else NodeSet(np.asarray(X))
-        _check_scattered_memory(index_set, len(nodes))
-        y = np.asarray(y, dtype=np.complex128)
-    else:
-        if sampling["kind"] == "scattered":
-            _check_scattered_memory(index_set, int(sampling["count"]))
-            nodes = uniform_nodes(index_set.d, int(sampling["count"]),
-                                  int(sampling.get("seed", 0)))
-        else:
-            lat = cbc_construct(index_set, seed=int(sampling.get("seed", 0)))
-            _check_lattice_memory(lat)
-            nodes = lattice_nodes(lat)
-        y = np.empty(len(nodes), dtype=np.complex128 if lat is None else np.float64)
-        for lo in range(0, len(nodes), BLOCK_ROWS):
-            hi = min(lo + BLOCK_ROWS, len(nodes))
-            block = target(nodes.rows(lo, hi))
-            if np.iscomplexobj(block) and not np.iscomplexobj(y):
-                y = y.astype(np.complex128)
-            y[lo:hi] = block
-    _require_finite(y)
-    prov["sample_count"] = len(nodes)
-    if lat is not None:
-        prov["lattice"] = lat.to_json_dict(index_set.digest())
-    return nodes, y, prov, lat
-
-
-def _solve(index_set, nodes, y, lat, solver: dict, stage: str) -> SolveReport:
-    if lat is not None:
-        return lattice_solve(lat, index_set, y, certified=True)
-    op = BlockFourierOperator(nodes, index_set)
-    key = "max_iter_detect" if stage == "detect" else "max_iter_final"
-    return lsqr(op, y,
-                atol=float(solver.get("atol", SOLVER_DEFAULTS["atol"])),
-                btol=float(solver.get("btol", SOLVER_DEFAULTS["btol"])),
-                max_iter=int(solver.get("max_iter", SOLVER_DEFAULTS[key])))
+    """Design, values and provenance of a stage; ``sampling`` is checked."""
+    design, y, prov = _SAMPLING_KINDS[sampling["kind"]].acquire(
+        index_set, target, sampling)
+    bad = np.flatnonzero(~np.isfinite(y))
+    if bad.size:
+        raise ValueError(f"{bad.size} non-finite target values, first at sample {bad[0]}")
+    if len(index_set) > len(y):
+        warnings.warn(f"underdetermined fit: |I(U)| = {len(index_set)} "
+                      f"exceeds |X| = {len(y)}")
+    return design, y, {"sampling": dict(sampling), "sample_count": len(y), **prov}
 
 
 def detect(cfg: DetectionConfig, target) -> ActiveSetResult:
@@ -432,15 +458,8 @@ def detect(cfg: DetectionConfig, target) -> ActiveSetResult:
     fam = term_family_ds(cfg.d, cfg.d_s)
     sets = build_search_sets(cfg.d, cfg.d_s, cfg.search)
     index_set = grouped(fam, sets)
-    nodes, y, prov, lat = _acquire_data(index_set, target, sampling)
-    if len(index_set) > len(nodes):
-        warnings.warn(f"underdetermined pilot: |I(U)| = {len(index_set)} "
-                      f"exceeds |X| = {len(nodes)}")
-    elif sampling["kind"] == "scattered" and \
-            len(index_set) > len(nodes) / 10:
-        warnings.warn("pilot system has fewer than 10 samples per unknown; "
-                      "overfitting may distort the ranking")
-    report_solve = _solve(index_set, nodes, y, lat, cfg.solver, "detect")
+    design, y, prov = _acquire_data(index_set, target, sampling)
+    report_solve = design.solve(index_set, y, cfg.solver, "detect")
     pilot_report = sensitivity(report_solve.coefficients)
     if not pilot_report.defined:
         raise ValueError("pilot fit has zero variance; ranking undefined")
@@ -450,7 +469,7 @@ def detect(cfg: DetectionConfig, target) -> ActiveSetResult:
     prov.update({"stage": "detect", "d_s": cfg.d_s, "search": cfg.search,
                  "thresholds": list(cfg.thresholds),
                  "solver_report": report_solve.to_json_dict()})
-    pilot = ApproxModel(report_solve.coefficients, prov, nodes, y)
+    pilot = ApproxModel(report_solve.coefficients, prov, design, y)
     return ActiveSetResult(pilot_report, active, pilot)
 
 
@@ -489,21 +508,16 @@ def approximate(active: TermFamily, sets: dict, target, sampling: dict,
     solver = solver or {}
     _check_solver(solver)
     index_set = grouped(active, sets)
-    nodes, y, prov, lat = _acquire_data(index_set, target, sampling)
-    if len(index_set) > len(nodes):
-        warnings.warn(f"underdetermined refit: |I(U)| = {len(index_set)} "
-                      f"exceeds |X| = {len(nodes)}")
-    report = _solve(index_set, nodes, y, lat, solver, "final")
-    if lat is None:
-        imag = report.imag_residual
-    else:
+    design, y, prov = _acquire_data(index_set, target, sampling)
+    report = design.solve(index_set, y, solver, "final")
+    imag = report.imag_residual
+    if isinstance(design, LatticeDesign):
         # report.imag_residual holds the same value (to roundoff for complex
         # samples); this second evaluation stays while perfbench's tracer
         # requires it (ROADMAP item 7)
-        fitted_imag = lattice_evaluate(
-            (index_set, -1j * report.coefficients.values), lat, real=True)
-        imag = float(max(fitted_imag.max(), -fitted_imag.min()))
+        imag = _max_abs(lattice_evaluate(
+            (index_set, -1j * report.coefficients.values), design.lattice, real=True))
     prov.update({"stage": "approximate",
                  "solver_report": report.to_json_dict(),
                  "imag_residual": imag})
-    return ApproxModel(report.coefficients, prov, nodes, y)
+    return ApproxModel(report.coefficients, prov, design, y)

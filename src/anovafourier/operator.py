@@ -30,18 +30,9 @@ from .lattice import Rank1Lattice, is_reconstructing, lattice_evaluate, lattice_
 
 
 class NodeSet:
-    """Sampling nodes in [0,1)^d.
-
-    ``points`` is an (m, d) array, checked and kept, or a
-    :class:`Rank1Lattice`, kept in its place: its M nodes are generated on
-    demand, by :meth:`rows` one block at a time, or all at once by
-    ``points`` (a fresh M x d array on each access).
-    """
+    """Sampling nodes in [0,1)^d: an (m, d) array, checked and kept."""
 
     def __init__(self, points):
-        if isinstance(points, Rank1Lattice):
-            self.lattice, self._points = points, None
-            return
         pts = np.asarray(points, dtype=np.float64)
         if pts.ndim != 2:
             raise ValueError("points must be a 2-d array")
@@ -49,24 +40,14 @@ class NodeSet:
             raise ValueError("node coordinates must be finite")
         if pts.size and (pts.min() < 0.0 or pts.max() >= 1.0):
             raise ValueError("node coordinates must lie in [0, 1)")
-        self.lattice, self._points = None, pts
-
-    @property
-    def points(self) -> np.ndarray:
-        return self._points if self.lattice is None else self.lattice.nodes()
-
-    def rows(self, lo: int, hi: int) -> np.ndarray:
-        """Nodes lo..hi-1 as an (hi - lo, d) array."""
-        if self.lattice is None:
-            return self._points[lo:hi]
-        return self.lattice.nodes(lo, hi)
+        self.points = pts
 
     @property
     def d(self) -> int:
-        return self._points.shape[1] if self.lattice is None else self.lattice.d
+        return self.points.shape[1]
 
     def __len__(self):
-        return self._points.shape[0] if self.lattice is None else self.lattice.M
+        return self.points.shape[0]
 
 
 def uniform_nodes(d: int, m: int, seed: int) -> NodeSet:
@@ -76,11 +57,6 @@ def uniform_nodes(d: int, m: int, seed: int) -> NodeSet:
     rng = np.random.Generator(np.random.Philox(seed))
     pts = rng.random((m, d))
     return NodeSet(pts)
-
-
-def lattice_nodes(lat: Rank1Lattice) -> NodeSet:
-    """The M nodes of ``lat``, kept as the lattice, not as an array."""
-    return NodeSet(lat)
 
 
 class BlockFourierOperator:

@@ -25,10 +25,10 @@ from anovafourier.index_sets import grouped
 from anovafourier.lattice import (DualLatticeWindow, Rank1Lattice,
                                   aliasing_sum, cbc_construct,
                                   is_reconstructing, lattice_evaluate,
-                                  lattice_reconstruct)
+                                  lattice_nodes, lattice_reconstruct)
 from anovafourier.method import (DetectionConfig, approximate,
                                  build_search_sets, detect, gap_intervals)
-from anovafourier.operator import (BlockFourierOperator, lattice_nodes,
+from anovafourier.operator import (BlockFourierOperator, NodeSet,
                                    lattice_solve, lsqr, uniform_nodes)
 from anovafourier.weights import WeightParams, sobolev_trunc_bound_l2, \
     wiener_trunc_bound
@@ -127,7 +127,7 @@ def test_criterion_03_blackbox_detection_full_scale():
         failures.append(f"M = {lat.M} below 3481")
     if not (size <= lat.M <= size * size):
         failures.append(f"M = {lat.M} outside [|I|, |I|^2 >= |D(I)|]")
-    y = bench.testfun_value(lattice_nodes(lat).points).astype(complex)
+    y = bench.testfun_value(lattice_nodes(lat)).astype(complex)
     solve = lattice_solve(lat, g, y, certified=True)
     rep = sensitivity(solve.coefficients)
     from anovafourier.method import ApproxModel
@@ -188,7 +188,7 @@ def test_criterion_04_blackbox_active_refinement():
     eps_l2 = None
     try:
         lat = cbc_construct(g, seed=1, M_cap=60 * size)
-        y = bench.testfun_value(lattice_nodes(lat).points).astype(complex)
+        y = bench.testfun_value(lattice_nodes(lat)).astype(complex)
         solve = lattice_solve(lat, g, y, certified=True)
         eps_l2 = float(np.linalg.norm(y - lattice_evaluate(solve.coefficients, lat))
                        / np.linalg.norm(y))
@@ -399,8 +399,7 @@ def test_criterion_10_solver_cross_validation():
                           float(np.linalg.norm(it.coefficients.values - ne)
                                 / np.linalg.norm(ne)))
     lat = cbc_construct(g, seed=0)
-    nodes = lattice_nodes(lat)
-    op = BlockFourierOperator(nodes, g)
+    op = BlockFourierOperator(NodeSet(lattice_nodes(lat)), g)
     target = rng.normal(size=len(g)) + 1j * rng.normal(size=len(g))
     y = op.forward(target)
     direct = lattice_solve(lat, g, y)

@@ -213,6 +213,32 @@ def test_bench_tiny_config(tmp_path):
     assert row["set_size"] == 1 + 9 * 7 + 36 * 9
 
 
+_NOT_CONVERGING = {"d": 9, "d_s": 2, "search": {"type": "full_grid", "N": [6, 2]},
+                   "sampling": {"kind": "scattered", "count": 3000, "seed": 1},
+                   "solver": {"max_iter": 1}, "target": {"builtin": "bench"}}
+
+
+@pytest.mark.parametrize("command,cfg,artifact", [
+    ("detect", _NOT_CONVERGING, "pilot-model.json"),
+    ("approximate", {**_NOT_CONVERGING, "active_set": [[1, 2], [3]]}, "model.json"),
+    ("bench", {"id": "stopped", "mode": "detect", "scenario": "scattered", "d_s": 2,
+               "sets": _NOT_CONVERGING["search"], "sampling": {"count": 3000, "seed": 1},
+               "solver": {"max_iter": 1}}, "stopped.json"),
+])
+def test_lsqr_at_its_iteration_limit_exits_2(tmp_path, capsys, command, cfg,
+                                             artifact):
+    """A stage whose LSQR stopped at its iteration limit writes its
+    artifacts, then exits 2 with the stage and the stop reason on stderr."""
+    stop = "iteration limit 1 reached without convergence"
+    with pytest.warns(RuntimeWarning, match=stop):
+        code = run_cli([command, "--config", write_config(tmp_path, cfg),
+                        "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert f"{command}: LSQR {stop}" in capsys.readouterr().err
+    assert (tmp_path / "out" / artifact).exists()
+    assert (tmp_path / "out" / f"{command}-manifest.json").exists()
+
+
 def test_bench_unknown_table_exit_2(tmp_path):
     assert run_cli(["bench", "--table", "9", "--row", "1",
                     "--out", str(tmp_path)]) == 2

@@ -13,7 +13,7 @@ from anovafourier.index_sets import (LowDimIndexSet, difference_set, full_grid,
 from anovafourier.lattice import (BLOCK_ROWS, DualLatticeWindow, Rank1Lattice,
                                   aliasing_sum, cbc_construct,
                                   is_reconstructing, lattice_evaluate,
-                                  lattice_reconstruct, next_smooth,
+                                  lattice_nodes, lattice_reconstruct, next_smooth,
                                   save_lattice)
 from anovafourier.method import build_search_sets
 
@@ -24,12 +24,12 @@ def cube(K, d=2):
 
 def test_nodes_examples():
     lat = Rank1Lattice(np.array([1]), 4)
-    assert np.allclose(lat.nodes().ravel(), [0, 0.25, 0.5, 0.75])
+    assert np.allclose(lattice_nodes(lat).ravel(), [0, 0.25, 0.5, 0.75])
     lat2 = Rank1Lattice(np.array([1, 3]), 9)
-    assert np.allclose(lat2.nodes()[2], [2 / 9, 6 / 9])
-    assert np.allclose(lat2.nodes()[0], 0.0)
+    assert np.allclose(lattice_nodes(lat2)[2], [2 / 9, 6 / 9])
+    assert np.allclose(lattice_nodes(lat2)[0], 0.0)
     # coordinates are rationals with denominator M
-    scaled = lat2.nodes() * 9
+    scaled = lattice_nodes(lat2) * 9
     assert np.max(np.abs(scaled - np.round(scaled))) < 1e-12
 
 
@@ -56,12 +56,12 @@ def lattice_ranges(draw):
           BLOCK_ROWS - 3, 2 * BLOCK_ROWS + 5))  # crosses blocks, short last one
 @example((Rank1Lattice(np.array([730020, 2]), 730021), 730021 - 3 * BLOCK_ROWS, 730021))
 def test_nodes_range_matches_whole_array(case):
-    """nodes(lo, hi) is rows lo..hi-1 of nodes(), bit for bit, and both are
-    the one-shot formula's bits."""
+    """lattice_nodes(lat, lo, hi) is rows lo..hi-1 of lattice_nodes(lat),
+    bit for bit, and both are the one-shot formula's bits."""
     lat, lo, hi = case
     whole = _nodes_whole_array(lat)
-    assert np.array_equal(lat.nodes(), whole)
-    part = lat.nodes(lo, hi)
+    assert np.array_equal(lattice_nodes(lat), whole)
+    part = lattice_nodes(lat, lo, hi)
     assert part.shape == (hi - lo, lat.d)
     assert np.array_equal(part, whole[lo:hi])
 
@@ -69,7 +69,7 @@ def test_nodes_range_matches_whole_array(case):
 @pytest.mark.parametrize("lo,hi", [(-1, 3), (4, 3), (0, 10)])
 def test_nodes_range_rejects_bad_bounds(lo, hi):
     with pytest.raises(ValueError, match="lo <= hi <= M"):
-        Rank1Lattice(np.array([1, 3]), 9).nodes(lo, hi)
+        lattice_nodes(Rank1Lattice(np.array([1, 3]), 9), lo, hi)
 
 
 def test_is_reconstructing_examples():
@@ -206,7 +206,7 @@ def test_lattice_evaluate_matches_naive():
     coeffs = rng.normal(size=len(freqs)) + 1j * rng.normal(size=len(freqs))
     lat = Rank1Lattice(np.array([1, 5, 7]), 17)
     fast = lattice_evaluate((freqs, coeffs), lat)
-    naive = np.exp(2j * np.pi * (lat.nodes() @ freqs.T)) @ coeffs
+    naive = np.exp(2j * np.pi * (lattice_nodes(lat) @ freqs.T)) @ coeffs
     assert np.linalg.norm(fast - naive) / np.linalg.norm(naive) < 1e-11
 
 
@@ -217,7 +217,7 @@ def test_lattice_evaluate_sums_colliding_residues():
     coeffs = np.array([1 + 1j, 2, 3, -1j])
     assert np.array_equal(lat.residues(freqs), [0, 2, 2, 4])
     out = lattice_evaluate((freqs, coeffs), lat)
-    dense = np.exp(2j * np.pi * (lat.nodes() @ freqs.T)) @ coeffs
+    dense = np.exp(2j * np.pi * (lattice_nodes(lat) @ freqs.T)) @ coeffs
     assert np.max(np.abs(out - dense)) < 1e-12
     classes = np.fft.fft(out) / lat.M
     assert np.allclose(classes, [1 + 1j, 0, 5, 0, -1j], rtol=0, atol=1e-12)

@@ -9,7 +9,7 @@ from anovafourier.anova import sensitivity, term_family_ds
 from anovafourier.bench import u_star
 from anovafourier.index_sets import TermFamily, grouped
 from anovafourier.lattice import (BLOCK_ROWS, Rank1Lattice, cbc_construct,
-                                  lattice_evaluate, lattice_reconstruct)
+                                  lattice_nodes, lattice_reconstruct)
 from anovafourier.method import (ApproxModel, ConfigError, DetectionConfig,
                                  approximate, build_search_sets, detect,
                                  gap_intervals)
@@ -132,23 +132,23 @@ def test_lattice_sampling_keeps_no_node_array(monkeypatch):
         return bench.testfun_value(X)
     tracemalloc.start()
     try:
-        nodes, y, _, _ = method._acquire_data(g, target, {"kind": "lattice", "seed": 0})
+        design, y, _ = method._acquire_data(g, target, {"kind": "lattice", "seed": 0})
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < M * d * 8 + M * 16, f"traced peak {peak} bytes"
     assert sum(rows) == M and max(rows) <= BLOCK_ROWS and len(rows) > 1
-    assert nodes.lattice is lat and len(nodes) == M and y.shape == (M,)
+    assert design.lattice is lat and y.shape == (M,)
 
 
 def test_lattice_stage_keeps_real_samples_real():
     """A real target's lattice samples stay float64, and the model agrees
     with the one fitted on the same samples as complex128."""
     res = detect(tiny_config(kind="lattice"), tiny_target)
-    nodes, y = res.pilot.fit_data()
-    assert y.dtype == np.float64 and nodes.lattice.M % 2 == 0
+    design, y = res.pilot.fit_data()
+    assert y.dtype == np.float64 and design.lattice.M % 2 == 0
     ref = lattice_reconstruct(y.astype(np.complex128), res.pilot.index_set,
-                              nodes.lattice)
+                              design.lattice)
     got = res.pilot.coefficients.values
     assert np.abs(got - ref.values).max() <= 1e-14 * np.abs(ref.values).max()
 
@@ -174,14 +174,14 @@ def test_lattice_stage_keeps_a_complex_target_complex(monkeypatch, first_block_r
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         model = approximate(fam, sets, target, cfg.sampling)
-    nodes, y = model.fit_data()
-    X = nodes.points
+    design, y = model.fit_data()
+    X = lattice_nodes(design.lattice)
     expect = tiny_target(X) + 0.5j * np.cos(2 * np.pi * X[:, 2])
     if first_block_real:
         expect[:8] = tiny_target(X[:8])
     assert len(calls) > 1 and y.dtype == np.complex128
     assert np.array_equal(y, expect)
-    ref = lattice_reconstruct(expect, model.index_set, nodes.lattice)
+    ref = lattice_reconstruct(expect, model.index_set, design.lattice)
     assert np.array_equal(model.coefficients.values, ref.values)
     # the imaginary part is fitted: 0.5i cos(2 pi x_3) gives Im c = 0.25 at
     # k_3 = -1 and 1 (entries 1 and 2 of the block's frequencies -2, -1, 1),
@@ -254,6 +254,31 @@ def test_detect_underdetermined_warns():
                           solver={"max_iter": 5})
     with pytest.warns(UserWarning):
         detect(cfg, tiny_target)
+
+
+def test_pilot_with_few_samples_per_unknown_warns():
+    """m/10 < |I| <= m: a scattered pilot warns that it has fewer than 10
+    samples per unknown; a lattice pilot and a scattered refit do not."""
+    few = "fewer than 10 samples per unknown"
+
+    def messages(run):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            model = run()
+        return model, [str(w.message) for w in caught]
+    cfg = tiny_config(thresholds=(0.0, 0.0), count=100)
+    pilot, seen = messages(lambda: detect(cfg, tiny_target).pilot)
+    n, m = len(pilot.index_set), pilot.provenance["sample_count"]
+    assert m / 10 < n <= m and any(few in w for w in seen)
+    lattice = tiny_config(thresholds=(0.0, 0.0), kind="lattice")
+    pilot, seen = messages(lambda: detect(lattice, tiny_target).pilot)
+    n, M = len(pilot.index_set), pilot.provenance["sample_count"]
+    assert M / 10 < n <= M and not any(few in w for w in seen)
+    fam = term_family_ds(3, 2)
+    sets = build_search_sets(3, 2, cfg.search, family=fam)
+    refit, seen = messages(lambda: approximate(fam, sets, tiny_target, cfg.sampling))
+    n, m = len(refit.index_set), refit.provenance["sample_count"]
+    assert m / 10 < n <= m and not any(few in w for w in seen)
 
 
 def test_config_validation():
@@ -409,15 +434,17 @@ def test_evaluate_reduces_mod_one():
     assert res.pilot.evaluate(x + 1.0) == pytest.approx(res.pilot.evaluate(x))
 
 
-def test_evaluate_at_lattice_nodes_matches_fft_path():
-    cfg = DetectionConfig(d=3, d_s=2, search={"type": "full_grid", "N": [4, 4]},
-                          thresholds=[0.0, 0.0], sampling={"kind": "lattice", "seed": 2})
-    res = detect(cfg, tiny_target)
-    prov = res.pilot.provenance["lattice"]
-    lat = Rank1Lattice(np.asarray(prov["z"]), prov["M"])
-    direct = res.pilot.evaluate(lat.nodes())
-    fft = lattice_evaluate(res.pilot.coefficients, lat)
-    assert np.linalg.norm(direct - fft) < 1e-10 * np.linalg.norm(fft)
+@pytest.mark.parametrize("kind", method._SAMPLING_KINDS)
+def test_evaluate_at_lattice_nodes_matches_fft_path(kind):
+    """``evaluate_on`` at the design a model was fitted on, by the design's
+    own transform, agrees with the dense sum at the design's nodes."""
+    res = detect(tiny_config(thresholds=(0.0, 0.0), kind=kind), tiny_target)
+    design = res.pilot.fit_data()[0]
+    pts = design.nodes.points if kind == "scattered" else lattice_nodes(design.lattice)
+    emb = res.pilot.index_set.embedded()
+    dense = np.exp(2j * np.pi * (pts @ emb.T)) @ res.pilot.coefficients.values
+    got = res.pilot.evaluate_on(design)
+    assert np.linalg.norm(got - dense) < 1e-10 * np.linalg.norm(dense)
 
 
 def test_detect_zero_variance_errors():

@@ -11,11 +11,10 @@ from hypothesis import strategies as st
 from anovafourier.anova import CoefficientMap, term_family_ds
 from anovafourier.index_sets import (GroupedIndexSet, LowDimIndexSet,
                                      TermFamily, grouped)
-from anovafourier.lattice import cbc_construct
+from anovafourier.lattice import cbc_construct, lattice_nodes
 from anovafourier.method import build_search_sets
 from anovafourier.operator import (BlockFourierOperator, NodeSet,
-                                   lattice_nodes, lattice_solve, lsqr,
-                                   uniform_nodes)
+                                   lattice_solve, lsqr, uniform_nodes)
 
 
 def make_system(d=3, d_s=2, N=(4, 4), m=50, seed=5):
@@ -70,7 +69,7 @@ def test_adjoint_all_ones_on_reconstructing_lattice():
     sets = build_search_sets(2, 1, {"type": "full_grid", "N": [4]})
     g = grouped(fam, sets)
     lat = cbc_construct(g, seed=0)
-    op = BlockFourierOperator(lattice_nodes(lat), g)
+    op = BlockFourierOperator(NodeSet(lattice_nodes(lat)), g)
     a = op.adjoint(np.ones(lat.M, dtype=complex)) / lat.M
     sl = g.block_slices()[()]
     assert a[sl][0] == pytest.approx(1.0, abs=1e-12)
@@ -159,8 +158,7 @@ def test_lattice_solve_matches_lsqr():
     g = grouped(fam, sets)
     lat = cbc_construct(g, seed=1)
     target = rng.normal(size=len(g)) + 1j * rng.normal(size=len(g))
-    nodes = lattice_nodes(lat)
-    op = BlockFourierOperator(nodes, g)
+    op = BlockFourierOperator(NodeSet(lattice_nodes(lat)), g)
     y = op.forward(target)
     direct = lattice_solve(lat, g, y)
     iterative = lsqr(op, y, atol=1e-12, btol=1e-12, max_iter=400)
@@ -217,7 +215,7 @@ def test_lattice_solve_matches_lsqr_random_sets(g, seed):
     # an explicit cap: the default |I|^2 can lie below every prime that
     # divides none of the set's differences (I = {0, 6} in d = 1 needs M = 5)
     lat = cbc_construct(g, seed=seed % 1000, M_cap=10 ** 6)
-    op = BlockFourierOperator(lattice_nodes(lat), g)
+    op = BlockFourierOperator(NodeSet(lattice_nodes(lat)), g)
     y = rng.normal(size=lat.M) + 1j * rng.normal(size=lat.M)
     direct = lattice_solve(lat, g, y)
     iterative = lsqr(op, y, atol=1e-12, btol=1e-12, max_iter=50)
