@@ -30,7 +30,9 @@ dimension (``_matmul``), so results do not depend on the number of BLAS
 threads.
 
 Lattices: ``residues`` computes k.z mod M for a frequency array, and
-``first_injective`` is the CBC search's O(n) test of one candidate z_s.
+``first_injective`` is the CBC search's O(n) test of one candidate z_s,
+run on prefixes of 1024, 2048, 4096, .. entries so that most collisions
+stop it early.
 ``lattice_fft`` is the length-M DFT of a lattice solve, done in place as
 short FFTs along both axes of an M1 x M2 view (the four-step FFT), so it
 needs O(sqrt M) work memory where one length-M ``np.fft.fft`` needs about
@@ -329,23 +331,24 @@ def first_injective(base, kcol, cands, M, slot):
     [0, M).  The test scatters each index j into ``slot[r_j]`` and gathers
     it back: two equal residues share a slot that keeps only one of their
     indices, so the other reads back wrong.  Every slot read was written for
-    the same candidate, so ``slot`` (int32, length >= M) may hold anything
-    on entry and is reused across candidates and calls.  O(n) per candidate.
+    the same candidate, so ``slot`` (length >= M, of an integer type that
+    holds n - 1) may hold anything on entry and is reused across candidates
+    and calls.  O(n) per candidate.
 
-    A candidate is tested on the first ``_PREFIX`` entries, then on 4 times
+    A candidate is tested on the first ``_PREFIX`` entries, then on twice
     as many, and so on up to all n; each stage computes and scatters only its
     new entries and gathers the whole prefix.  A collision in a prefix is a
     collision in the whole set, so the pick is the same as with one test of
-    all n, and most rejected candidates cost O(``_PREFIX``).
+    all n, or of the entries in any other order, and most rejected
+    candidates cost O(``_PREFIX``).
     """
     n = base.shape[0]
-    stops = [_PREFIX]
+    stops = [min(_PREFIX, n)]
     while stops[-1] < n:
-        stops.append(4 * stops[-1])
-    stops[-1] = n
-    idx = np.arange(n, dtype=np.int32)
+        stops.append(min(2 * stops[-1], n))
+    idx = np.arange(n, dtype=slot.dtype)
     r = np.empty(n, dtype=np.int64)
-    back = np.empty(n, dtype=np.int32)
+    back = np.empty(n, dtype=slot.dtype)
     for i, zs in enumerate(cands):
         zs = zs % M
         lo = 0
@@ -355,8 +358,8 @@ def first_injective(base, kcol, cands, M, slot):
             new += base[lo:hi]
             np.remainder(new, M, out=new)
             slot[new] = idx[lo:hi]
-            np.take(slot, r[:hi], out=back[:hi])
-            if not np.array_equal(back[:hi], idx[:hi]):
+            slot.take(r[:hi], out=back[:hi])
+            if (back[:hi] != idx[:hi]).any():
                 break
             lo = hi
         else:

@@ -20,7 +20,9 @@ the black-box pipeline peaks at about 88 MB, where complex samples took
 130 MB and one ``np.fft.fft`` per transform 240 MB.
 The CBC search returns 5-smooth M only, so M splits into two factors near
 sqrt M and no short FFT falls back to Bluestein's algorithm, which at
-prime M took about 9 times as long.
+prime M took about 9 times as long.  It tests each candidate z_s on the
+distinct coordinate prefixes of I in a fixed shuffled order, on prefixes
+of 1024, 2048, 4096, .. of them, so most failing candidates cost O(1024).
 
 All residue arithmetic reduces k and z modulo M before multiplying, which
 keeps intermediates below 2^63 for any M < 2^31.
@@ -135,6 +137,8 @@ _CBC_RATIO = 1.1
 _CBC_MAX_SCALE = 1000
 #: random candidates for z_s tried per coordinate before the next lattice size
 _CBC_CANDIDATES = 96
+#: seed of the fixed order in which candidate tests visit the representatives
+_CBC_SHUFFLE_SEED = 0
 
 
 def cbc_construct(freqs, seed: int = 0, M_cap: int | None = None) -> Rank1Lattice:
@@ -162,18 +166,45 @@ def cbc_construct(freqs, seed: int = 0, M_cap: int | None = None) -> Rank1Lattic
     cap; then a hard error is raised.
 
     Cost: testing one candidate is O(n), n the number of prefix
-    representatives (<= |I|): one scatter of the indices into an int32 slot
-    array of length M and one gather back, first on the first 1024
-    representatives, so most rejected candidates cost O(1024)
-    (:func:`_kernels.first_injective`).  The slot array is allocated once
-    per lattice size and takes at most min(4 M, 4000 |I|) bytes.
+    representatives (<= |I|): one scatter of their indices into a slot
+    array of length M and one gather back, on 1024 representatives first
+    and then on prefixes twice as long, so most rejected candidates cost
+    O(1024) (:func:`_kernels.first_injective`).  Each coordinate visits its
+    representatives in a fixed shuffled order from a generator of its own
+    (``_CBC_SHUFFLE_SEED``), not the candidates' stream.  The order cannot
+    change the pick, since a collision in any subset is one in the whole
+    set, but a random 1024 holds more distinct differences than the
+    lexicographically first: on the black-box benchmark's two sets (seed 1)
+    the tests gather 9.1M and 16.3M entries, against 15.6M and 19.7M in
+    lexicographic order with prefixes growing 4 times.  Representatives
+    and all-zero columns are found once, and each size keeps one residue
+    per prefix group.  The slot array is allocated per lattice size, of the
+    narrowest unsigned type that holds |I| - 1 (2 M bytes for
+    |I| <= 65536, 4 M at most); one array kept across sizes faulted in
+    fewer pages but raised the black-box pipeline's peak RSS (ROADMAP).
     """
     f = _embedded(freqs)
     n, d = f.shape
     if n == 0:
         raise ValueError("empty frequency set")
-    uniq = np.unique(f, axis=0)
-    if uniq.shape[0] != n:
+    # Rows of I with equal prefixes (k_1, .., k_s) form one group.  Per
+    # coordinate s, computed once: one representative row per group, in a
+    # fixed shuffled order, as its entry k_s and the place of its group of
+    # (k_1, .., k_{s-1}) in coordinate s-1's order, where the search of a
+    # lattice size keeps that prefix's residue.
+    shuffle = np.random.Generator(np.random.Philox(_CBC_SHUFFLE_SEED))
+    levels = []
+    gid = np.zeros(n, dtype=np.int64)  # prefix group of each row
+    place = np.zeros(1, dtype=np.int64)  # place of each group in the order
+    for s in range(d):
+        col = f[:, s]
+        pairs = gid * (2 * np.abs(col).max() + 2) + (col - col.min())
+        _, new = np.unique(pairs, return_inverse=True)
+        order = shuffle.permutation(new.max() + 1)
+        reps = np.unique(new, return_index=True)[1][order]
+        levels.append((place[gid[reps]], f[reps, s]))
+        gid, place = new, np.argsort(order)
+    if gid.max() + 1 < n:  # fewer distinct full prefixes than rows
         raise ValueError("frequency set contains duplicates")
     if n == 1:
         return Rank1Lattice(np.zeros(d, dtype=np.int64), 1)
@@ -191,39 +222,29 @@ def cbc_construct(freqs, seed: int = 0, M_cap: int | None = None) -> Rank1Lattic
             # integer, a multiple of 11 and so never 5-smooth: same next M
             M = next_smooth(math.ceil(_CBC_RATIO * M))
 
-    # distinct-prefix representatives per coordinate, computed once
-    reps_per_coord = []
-    gid = np.zeros(n, dtype=np.int64)
-    for s in range(d):
-        col = f[:, s]
-        pairs = gid * (2 * np.abs(col).max() + 2) + (col - col.min())
-        _, gid = np.unique(pairs, return_inverse=True)
-        reps_per_coord.append(np.unique(gid, return_index=True)[1])
-
+    free = [not col.any() for _, col in levels]  # z_s free; left at 0
     for M in size_schedule():
         z = np.zeros(d, dtype=np.int64)
-        base = np.zeros(n, dtype=np.int64)
-        slot = np.empty(M, dtype=np.int32)  # scatter/gather scratch, reused
-        ok = True
-        for s in range(d):
-            reps = reps_per_coord[s]
-            kcol = np.mod(f[:, s], M)
-            if np.all(f[reps, s] == 0):
-                continue  # z_s free; leave at 0
+        slot = np.empty(M, dtype=np.min_scalar_type(n - 1))  # scratch, reused
+        res = np.zeros(1, dtype=np.int64)  # of the empty prefix
+        for s, (parent, col) in enumerate(levels):
+            base = res[parent]
+            if free[s]:
+                res = base
+                continue
             ncand = min(_CBC_CANDIDATES, M - 1)
             if ncand == M - 1:
                 cands = 1 + rng.permutation(M - 1)
             else:
                 # sampling with replacement; duplicates only waste a try
                 cands = rng.integers(1, M, size=ncand)
-            pick = _kernels.first_injective(base[reps], kcol[reps],
-                                            cands.astype(np.int64), M, slot)
+            kcol = np.mod(col, M)
+            pick = _kernels.first_injective(base, kcol, cands, M, slot)
             if pick < 0:
-                ok = False
                 break
             z[s] = cands[pick]
-            base = (base + kcol * z[s]) % M
-        if ok:
+            res = (base + kcol * z[s]) % M
+        else:
             lat = Rank1Lattice(z, M)
             if is_reconstructing(lat, f):
                 return lat

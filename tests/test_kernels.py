@@ -389,7 +389,8 @@ def test_lattice_fft_rejects_views_it_cannot_write_in_place():
 @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 20000),
        planted=st.integers(0, 4), dense=st.booleans())
 def test_first_injective_prefix_stages_match_unique(seed, n, planted, dense):
-    """Sets beyond the first prefix stages (1024, 4096, 16384 entries).
+    """Sets beyond the first prefix stages (1024, 2048, 4096, 8192 and
+    16384 entries).
 
     ``dense`` problems draw every kcol, so nearly every candidate collides
     within the first stage.  The others keep base distinct and kcol zero
@@ -407,3 +408,27 @@ def test_first_injective_prefix_stages_match_unique(seed, n, planted, dense):
     cands = rng.integers(0, 3 * M, size=int(rng.integers(1, 30)))
     expect = _first_injective_unique(base, kcol, cands, M)
     assert _kernels.first_injective(base, kcol, cands, M, slot) == expect
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(_kernels._PREFIX + 1, 9000),
+       planted=st.integers(1, 6))
+def test_first_injective_pick_ignores_entry_order(seed, n, planted):
+    """The same pick as the reference after any permutation of the
+    (base, kcol) pairs, the premise of the CBC search's shuffled
+    representatives.  The sets span two to five prefix stages; base is
+    distinct and kcol zero except at ``planted`` positions, so a collision
+    falls in a late stage in one order and in the first in another.  The
+    slot is uint16 with stale entries, as the search uses for n <= 65536."""
+    rng = np.random.default_rng(seed)
+    M = int(rng.integers(n, 3 * n + 2))
+    slot = rng.integers(0, n, size=M).astype(np.min_scalar_type(n - 1))
+    base = rng.choice(M, size=n, replace=False).astype(np.int64)
+    kcol = np.zeros(n, dtype=np.int64)
+    kcol[rng.choice(n, size=planted, replace=False)] = rng.integers(1, M, size=planted)
+    cands = rng.integers(0, 3 * M, size=int(rng.integers(1, 30)))
+    expect = _first_injective_unique(base, kcol, cands, M)
+    for _ in range(3):
+        perm = rng.permutation(n)
+        assert _kernels.first_injective(base[perm], kcol[perm], cands, M,
+                                        slot) == expect

@@ -176,8 +176,12 @@ def test_cbc_default_cap_reaches_past_the_spread():
 
 
 def test_cbc_duplicate_frequencies_rejected():
-    with pytest.raises(ValueError):
-        cbc_construct(np.array([[1, 0], [1, 0]]))
+    """Adjacent and non-adjacent duplicate rows, and a one-column set."""
+    for freqs in ([[1, 0], [1, 0]],
+                  [[2, -1, 3], [0, 0, 0], [5, 1, -3], [2, -1, 3], [2, -1, 4]],
+                  [[4], [-1], [0], [-1]]):
+        with pytest.raises(ValueError, match="duplicates"):
+            cbc_construct(np.array(freqs))
 
 
 def test_lattice_evaluate_constant():
