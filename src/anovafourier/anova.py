@@ -59,9 +59,10 @@ def term_family_ds(d, d_s) -> TermFamily:
 
 def variance(coeffs: CoefficientMap) -> float:
     """sigma^2 = sum_{k != 0} |c_k|^2; requires the zero-frequency block."""
-    if () not in coeffs.index_set.family:
+    slices = coeffs.index_set.block_slices()
+    if () not in slices:
         raise ValueError("index set is missing the zero-frequency block")
-    sl = coeffs.index_set.block_slices()[()]
+    sl = slices[()]
     total = float(np.sum(np.abs(coeffs.values) ** 2))
     return total - float(np.sum(np.abs(coeffs.values[sl]) ** 2))
 

@@ -31,11 +31,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .anova import term_family_ds
 from .index_sets import TermFamily
-from .method import (ActiveSetResult, ApproxModel, ConfigError,
-                     DetectionConfig, approximate, build_search_sets, detect,
-                     gap_intervals)
+from .method import (ApproxModel, ConfigError, approximate, build_search_sets,
+                     detect, gap_intervals, read_run_config)
 from .operator import _norm
 
 D = 9
@@ -55,15 +53,19 @@ C4 = BSPLINE_NORM[4]
 C6 = BSPLINE_NORM[6]
 
 
+#: maximal terms of U* and U+; the refit rows' ``active_set``
+_USTAR_MAXIMAL = ((1, 5), (2, 6), (3, 7), (4, 8, 9))
+_UPLUS_MAXIMAL = ((1, 5), (2, 6), (3, 7), (4, 8), (4, 9), (8, 9))
+
+
 def u_star() -> TermFamily:
     """Exact nonzero term family of the test function."""
-    return TermFamily.downward_closure(D, [(1, 5), (2, 6), (3, 7), (4, 8, 9)])
+    return TermFamily.downward_closure(D, _USTAR_MAXIMAL)
 
 
 def u_plus() -> TermFamily:
     """U* without its single third-order term (the d_s = 2 optimum)."""
-    return TermFamily.downward_closure(
-        D, [(1, 5), (2, 6), (3, 7), (4, 8), (4, 9), (8, 9)])
+    return TermFamily.downward_closure(D, _UPLUS_MAXIMAL)
 
 
 def _piece_table(j: int) -> np.ndarray:
@@ -249,124 +251,93 @@ class ExperimentRow:
         return "id;scenario;d_s;N;set_size;samples;eps_l2;eps_L2;gaps;seconds"
 
 
-def _truth_family(d_s: int) -> TermFamily:
-    return u_star() if d_s >= 3 else u_plus()
+#: the only target a bench row runs
+_BUILTIN_TARGET = {"builtin": "bench"}
 
 
 def run_experiment(cfg: dict) -> ExperimentRow:
-    """Run one detection or refinement experiment on the test function.
+    """Run one row on the built-in test function and score it.
 
-    Config keys: ``id``, ``mode`` ("detect" or "approximate"), ``scenario``
-    ("scattered" or "lattice"), ``d_s``, ``sets`` ({"type", "N"}),
-    ``sampling`` ({"count", "seed"} for scattered), ``solver`` (optional),
-    ``family`` ("ds" | "ustar" | "uplus", default per mode).  A missing or
-    unknown value raises :class:`ConfigError`.
+    ``cfg`` is a run config (:func:`method.read_run_config`) whose target
+    is the built-in one: without ``active_set`` the row is a detection,
+    scored with its pilot's errors and its threshold gaps against U*; with
+    it, a refit on that family.  A bad key raises :class:`ConfigError`.
     """
     t0 = time.time()
-    missing = [k for k in ("scenario", "d_s", "sets") if k not in cfg]
-    if missing:
-        raise ConfigError(f"bench config: missing required field {missing[0]!r}")
-    d_s = cfg["d_s"]
-    scenario = cfg["scenario"]
-    sampling = dict(cfg.get("sampling", {}))
-    sampling.setdefault("kind", scenario)
-    solver = cfg.get("solver", {})
-    mode = cfg.get("mode", "detect")
-
-    if mode == "detect":
-        dc = DetectionConfig(d=D, d_s=d_s, search=cfg["sets"],
-                             thresholds=cfg.get("thresholds", [0.0] * d_s),
-                             sampling=sampling, solver=solver)
-        result: ActiveSetResult = detect(dc, testfun_value)
+    dc, family = read_run_config(cfg)
+    if cfg.get("target", _BUILTIN_TARGET) != _BUILTIN_TARGET or dc.d != D:
+        raise ConfigError(f"bench runs only target {_BUILTIN_TARGET}, with d = {D}")
+    if family is None:
+        result = detect(dc, testfun_value)
         model = result.pilot
-        gaps = gap_intervals(result.report, _truth_family(d_s), d_s)
-        set_size = len(model.index_set)
-    elif mode == "approximate":
-        families = {"ustar": u_star, "uplus": u_plus,
-                    "ds": lambda: term_family_ds(D, d_s)}
-        name = cfg.get("family", "ustar")
-        if name not in families:
-            raise ConfigError(f"bench config: family must be one of "
-                              f"{', '.join(families)}, got {name!r}")
-        family = families[name]()
-        sets = build_search_sets(D, d_s, cfg["sets"], family=family)
-        model = approximate(family, sets, testfun_value, sampling, solver)
-        gaps = None
-        set_size = len(model.index_set)
+        gaps = gap_intervals(result.report, u_star(), dc.d_s)
     else:
-        raise ConfigError(f"bench config: mode must be detect or approximate, "
-                          f"got {mode!r}")
-
+        sets = build_search_sets(D, dc.d_s, dc.search, family=family)
+        model = approximate(family, sets, testfun_value, dc.sampling, dc.solver)
+        gaps = None
     X, y = model.fit_data()
     eps_l2, eps_L2 = errors(model, X, y)
     extra = {}
     if "lattice" in model.provenance:
         extra["M"] = model.provenance["lattice"]["M"]
-    return ExperimentRow(str(cfg.get("id", "run")), scenario, d_s,
-                         tuple(cfg["sets"]["N"]), set_size, len(y),
+    return ExperimentRow(str(cfg.get("id", "run")),
+                         model.provenance["sampling"]["kind"], dc.d_s,
+                         tuple(dc.search["N"]), len(model.index_set), len(y),
                          eps_l2, eps_L2, gaps, time.time() - t0, extra,
                          model.provenance["solver_report"]["stop_reason"])
 
 
-#: published experiment configurations, keyed by (table, row).
-#: Tables 1-3 are the scattered runs (detection d_s = 3, refinement on U*,
-#: detection d_s = 2); table 4 is black-box detection on mixed-smoothness
-#: crosses, table 5 (= 6) black-box refinement on U*.
+_SCATTERED = {"kind": "scattered", "count": 2_500_000, "seed": 1}
+_LATTICE = {"kind": "lattice", "seed": 1}
+
+
+def _row(d_s: int, search_type: str, N: tuple, sampling: dict,
+         active_set=None) -> dict:
+    """A registry row: a detection, or with ``active_set`` (maximal terms)
+    a refit on its downward closure."""
+    cfg = {"d": D, "d_s": d_s, "search": {"type": search_type, "N": N},
+           "sampling": dict(sampling)}
+    if active_set is not None:
+        cfg["active_set"] = [list(u) for u in active_set]
+    return cfg
+
+
+#: published experiment configurations, keyed by (table, row), as run
+#: configs.  Tables 1-3 are the scattered runs (detection d_s = 3,
+#: refinement on U*, detection d_s = 2); table 4 is black-box detection on
+#: mixed-smoothness crosses, table 5 (= 6) black-box refinement on U*.
 TABLE_CONFIGS = {}
 
 
 def _register_tables():
-    scat = {"count": 2_500_000, "seed": 1}
     for i, N in enumerate([(256, 32, 8), (256, 32, 16), (256, 32, 32),
                            (256, 64, 8), (256, 64, 16), (256, 64, 32),
                            (512, 64, 8), (512, 64, 16), (512, 64, 32)], 1):
-        TABLE_CONFIGS[(1, i)] = {"mode": "detect", "scenario": "scattered",
-                                 "d_s": 3, "sets": {"type": "full_grid", "N": N},
-                                 "sampling": dict(scat)}
+        TABLE_CONFIGS[(1, i)] = _row(3, "full_grid", N, _SCATTERED)
     for i, N in enumerate([(1024, 64, 64), (1024, 128, 32),
                            (1024, 128, 64), (1024, 256, 64)], 1):
-        TABLE_CONFIGS[(2, i)] = {"mode": "approximate", "family": "ustar",
-                                 "scenario": "scattered", "d_s": 3,
-                                 "sets": {"type": "full_grid", "N": N},
-                                 "sampling": dict(scat)}
+        TABLE_CONFIGS[(2, i)] = _row(3, "full_grid", N, _SCATTERED, _USTAR_MAXIMAL)
     for i, N in enumerate([(256, 16), (256, 32), (256, 64), (256, 128)], 1):
-        TABLE_CONFIGS[(3, i)] = {"mode": "detect", "scenario": "scattered",
-                                 "d_s": 2, "sets": {"type": "full_grid", "N": N},
-                                 "sampling": dict(scat)}
+        TABLE_CONFIGS[(3, i)] = _row(2, "full_grid", N, _SCATTERED)
     for i, N in enumerate([(100, 100, 100), (1000, 1000, 1000),
                            (10**4, 10**4, 10**3), (10**5, 10**4, 10**3)], 1):
-        TABLE_CONFIGS[(4, i)] = {"mode": "detect", "scenario": "lattice",
-                                 "d_s": 3,
-                                 "sets": {"type": "hyperbolic_cross", "N": N},
-                                 "sampling": {"seed": 1}}
+        TABLE_CONFIGS[(4, i)] = _row(3, "hyperbolic_cross", N, _LATTICE)
     for i, N in enumerate([(10**4,) * 3, (10**5,) * 3,
                            (10**6, 10**5, 10**5), (10**6, 10**6, 10**5)], 1):
-        cfg = {"mode": "approximate", "family": "ustar", "scenario": "lattice",
-               "d_s": 3, "sets": {"type": "hyperbolic_cross", "N": N},
-               "sampling": {"seed": 1}}
+        cfg = _row(3, "hyperbolic_cross", N, _LATTICE, _USTAR_MAXIMAL)
         TABLE_CONFIGS[(5, i)] = cfg
         TABLE_CONFIGS[(6, i)] = cfg
 
 
 _register_tables()
 
+_DESK = {**_SCATTERED, "count": 100_000}
+
 #: reduced-size counterparts used by default on a desk machine
 DESK_CONFIGS = {
-    "scattered-ds3": {"mode": "detect", "scenario": "scattered", "d_s": 3,
-                      "sets": {"type": "full_grid", "N": (32, 8, 4)},
-                      "sampling": {"count": 100_000, "seed": 1}},
-    "scattered-ds2": {"mode": "detect", "scenario": "scattered", "d_s": 2,
-                      "sets": {"type": "full_grid", "N": (32, 8)},
-                      "sampling": {"count": 100_000, "seed": 1}},
-    "scattered-ustar": {"mode": "approximate", "family": "ustar",
-                        "scenario": "scattered", "d_s": 3,
-                        "sets": {"type": "full_grid", "N": (32, 8, 4)},
-                        "sampling": {"count": 100_000, "seed": 1}},
-    "scattered-uplus": {"mode": "approximate", "family": "uplus",
-                        "scenario": "scattered", "d_s": 2,
-                        "sets": {"type": "full_grid", "N": (32, 8)},
-                        "sampling": {"count": 100_000, "seed": 1}},
-    "lattice-ds3": {"mode": "detect", "scenario": "lattice", "d_s": 3,
-                    "sets": {"type": "hyperbolic_cross", "N": (30, 30, 30)},
-                    "sampling": {"seed": 1}},
+    "scattered-ds3": _row(3, "full_grid", (32, 8, 4), _DESK),
+    "scattered-ds2": _row(2, "full_grid", (32, 8), _DESK),
+    "scattered-ustar": _row(3, "full_grid", (32, 8, 4), _DESK, _USTAR_MAXIMAL),
+    "scattered-uplus": _row(2, "full_grid", (32, 8), _DESK, _UPLUS_MAXIMAL),
+    "lattice-ds3": _row(3, "hyperbolic_cross", (30, 30, 30), _LATTICE),
 }

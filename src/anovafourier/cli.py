@@ -21,11 +21,11 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .index_sets import GroupedIndexSet, TermFamily
+from .index_sets import GroupedIndexSet
 from .lattice import cbc_construct, save_lattice
-from .method import (_SAMPLING_KINDS, ApproxModel, ConfigError, DetectionConfig,
-                     _check_keys, build_search_sets, approximate, detect,
-                     gap_intervals)
+from .method import (_SAMPLING_KINDS, ApproxModel, ConfigError,
+                     build_search_sets, approximate, detect, gap_intervals,
+                     read_run_config)
 from .weights import (WeightParams, bound_curve, parse_weight_sequence,
                       sobolev_trunc_bound_l2, sobolev_trunc_bound_linf)
 
@@ -38,15 +38,6 @@ def _load_json(path, what="config"):
         raise ConfigError(f"cannot read {what} file {path}: {exc.strerror}")
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{what} is not valid JSON: {path}:{exc.lineno}: {exc.msg}")
-
-
-def _require(cfg, key, typ=object):
-    if key not in cfg:
-        raise ConfigError(f"config: missing required field {key!r}")
-    val = cfg[key]
-    if not isinstance(val, typ):
-        raise ConfigError(f"config.{key}: expected {typ.__name__}, got {type(val).__name__}")
-    return val
 
 
 def _digest(obj) -> str:
@@ -105,33 +96,22 @@ def _target_from_config(cfg, d):
     raise ConfigError("target must specify 'builtin' or 'csv'")
 
 
-#: top-level keys of a config, which may serve both detect and approximate
-_CONFIG_KEYS = ("d", "d_s", "search", "thresholds", "scenario", "sampling",
-                "solver", "target", "truth", "active_set")
-
-
-def _detection_config(cfg, args, zero_thresholds=False) -> DetectionConfig:
-    """The config's detection fields with ``scenario`` and --seed applied;
-    DetectionConfig checks their values."""
-    _check_keys(cfg, "config", _CONFIG_KEYS)
-    d_s = _require(cfg, "d_s", int)
-    thresholds = [0.0] * d_s if zero_thresholds else cfg.get("thresholds", [0.0] * d_s)
-    sampling = dict(_require(cfg, "sampling", dict))
-    scenario = args.scenario or cfg.get("scenario")
-    if scenario is not None:
-        sampling.setdefault("kind", scenario)
-    if args.seed is not None:
-        sampling["seed"] = args.seed
-    return DetectionConfig(d=_require(cfg, "d"), d_s=d_s,
-                           search=_require(cfg, "search"),
-                           thresholds=thresholds,
-                           sampling=sampling, solver=cfg.get("solver", {}))
+def _overridden(cfg, args):
+    """The config with --scenario as ``sampling.kind`` and --seed as
+    ``sampling.seed``, in a fresh dict that leaves the bench registries as
+    they are; a config without a sampling object is left to the checker."""
+    sampling = cfg.get("sampling") if isinstance(cfg, dict) else None
+    if not isinstance(sampling, dict):
+        return cfg
+    given = {k: v for k, v in (("kind", args.scenario), ("seed", args.seed))
+             if v is not None}
+    return {**cfg, "sampling": {**sampling, **given}}
 
 
 def cmd_detect(args) -> int:
     t0 = time.time()
-    cfg = _load_json(args.config)
-    dc = _detection_config(cfg, args)
+    cfg = _overridden(_load_json(args.config), args)
+    dc, _ = read_run_config(cfg)
     target = _target_from_config(cfg, dc.d)
     result = detect(dc, target)
     outdir = Path(args.out)
@@ -172,14 +152,11 @@ def cmd_detect(args) -> int:
 
 def cmd_approximate(args) -> int:
     t0 = time.time()
-    cfg = _load_json(args.config)
-    dc = _detection_config(cfg, args, zero_thresholds=True)
+    cfg = _overridden(_load_json(args.config), args)
+    dc, family = read_run_config(cfg)
+    if family is None:
+        raise ConfigError("config: missing required field 'active_set'")
     target = _target_from_config(cfg, dc.d)
-    terms = _require(cfg, "active_set", list)
-    try:
-        family = TermFamily.downward_closure(dc.d, [tuple(u) for u in terms] + [()])
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"active_set: {exc}")
     sets = build_search_sets(dc.d, dc.d_s, dc.search, family=family)
     model = approximate(family, sets, target, dc.sampling, dc.solver)
     model.provenance["config"] = {k: v for k, v in cfg.items() if k != "target"}
@@ -212,9 +189,7 @@ def cmd_bench(args) -> int:
         cfg["id"] = f"desk-{args.desk}"
     else:
         raise ConfigError("bench needs --config, --table or --desk")
-    if args.seed is not None:
-        # a fresh dict: the registries' configs share their sampling dicts
-        cfg["sampling"] = {**cfg.get("sampling", {}), "seed": args.seed}
+    cfg = _overridden(cfg, args)
     row = run_experiment(cfg)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)

@@ -11,13 +11,11 @@ lattice is built for the refined index set.
 
 from __future__ import annotations
 
-import binascii
 import hashlib
 import json
 import math
 import numbers
 import os
-import struct
 import warnings
 from dataclasses import dataclass, field
 
@@ -43,8 +41,8 @@ _WEIGHT_KEYS = ("alpha", "beta", "gamma", "Gamma")
 class ConfigError(ValueError):
     """A run-configuration value is missing, unknown or out of range.
 
-    The CLI exits with code 2 on it.  Every rule on ``d``, ``d_s``,
-    ``thresholds``, ``search``, ``sampling`` and ``solver`` is checked in
+    The CLI exits with code 2 on it.  Every rule on the keys of a run
+    config (see :func:`read_run_config`) except ``target`` is checked in
     this module, once per key.
     """
 
@@ -176,6 +174,48 @@ class DetectionConfig:
         object.__setattr__(self, "sampling", _check_sampling(self.sampling))
 
 
+#: top-level keys of a run config; ``id`` names a bench row, and ``target``
+#: and ``truth`` are read by the command that runs it
+_RUN_KEYS = ("id", "d", "d_s", "search", "thresholds", "sampling", "solver",
+             "target", "truth", "active_set")
+
+
+def _require(cfg: dict, key: str, typ=object):
+    if key not in cfg:
+        raise ConfigError(f"config: missing required field {key!r}")
+    val = cfg[key]
+    if not isinstance(val, typ):
+        raise ConfigError(f"config.{key}: expected {typ.__name__}, got {type(val).__name__}")
+    return val
+
+
+def read_run_config(cfg) -> tuple[DetectionConfig, TermFamily | None]:
+    """The detection config of a run config and, when it has ``active_set``,
+    the refit family: the downward closure of those terms and the empty one.
+
+    ``detect`` and a bench row without ``active_set`` run the detection;
+    ``approximate`` and a bench row with it refit on the family.  Every key
+    present is checked, whichever stage uses it; ``thresholds`` defaults to
+    all zeros.  A bad key raises :class:`ConfigError` before any sampling.
+    """
+    _check_keys(cfg, "config", _RUN_KEYS)
+    d, d_s = _require(cfg, "d"), _require(cfg, "d_s")
+    _check_dims(d, d_s)
+    search = _require(cfg, "search")
+    family = None
+    if "active_set" in cfg:
+        terms = _require(cfg, "active_set", list)
+        try:
+            family = TermFamily.downward_closure(d, [tuple(u) for u in terms] + [()])
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"active_set: {exc}") from None
+        _check_search(search, family.max_order())
+    return DetectionConfig(d=d, d_s=d_s, search=search,
+                           thresholds=cfg.get("thresholds", [0.0] * d_s),
+                           sampling=_require(cfg, "sampling"),
+                           solver=cfg.get("solver", {})), family
+
+
 def _order_set(kind: str, order: int, N, weight=None) -> np.ndarray:
     template = tuple(range(1, order + 1))
     try:
@@ -256,13 +296,10 @@ class ApproxModel:
         return self.evaluate(nodes.points if isinstance(nodes, NodeSet) else nodes)
 
     def to_json_dict(self) -> dict:
-        blocks = []
         slices = self.index_set.block_slices()
-        for b in self.index_set.blocks:
-            vals = self.coefficients.values[slices[b.term]]
-            raw = b"".join(struct.pack("<dd", v.real, v.imag) for v in vals)
-            blocks.append({"u": list(b.term),
-                           "data": binascii.hexlify(raw).decode()})
+        values = self.coefficients.values.astype("<c16")
+        blocks = [{"u": list(b.term), "data": values[slices[b.term]].tobytes().hex()}
+                  for b in self.index_set.blocks]
         return {"format": "anovafourier-model-v1",
                 "index_set": self.index_set.to_json_dict(),
                 "coefficients": {"encoding": "hex-binary64-pairs",
@@ -272,11 +309,8 @@ class ApproxModel:
     @staticmethod
     def from_json_dict(doc) -> "ApproxModel":
         idx = GroupedIndexSet.from_json_dict(doc["index_set"])
-        parts = []
-        for blk in doc["coefficients"]["blocks"]:
-            raw = binascii.unhexlify(blk["data"])
-            flat = np.frombuffer(raw, dtype="<f8")
-            parts.append(flat[0::2] + 1j * flat[1::2])
+        parts = [np.frombuffer(bytes.fromhex(blk["data"]), "<c16")
+                 for blk in doc["coefficients"]["blocks"]]
         values = np.concatenate(parts) if parts else np.zeros(0, complex)
         return ApproxModel(CoefficientMap(idx, values),
                            dict(doc.get("provenance", {})))

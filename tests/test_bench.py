@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from anovafourier import bench
 from anovafourier.anova import CoefficientMap, term_family_ds
 from anovafourier.index_sets import grouped
-from anovafourier.method import ApproxModel, build_search_sets
+from anovafourier.method import ApproxModel, build_search_sets, read_run_config
 from anovafourier.operator import uniform_nodes
 import bench_oracles as oracles
 
@@ -215,9 +215,9 @@ def test_uplus_floor():
 
 def test_run_experiment_tiny_scattered():
     row = bench.run_experiment({
-        "id": "tiny", "mode": "detect", "scenario": "scattered", "d_s": 2,
-        "sets": {"type": "full_grid", "N": (8, 4)},
-        "sampling": {"count": 8000, "seed": 1},
+        "id": "tiny", "d": 9, "d_s": 2,
+        "search": {"type": "full_grid", "N": (8, 4)},
+        "sampling": {"kind": "scattered", "count": 8000, "seed": 1},
         "solver": {"max_iter": 40}})
     assert row.set_size == 1 + 9 * 7 + 36 * 9
     assert row.samples == 8000
@@ -229,10 +229,35 @@ def test_run_experiment_tiny_scattered():
 
 
 def test_table_registry_contents():
-    assert bench.TABLE_CONFIGS[(1, 1)]["sets"]["N"] == (256, 32, 8)
-    assert bench.TABLE_CONFIGS[(4, 1)]["sets"]["N"] == (100, 100, 100)
-    assert bench.TABLE_CONFIGS[(5, 1)]["sets"]["N"] == (10 ** 4,) * 3
+    assert bench.TABLE_CONFIGS[(1, 1)]["search"]["N"] == (256, 32, 8)
+    assert bench.TABLE_CONFIGS[(4, 1)]["search"]["N"] == (100, 100, 100)
+    assert bench.TABLE_CONFIGS[(5, 1)]["search"]["N"] == (10 ** 4,) * 3
     assert bench.TABLE_CONFIGS[(5, 2)] is bench.TABLE_CONFIGS[(6, 2)]
+
+
+#: (sampling kind, refit family) of each table's rows and each desk row
+_ROW_KINDS = {1: ("scattered", None), 2: ("scattered", bench.u_star),
+              3: ("scattered", None), 4: ("lattice", None),
+              5: ("lattice", bench.u_star), 6: ("lattice", bench.u_star),
+              "scattered-ds3": ("scattered", None),
+              "scattered-ds2": ("scattered", None),
+              "scattered-ustar": ("scattered", bench.u_star),
+              "scattered-uplus": ("scattered", bench.u_plus),
+              "lattice-ds3": ("lattice", None)}
+
+
+@pytest.mark.parametrize("cfg,expect", [
+    *(pytest.param(cfg, _ROW_KINDS[key[0]], id=f"table{key[0]}-row{key[1]}")
+      for key, cfg in bench.TABLE_CONFIGS.items()),
+    *(pytest.param(cfg, _ROW_KINDS[key], id=key)
+      for key, cfg in bench.DESK_CONFIGS.items())])
+def test_registered_rows_are_run_configs(cfg, expect):
+    """Every published and desk row passes the run-config checker, which
+    neither samples nor builds an index set."""
+    kind, family = expect
+    dc, got = read_run_config(cfg)
+    assert dc.d == bench.D and dc.sampling["kind"] == kind
+    assert got == (family and family())
 
 
 def test_oversampling_regime_residual_bounds_l2_error():

@@ -199,9 +199,9 @@ def test_bound_invalid_params_exit_2(tmp_path):
 
 
 def test_bench_tiny_config(tmp_path):
-    cfg = {"id": "cli-tiny", "mode": "detect", "scenario": "scattered",
-           "d_s": 2, "sets": {"type": "full_grid", "N": [8, 4]},
-           "sampling": {"count": 5000, "seed": 1},
+    cfg = {"id": "cli-tiny", "d": 9, "d_s": 2,
+           "search": {"type": "full_grid", "N": [8, 4]},
+           "sampling": {"kind": "scattered", "count": 5000, "seed": 1},
            "solver": {"max_iter": 40}}
     code = run_cli(["bench", "--config", write_config(tmp_path, cfg),
                     "--out", str(tmp_path)])
@@ -221,9 +221,7 @@ _NOT_CONVERGING = {"d": 9, "d_s": 2, "search": {"type": "full_grid", "N": [6, 2]
 @pytest.mark.parametrize("command,cfg,artifact", [
     ("detect", _NOT_CONVERGING, "pilot-model.json"),
     ("approximate", {**_NOT_CONVERGING, "active_set": [[1, 2], [3]]}, "model.json"),
-    ("bench", {"id": "stopped", "mode": "detect", "scenario": "scattered", "d_s": 2,
-               "sets": _NOT_CONVERGING["search"], "sampling": {"count": 3000, "seed": 1},
-               "solver": {"max_iter": 1}}, "stopped.json"),
+    ("bench", {**_NOT_CONVERGING, "id": "stopped"}, "stopped.json"),
 ])
 def test_lsqr_at_its_iteration_limit_exits_2(tmp_path, capsys, command, cfg,
                                              artifact):
@@ -254,8 +252,8 @@ def test_bench_seed_leaves_registries_unchanged(tmp_path, monkeypatch):
 
     def fake_run(cfg):
         seen.append(copy.deepcopy(cfg))
-        return bench.ExperimentRow(cfg["id"], cfg["scenario"], cfg["d_s"],
-                                   tuple(cfg["sets"]["N"]), 1, 1, 0.0, 0.0,
+        return bench.ExperimentRow(cfg["id"], cfg["sampling"]["kind"], cfg["d_s"],
+                                   tuple(cfg["search"]["N"]), 1, 1, 0.0, 0.0,
                                    None, 0.0)
 
     monkeypatch.setattr(bench, "run_experiment", fake_run)
@@ -282,8 +280,7 @@ def test_detect_lattice_scenario_records_M(tmp_path):
     cfg = {"d": 3, "d_s": 2,
            "search": {"type": "full_grid", "N": [4, 4]},
            "thresholds": [0.01, 0.01],
-           "scenario": "lattice",
-           "sampling": {"seed": 2},
+           "sampling": {"kind": "lattice", "seed": 2},
            "target": {"builtin": "bench"}}
     # the builtin bench target is 9-dimensional; use a csv target instead
     cfg["target"] = {"csv": _csv_target(tmp_path)}
@@ -297,8 +294,7 @@ def test_detect_lattice_scenario_with_builtin(tmp_path):
     cfg = {"d": 9, "d_s": 1,
            "search": {"type": "full_grid", "N": [8]},
            "thresholds": [0.01],
-           "scenario": "lattice",
-           "sampling": {"seed": 2},
+           "sampling": {"kind": "lattice", "seed": 2},
            "target": {"builtin": "bench"}}
     code = run_cli(["detect", "--config", write_config(tmp_path, cfg),
                     "--out", str(tmp_path / "lat")])
@@ -315,8 +311,7 @@ def test_oversized_lattice_exit_2(tmp_path, capsys, monkeypatch):
     cfg = {"d": 9, "d_s": 1,
            "search": {"type": "full_grid", "N": [8]},
            "thresholds": [0.01],
-           "scenario": "lattice",
-           "sampling": {"seed": 2},
+           "sampling": {"kind": "lattice", "seed": 2},
            "target": {"builtin": "bench"}}
     code = run_cli(["detect", "--config", write_config(tmp_path, cfg),
                     "--out", str(tmp_path / "lat")])
@@ -406,9 +401,16 @@ _WEIGHT_NO_GAMMA = {"alpha": 0.0, "beta": 1.0, "gamma": [1.0] * 9}
     ("approximate", {"tiering": True}, "config.tiering"),
     ("approximate", {"solvr": {"max_iter": 1}}, "config.solvr"),
     ("approximate", {"threshold": [0.5]}, "config.threshold"),
+    ("bench", {"solvr": {"max_iter": 1}}, "config.solvr"),
+    ("bench", {"scenario": "scattered"}, "config.scenario"),
+    ("bench", {"mode": "detect"}, "config.mode"),
+    ("bench", {"sets": {"type": "full_grid", "N": [4, 4]}}, "config.sets"),
+    ("bench", {"family": "ustar"}, "config.family"),
+    ("bench", {"target": {"csv": "data.csv"}}, "target"),
+    ("bench", {"d": 3}, "d = 9"),
 ])
 def test_malformed_config_exit_2(tmp_path, capsys, command, change, key):
-    base = BUILTIN_DETECT if command == "detect" else BUILTIN_APPROXIMATE
+    base = BUILTIN_APPROXIMATE if command == "approximate" else BUILTIN_DETECT
     cfg = {**base, **change}
     code = run_cli([command, "--config", write_config(tmp_path, cfg),
                     "--out", str(tmp_path / "out")])
@@ -418,14 +420,33 @@ def test_malformed_config_exit_2(tmp_path, capsys, command, change, key):
     assert not (tmp_path / "out").exists()
 
 
-def test_bench_config_without_scenario_exit_2(tmp_path, capsys):
-    cfg = {"id": "no-scenario", "mode": "detect", "d_s": 1,
-           "sets": {"type": "full_grid", "N": [4]},
-           "sampling": {"count": 500, "seed": 1}}
+def test_scenario_option_overrides_sampling_kind(tmp_path):
+    # BUILTIN_DETECT names the kind "scattered"
+    code = run_cli(["detect", "--config", write_config(tmp_path, BUILTIN_DETECT),
+                    "--scenario", "lattice", "--out", str(tmp_path / "lat")])
+    assert code == 0
+    lat = json.loads((tmp_path / "lat" / "pilot-lattice.json").read_text())
+    model = json.loads((tmp_path / "lat" / "pilot-model.json").read_text())
+    assert model["provenance"]["sampling"]["kind"] == "lattice"
+    assert model["provenance"]["sample_count"] == lat["M"]
+    # a refit records the config it ran, overrides included
+    code = run_cli(["approximate", "--config",
+                    write_config(tmp_path, BUILTIN_APPROXIMATE), "--scenario",
+                    "lattice", "--seed", "5", "--out", str(tmp_path / "fit")])
+    assert code == 0
+    prov = json.loads((tmp_path / "fit" / "model.json").read_text())["provenance"]
+    assert prov["config"]["sampling"] == {"kind": "lattice", "count": 500, "seed": 5}
+    assert prov["sampling"] == prov["config"]["sampling"]
+
+
+def test_bench_row_names_the_kind_it_ran(tmp_path):
+    cfg = {**BUILTIN_DETECT, "id": "kind"}
     code = run_cli(["bench", "--config", write_config(tmp_path, cfg),
-                    "--out", str(tmp_path)])
-    assert code == 2
-    assert "scenario" in capsys.readouterr().err
+                    "--scenario", "lattice", "--out", str(tmp_path)])
+    assert code == 0
+    row = json.loads((tmp_path / "kind.json").read_text())
+    assert row["scenario"] == "lattice"
+    assert row["samples"] == row["extra"]["M"]
 
 
 @pytest.fixture
@@ -464,9 +485,10 @@ def test_bench_row_identical_across_blas_threads(tmp_path):
     A BLAS dot product splits a vector this long across two threads, which
     changes the rounding of a norm taken with it.
     """
-    cfg = {"id": "threads", "mode": "detect", "scenario": "scattered",
-           "d_s": 1, "sets": {"type": "full_grid", "N": [8]},
-           "sampling": {"count": 20001, "seed": 1}, "solver": {"max_iter": 10}}
+    cfg = {"id": "threads", "d": 9, "d_s": 1,
+           "search": {"type": "full_grid", "N": [8]},
+           "sampling": {"kind": "scattered", "count": 20001, "seed": 1},
+           "solver": {"max_iter": 10}}
     path = write_config(tmp_path, cfg)
     rows = []
     for threads in ("1", "2"):

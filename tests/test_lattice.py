@@ -256,12 +256,14 @@ def test_exact_reconstruction_many_random_polynomials():
 @given(a=st.integers(0, 6), b=st.integers(0, 3), c=st.integers(0, 3),
        d=st.integers(1, 4), n=st.integers(1, 40), seed=st.integers(0, 2 ** 32 - 1))
 @example(a=1, b=0, c=0, d=1, n=1, seed=0)  # M = 2: transforms of length 1
+@example(a=1, b=0, c=0, d=4, n=35, seed=450998)  # max |value| 0.14, sum |c| 46.7
 def test_real_samples_match_the_complex_path(a, b, c, d, n, seed):
     """On random lattices of even and odd 5-smooth M, reconstruction from
     real samples agrees with reconstruction from the same samples as
-    complex128, and ``real=True`` evaluation with the real part of the
-    complex evaluation, to 1e-14 of the largest value.  Even M takes the
-    half-length transforms."""
+    complex128, to 1e-14 of the mean |y|, and ``real=True`` evaluation with
+    the real part of the complex evaluation, to 1e-14 of sum |c|.  Each
+    bound scales with the inputs, since cancellation can leave the largest
+    output far below them.  Even M takes the half-length transforms."""
     M = 2 ** a * 3 ** b * 5 ** c
     rng = np.random.default_rng(seed)
     lat = Rank1Lattice(rng.integers(0, M, size=d), M)
@@ -269,12 +271,12 @@ def test_real_samples_match_the_complex_path(a, b, c, d, n, seed):
     y = rng.standard_normal(M)
     got = lattice_reconstruct(y, freqs, lat)
     ref = lattice_reconstruct(y.astype(np.complex128), freqs, lat)
-    assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
+    assert np.abs(got - ref).max() <= 1e-14 * np.abs(y).sum() / M
     coeffs = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     got = lattice_evaluate((freqs, coeffs), lat, real=True)
     ref = lattice_evaluate((freqs, coeffs), lat).real
     assert got.dtype == np.float64
-    assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
+    assert np.abs(got - ref).max() <= 1e-14 * np.abs(coeffs).sum()
 
 
 def test_dual_window_members():

@@ -407,6 +407,16 @@ def test_model_json_round_trip_exact(tmp_path):
     assert np.array_equal(loaded.index_set.embedded(), res.pilot.index_set.embedded())
     x = np.array([0.3, 0.4, 0.9])
     assert loaded.evaluate(x) == res.pilot.evaluate(x)
+    # so do zeros of either sign, in either part, and the digest with them
+    from anovafourier.anova import CoefficientMap
+    values = res.pilot.coefficients.values.copy()
+    values[:4] = [complex(-0.0, 2.0), complex(3.0, -0.0), complex(-0.0, -0.0), 0j]
+    signed = ApproxModel(CoefficientMap(res.pilot.index_set, values))
+    signed.save(path)
+    loaded = ApproxModel.load(path)
+    assert np.array_equal(loaded.coefficients.values.view(np.uint64),
+                          values.view(np.uint64))
+    assert loaded.digest() == signed.digest()
 
 
 def test_evaluate_model_mean_only():
