@@ -53,7 +53,9 @@ import numpy as np
 #: the only backend; kept as a constant for tools that record it
 BACKEND = "numpy"
 
-_NODES = 2048  # nodes per chunk, a multiple of _KB; 1024 and 8192 timed slower
+#: nodes per chunk, a multiple of _KB; 1024 and 8192 timed slower, 4096 as
+#: fast with twice the table
+_NODES = 2048
 _KB = 128  # inner length of one BLAS matrix product
 _TWIDDLE_BLOCK = 1 << 16  # entries per block of rows that one twiddle step scales
 _PREFIX = 1024  # representatives in a CBC candidate's first test
@@ -261,8 +263,9 @@ def _chunks(U, layout: FourierLayout):
         yield lo, hi, _phase_table(U[:, lo:hi], layout.vmax, E[:, :hi - lo])
 
 
-def fourier_forward(U, layout: FourierLayout, coeffs) -> np.ndarray:
-    """F c at the nodes whose unit phases (``unit_phases``) are U.
+def fourier_forward(U, layout: FourierLayout, coeffs, out=None) -> np.ndarray:
+    """F c at the nodes whose unit phases (``unit_phases``) are U, written
+    into ``out`` (complex, one entry per node) when given.
 
     Per group and chunk, T = sum over its terms of C @ E_a[A] (P, chunk),
     C the term's (P, n_a) coefficient matrix; T is multiplied by the
@@ -274,7 +277,9 @@ def fourier_forward(U, layout: FourierLayout, coeffs) -> np.ndarray:
     buf[layout.fwd] = coeffs[layout.coef]
     mats = [[buf[t.mat].reshape(g.P, t.n_a) for t in g.terms]
             for g in layout.groups]
-    out = np.full(U.shape[1], const, dtype=np.complex128)
+    if out is None:
+        out = np.empty(U.shape[1], dtype=np.complex128)
+    out[:] = const
     for lo, hi, E in _chunks(U, layout):
         acc = out[lo:hi]
         for g, Cs in zip(layout.groups, mats):
@@ -287,8 +292,9 @@ def fourier_forward(U, layout: FourierLayout, coeffs) -> np.ndarray:
     return out
 
 
-def fourier_adjoint(U, layout: FourierLayout, y) -> np.ndarray:
-    """F* y: the forward contraction mirrored on conjugated table rows.
+def fourier_adjoint(U, layout: FourierLayout, y, out=None) -> np.ndarray:
+    """F* y, written into ``out`` (complex, length |I|) when given: the
+    forward contraction mirrored on conjugated table rows.
 
     Conjugation is a row lookup, E[-v] = conj(E[v]).  Per group and chunk,
     W = y * prod_j conj(E_j[rest_j]) (P, chunk); each of its terms adds
@@ -297,7 +303,9 @@ def fourier_adjoint(U, layout: FourierLayout, y) -> np.ndarray:
     (first value, rest) positions there.
     """
     y = np.asarray(y, dtype=np.complex128)
-    out = np.zeros(layout.n, dtype=np.complex128)
+    if out is None:
+        out = np.empty(layout.n, dtype=np.complex128)
+    out[:] = 0
     buf = np.zeros(layout.size, dtype=np.complex128)
     mats = [[buf[t.mat].reshape(t.n_a, g.P) for t in g.terms]
             for g in layout.groups]

@@ -206,7 +206,8 @@ def cmd_bench(args) -> int:
         "eps_l2": row.eps_l2, "eps_L2": row.eps_L2,
         "gaps": [list(g) if g else None for g in row.gaps] if row.gaps else None,
         "seconds": row.seconds, "extra": row.extra,
-        "scale": "desk" if args.desk else "full"}, indent=2))
+        "scale": "config" if args.config else "desk" if args.desk else "full"},
+        indent=2))
     print(row.csv_line())
     _write_manifest(outdir, "bench", cfg, cfg.get("sampling", {}).get("seed"),
                     [csv_path, json_path], t0)

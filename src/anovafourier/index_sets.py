@@ -14,7 +14,6 @@ of coefficient vectors across the whole package.
 from __future__ import annotations
 
 import hashlib
-import json
 import math
 from dataclasses import dataclass, field
 from itertools import combinations, product
@@ -298,8 +297,13 @@ class GroupedIndexSet:
         return GroupedIndexSet(int(doc["d"]), tuple(blocks))
 
     def digest(self) -> str:
-        doc = json.dumps(self.to_json_dict(), separators=(",", ":"), sort_keys=True)
-        return hashlib.sha256(doc.encode()).hexdigest()
+        """SHA-256 of d and, per block, its term, the shape of its
+        frequency array and that array's little-endian int64 bytes."""
+        h = hashlib.sha256(f"{self.d};".encode())
+        for b in self.blocks:
+            h.update(f"{b.term}{b.freqs.shape};".encode())
+            h.update(b.freqs.astype("<i8", copy=False).tobytes())
+        return h.hexdigest()
 
 
 def grouped(U: TermFamily, sets) -> GroupedIndexSet:

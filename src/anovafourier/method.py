@@ -28,8 +28,8 @@ from .index_sets import (GroupedIndexSet, LowDimIndexSet, TermFamily,
                          weighted_index_set)
 from .lattice import (BLOCK_ROWS, Rank1Lattice, cbc_construct, lattice_evaluate,
                       lattice_nodes)
-from .operator import (BlockFourierOperator, NodeSet, SolveReport, _max_abs,
-                       lattice_solve, lsqr, uniform_nodes)
+from .operator import (BlockFourierOperator, NodeSet, SolveReport, _helper_runs,
+                       _max_abs, lattice_solve, lsqr, uniform_nodes)
 from .weights import WeightParams, pod_weight
 
 _SEARCH_TYPES = ("full_grid", "hyperbolic_cross", "weighted")
@@ -377,15 +377,20 @@ def _check_scattered_memory(index_set: GroupedIndexSet, m: int) -> None:
 
     The estimate: per node the coordinates (8 d bytes), the unit phases
     (16 bytes per used axis) and ``_SCATTERED_BYTES_PER_NODE``; the phase
-    table of one node chunk; four length-|I| LSQR vectors.
+    table of one node chunk; four length-|I| LSQR vectors.  When LSQR's
+    products get a helper process, also its own chunk table and the shared
+    vectors: two of length |I| and one of at most m/2.
     """
     vmax = _kernels.bandwidths(index_set.d,
                                [(b.term, b.freqs) for b in index_set.blocks])
     per_node = 8 * index_set.d + 16 * int(np.count_nonzero(vmax)) \
         + _SCATTERED_BYTES_PER_NODE
     table = 16 * 2 * int(vmax.sum()) * min(m, _kernels._NODES)
-    _check_memory(m * per_node + table + 4 * 16 * len(index_set),
-                  f"scattered fit on m = {m} nodes")
+    n = len(index_set)
+    need = m * per_node + table + 4 * 16 * n
+    if _helper_runs(m):
+        need += table + 16 * (2 * n + m // 2)
+    _check_memory(need, f"scattered fit on m = {m} nodes")
 
 
 def _sample(target, n: int, rows, dtype) -> np.ndarray:

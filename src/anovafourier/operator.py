@@ -18,7 +18,11 @@ surface.
 from __future__ import annotations
 
 import math
+import os
+import sys
+import threading
 import warnings
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -73,6 +77,12 @@ class BlockFourierOperator:
     of 2048 complex entries, 32 KB a row), per group work arrays of the same
     width, the terms' zero-filled coefficient matrices and its result, so
     beyond the result its memory does not grow with the node count.
+
+    Of its K chunks, the first ceil(K/2) are half A of the nodes and the
+    rest half B; the split depends only on the node count.  The adjoint is
+    always F_A* y_A + F_B* y_B, in that order, so a product has the same
+    bits whether one process computes both halves or ``helped`` lets a
+    second one compute half B.
     """
 
     def __init__(self, nodes: NodeSet, index_set: GroupedIndexSet):
@@ -84,10 +94,33 @@ class BlockFourierOperator:
         self._layout = _kernels.fourier_layout(
             index_set.d, [(b.term, b.freqs) for b in index_set.blocks])
         self._phases = _kernels.unit_phases(nodes.points, self._layout.vmax)
+        chunks = -(-len(nodes) // _kernels._NODES)
+        self._half = min(len(nodes), -(-chunks // 2) * _kernels._NODES)
+        self._helper = None
 
     @property
     def shape(self):
         return (len(self.nodes), len(self.index_set))
+
+    @contextmanager
+    def helped(self):
+        """Within the block, a forked helper process computes half B of
+        every product while this process computes half A, when
+        ``_helper_runs`` allows it and a process can be started; otherwise
+        the products run as always, with the same bits."""
+        helper = None
+        if self._helper is None and _helper_runs(len(self.nodes)):
+            try:
+                helper = self._helper = _Helper(self._phases[:, self._half:],
+                                                self._layout)
+            except OSError:  # no process or shared memory to spare
+                pass
+        try:
+            yield
+        finally:
+            if helper is not None:
+                self._helper = None
+                helper.close()
 
     def forward(self, coeffs) -> np.ndarray:
         """F c, accumulated over per-term blocks."""
@@ -95,14 +128,134 @@ class BlockFourierOperator:
             np.asarray(coeffs, dtype=np.complex128)
         if c.shape[0] != self.shape[1]:
             raise ValueError("coefficient length mismatch")
-        return _kernels.fourier_forward(self._phases, self._layout, c)
+        U, layout, h = self._phases, self._layout, self._half
+        if self._helper is None:
+            return _kernels.fourier_forward(U, layout, c)
+        out = np.empty(self.shape[0], dtype=np.complex128)
+        self._helper.coeffs[:] = c
+        self._helper.request(b"f")
+        _kernels.fourier_forward(U[:, :h], layout, c, out=out[:h])
+        self._helper.wait()
+        out[h:] = self._helper.values
+        return out
 
     def adjoint(self, y) -> np.ndarray:
-        """F* y in canonical block order."""
+        """F* y in canonical block order: half A's part plus half B's."""
         y = np.asarray(y, dtype=np.complex128)
         if y.shape[0] != self.shape[0]:
             raise ValueError("value length mismatch")
-        return _kernels.fourier_adjoint(self._phases, self._layout, y)
+        U, layout, h = self._phases, self._layout, self._half
+        if h == y.shape[0]:
+            return _kernels.fourier_adjoint(U, layout, y)
+        if self._helper is None:
+            out = _kernels.fourier_adjoint(U[:, :h], layout, y[:h])
+            out += _kernels.fourier_adjoint(U[:, h:], layout, y[h:])
+            return out
+        self._helper.values[:] = y[h:]
+        self._helper.request(b"a")
+        out = _kernels.fourier_adjoint(U[:, :h], layout, y[:h])
+        self._helper.wait()
+        out += self._helper.adjoint
+        return out
+
+
+def _blas_threads(cpus: int) -> int:
+    """OpenBLAS's thread count: the first of ``OPENBLAS_NUM_THREADS`` and
+    ``OMP_NUM_THREADS`` that holds a positive integer, else one per CPU."""
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        try:
+            n = int(os.environ.get(var, ""))
+        except ValueError:
+            continue
+        if n > 0:
+            return n
+    return cpus
+
+
+def _helper_runs(m: int) -> bool:
+    """Whether the products on m nodes get a helper inside ``lsqr``: fork
+    exists, there are two chunks or more, this process may run on two CPUs
+    or more, and BLAS runs one thread (two BLAS thread pools spinning on
+    two CPUs made a fit more than twice as slow).  A process with a second
+    thread, where a fork is unsafe, and a daemonic ``multiprocessing``
+    worker, which may not start a process, get none."""
+    if not hasattr(os, "fork") or m <= _kernels._NODES \
+            or threading.active_count() > 1:
+        return False
+    mp = sys.modules.get("multiprocessing")
+    if mp is not None and mp.current_process().daemon:
+        return False
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") \
+        else os.cpu_count() or 1
+    return cpus >= 2 and _blas_threads(cpus) == 1
+
+
+#: seconds that closing a helper waits for it to exit before terminating it
+_JOIN_S = 10.0
+
+
+class _Helper:
+    """A forked process that computes one half of an operator's products.
+
+    It inherits the half's unit phases ``U`` and the layout from the fork.
+    ``coeffs`` (a forward's input), ``values`` (half B of a forward's output
+    or of an adjoint's input) and ``adjoint`` (half B's adjoint) are views
+    of one shared anonymous ``mmap``; a request names the product, and the
+    reply says that its output is written.
+    """
+
+    def __init__(self, U, layout):
+        import mmap
+        import multiprocessing
+        ctx = multiprocessing.get_context("fork")
+        n, mb = layout.n, U.shape[1]
+        buf = np.frombuffer(mmap.mmap(-1, 16 * (2 * n + mb)), dtype=np.complex128)
+        self.coeffs, self.values, self.adjoint = buf[:n], buf[n:n + mb], buf[n + mb:]
+        self._conn, child = ctx.Pipe()
+        self._proc = ctx.Process(target=_serve, daemon=True, args=(
+            child, self._conn, U, layout, self.coeffs, self.values, self.adjoint))
+        self._proc.start()
+        child.close()
+
+    def request(self, product: bytes) -> None:
+        self._conn.send_bytes(product)
+
+    def wait(self) -> None:
+        try:
+            self._conn.recv_bytes()
+        except EOFError:
+            raise RuntimeError(f"Fourier product helper (pid {self._proc.pid}) "
+                               "exited") from None
+
+    def close(self) -> None:
+        """End the helper: it exits on the end of its pipe."""
+        self._conn.close()
+        self._proc.join(_JOIN_S)
+        if self._proc.is_alive():
+            self._proc.terminate()
+            self._proc.join()
+
+
+def _serve(conn, parent_end, U, layout, coeffs, values, adjoint) -> None:
+    """The helper's loop: one half-B product per request until the pipe
+    ends.  It leaves through ``os._exit``, so it never flushes the stdio
+    buffers or runs the exit handlers it inherited."""
+    code = 1
+    try:
+        parent_end.close()
+        while True:
+            try:
+                product = conn.recv_bytes()
+            except EOFError:
+                break
+            if product == b"f":
+                _kernels.fourier_forward(U, layout, coeffs, out=values)
+            else:
+                _kernels.fourier_adjoint(U, layout, values, out=adjoint)
+            conn.send_bytes(b"")
+        code = 0
+    finally:
+        os._exit(code)
 
 
 @dataclass(frozen=True, eq=False)
@@ -158,7 +311,13 @@ def lsqr(op, y, atol: float = 1e-8, btol: float = 1e-8,
     Stopping follows the standard criteria driven by (atol, btol); running
     out of iterations raises a ``RuntimeWarning`` with the stop reason, which
     ``stop_reason`` also records, and the current iterate is still returned.
+    The products run inside the operator's ``helped`` block, when it has one.
     """
+    with getattr(op, "helped", nullcontext)():
+        return _lsqr(op, y, atol, btol, max_iter)
+
+
+def _lsqr(op, y, atol, btol, max_iter) -> SolveReport:
     y = np.asarray(y, dtype=np.complex128)
     m, n = op.shape
     x = np.zeros(n, dtype=np.complex128)
@@ -214,7 +373,7 @@ def lsqr(op, y, atol: float = 1e-8, btol: float = 1e-8,
             stop = "normal-equations tolerance reached"
             break
     else:
-        warnings.warn(f"LSQR: {stop}", RuntimeWarning, stacklevel=2)
+        warnings.warn(f"LSQR: {stop}", RuntimeWarning, stacklevel=3)
     coeffs = CoefficientMap(op.index_set, x)
     fitted = op.forward(x)
     return SolveReport(coeffs, it, float(phibar), _norm(y - fitted), stop,

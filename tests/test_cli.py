@@ -211,6 +211,7 @@ def test_bench_tiny_config(tmp_path):
     assert lines[1].startswith("cli-tiny;scattered;2;")
     row = json.loads((tmp_path / "cli-tiny.json").read_text())
     assert row["set_size"] == 1 + 9 * 7 + 36 * 9
+    assert row["scale"] == "config"
 
 
 _NOT_CONVERGING = {"d": 9, "d_s": 2, "search": {"type": "full_grid", "N": [6, 2]},

@@ -255,6 +255,19 @@ def test_canonical_block_order_and_json_round_trip():
     assert g.digest() == g2.digest()
 
 
+def test_digest_tells_terms_and_dimension_apart():
+    """The same frequencies under another term, or in another dimension,
+    give another digest."""
+    freqs = np.array([[-2], [1], [3]])
+
+    def digest(d, term):
+        return GroupedIndexSet(d, (LowDimIndexSet((), np.zeros((1, 0), np.int64)),
+                                   LowDimIndexSet(term, freqs))).digest()
+    base = digest(3, (1,))
+    assert base == digest(3, (1,))
+    assert len({base, digest(3, (2,)), digest(4, (1,))}) == 3
+
+
 def test_zero_entry_rejected():
     with pytest.raises(ValueError):
         LowDimIndexSet((1, 2), np.array([[1, 0]]))

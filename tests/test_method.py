@@ -230,6 +230,7 @@ def test_oversized_scattered_fit_fails_before_allocating(monkeypatch):
     estimated before the nodes are drawn or the operator is built, for a
     callable target and for fixed data alike."""
     monkeypatch.setattr(method, "_physical_memory", lambda: 10_000)
+    monkeypatch.setattr(method, "_helper_runs", lambda m: False)
 
     def never(*_args):
         raise AssertionError("allocated before the memory check")
@@ -245,6 +246,23 @@ def test_oversized_scattered_fit_fails_before_allocating(monkeypatch):
         with pytest.raises(ConfigError,
                            match=f"m = 3000 nodes needs about {need} bytes"):
             detect(cfg, target)
+
+
+def test_scattered_memory_estimate_counts_the_product_helper(monkeypatch):
+    """With a product helper, the estimate adds its chunk table and the
+    shared vectors: two of length |I| and one of m/2."""
+    monkeypatch.setattr(method, "_physical_memory", lambda: 0)
+    cfg = tiny_config()
+    g = grouped(term_family_ds(3, 2), build_search_sets(3, 2, cfg.search))
+    vmax = np.abs(g.embedded()).max(axis=0)
+
+    def need(helper):
+        monkeypatch.setattr(method, "_helper_runs", lambda m: helper)
+        with pytest.raises(ConfigError, match="needs about") as err:
+            method._check_scattered_memory(g, 5001)
+        return int(str(err.value).split("needs about ")[1].split()[0])
+    extra = 16 * 2 * int(vmax.sum()) * 2048 + 16 * (2 * len(g) + 2500)
+    assert need(True) == need(False) + extra
 
 
 def test_detect_underdetermined_warns():

@@ -141,6 +141,15 @@ def test_lsqr_residual_monotone():
     assert all(a >= b - 1e-10 for a, b in zip(norms, norms[1:]))
 
 
+def test_lsqr_iteration_limit_warning_points_at_its_caller():
+    rng = np.random.default_rng(6)
+    g, X, op, dense = make_system(m=70)
+    y = rng.normal(size=70) + 1j * rng.normal(size=70)
+    with pytest.warns(RuntimeWarning, match="iteration limit 2") as caught:
+        lsqr(op, y, atol=0.0, btol=0.0, max_iter=2)
+    assert caught[0].filename == __file__
+
+
 def test_lsqr_report_residual_consistency():
     rng = np.random.default_rng(8)
     g, X, op, dense = make_system(m=64)

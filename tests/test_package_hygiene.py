@@ -2,10 +2,13 @@
 package imports nothing but numpy, the standard library and itself.
 
 ``__init__.py`` is left out of the first check: its imports are the
-package's exports.
+package's exports.  ``multiprocessing`` and ``mmap`` load only when a
+Fourier product helper starts.
 """
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -69,3 +72,27 @@ def test_module_imports_are_used(path):
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_package_imports_only_numpy_and_stdlib(path):
     assert foreign_imports(path.read_text()) == []
+
+
+#: imports the package and runs a one-chunk scattered detect, which starts
+#: no product helper, then prints which of the helper's modules are loaded
+_NO_HELPER_RUN = """
+import sys
+import anovafourier
+from anovafourier import DetectionConfig, detect
+from anovafourier.bench import testfun_value
+loaded = [m for m in ("multiprocessing", "mmap") if m in sys.modules]
+cfg = DetectionConfig(d=9, d_s=2, search={"type": "full_grid", "N": [6, 2]},
+                      thresholds=[0.01, 0.01],
+                      sampling={"kind": "scattered", "count": 1500, "seed": 1})
+detect(cfg, testfun_value)
+print(loaded, [m for m in ("multiprocessing", "mmap") if m in sys.modules])
+"""
+
+
+def test_no_multiprocessing_without_a_helper():
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent), OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-c", _NO_HELPER_RUN], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split("\n")[0] == "[] []"
