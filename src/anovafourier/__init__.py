@@ -10,21 +10,17 @@ product-and-order-dependent weights.
 __version__ = "0.1.0"
 
 from ._kernels import BACKEND
-from .anova import (CoefficientMap, SensitivityReport, sensitivity, support,
+from .anova import (CoefficientMap, SensitivityReport, sensitivity,
                     term_family_ds, variance)
-from .index_sets import (GroupedIndexSet, LowDimIndexSet, TermFamily,
-                         difference_set, diff_cardinality_bound, embed,
-                         family_cardinality, full_grid, grouped,
-                         hyperbolic_cross, weighted_index_set)
-from .lattice import (DualLatticeWindow, Rank1Lattice, aliasing_sum,
-                      cbc_construct, is_reconstructing, lattice_evaluate,
-                      lattice_nodes, lattice_reconstruct)
+from .index_sets import (GroupedIndexSet, LowDimIndexSet, TermFamily, embed,
+                         full_grid, grouped, hyperbolic_cross,
+                         weighted_index_set)
+from .lattice import (Rank1Lattice, cbc_construct, is_reconstructing,
+                      lattice_evaluate, lattice_nodes, lattice_reconstruct)
 from .method import (ActiveSetResult, ApproxModel, ConfigError,
                      DetectionConfig, approximate, build_search_sets, detect,
                      gap_intervals)
 from .operator import (BlockFourierOperator, NodeSet, SolveReport,
                        lattice_solve, lsqr, uniform_nodes)
-from .weights import (WeightParams, min_excluded_weight, pod_weight,
-                      sobolev_trunc_bound_l2, sobolev_trunc_bound_linf,
-                      sobolev_trunc_bound_linf_closed, superposition_threshold,
-                      wiener_trunc_bound, zeta)
+from .weights import (WeightParams, pod_weight, sobolev_trunc_bound_l2,
+                      sobolev_trunc_bound_linf, wiener_trunc_bound, zeta)

@@ -41,12 +41,6 @@ class CoefficientMap:
         return complex(self.block(())[0])
 
 
-def support(k) -> tuple:
-    """Coordinates (1-based, ascending) of the nonzero entries of k."""
-    k = np.asarray(k)
-    return tuple(int(i + 1) for i in np.flatnonzero(k))
-
-
 def term_family_ds(d, d_s) -> TermFamily:
     """All coordinate subsets of order at most d_s."""
     if not 1 <= d_s <= d:

@@ -63,11 +63,6 @@ def u_star() -> TermFamily:
     return TermFamily.downward_closure(D, _USTAR_MAXIMAL)
 
 
-def u_plus() -> TermFamily:
-    """U* without its single third-order term (the d_s = 2 optimum)."""
-    return TermFamily.downward_closure(D, _UPLUS_MAXIMAL)
-
-
 def _piece_table(j: int) -> np.ndarray:
     """(j, j) table of B_j's pieces: entry [p, i] multiplies u^p on piece i.
 

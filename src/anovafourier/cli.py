@@ -40,6 +40,18 @@ def _load_json(path, what="config"):
         raise ConfigError(f"{what} is not valid JSON: {path}:{exc.lineno}: {exc.msg}")
 
 
+def _load_doc(path, flag, parse):
+    """``parse`` of the JSON document at ``path``; a document it cannot
+    take raises ConfigError naming ``flag`` and the file."""
+    doc = _load_json(path, flag)
+    try:
+        return parse(doc)
+    except KeyError as exc:
+        raise ConfigError(f"{flag} {path}: missing field {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{flag} {path}: {exc}") from None
+
+
 def _digest(obj) -> str:
     return hashlib.sha256(json.dumps(obj, sort_keys=True,
                                      separators=(",", ":")).encode()).hexdigest()
@@ -216,7 +228,7 @@ def cmd_bench(args) -> int:
 
 def cmd_lattice(args) -> int:
     t0 = time.time()
-    idx = GroupedIndexSet.from_json_dict(_load_json(args.index_set, "--index-set"))
+    idx = _load_doc(args.index_set, "--index-set", GroupedIndexSet.from_json_dict)
     lat = cbc_construct(idx, seed=args.seed or 0)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -246,8 +258,6 @@ def cmd_bound(args) -> int:
         p = WeightParams(args.alpha, args.beta, gamma, Gamma)
     except ValueError as exc:
         raise ConfigError(str(exc))
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
     lines = ["param;value;bound"]
     if args.sweep:
         lo, hi, num = args.sweep
@@ -255,14 +265,18 @@ def cmd_bound(args) -> int:
                             np.linspace(lo, hi, int(num)), kind=args.kind)
         for t, v in zip(curve.grid, curve.values):
             lines.append(f"{args.sweep_param};{float(t)!r};{float(v)!r}")
-        value = None
     else:
-        if args.kind == "linf_zeta":
-            value = sobolev_trunc_bound_linf(p, args.ds)
-        else:
-            value = sobolev_trunc_bound_l2(p, args.ds)
+        try:
+            if args.kind == "linf_zeta":
+                value = sobolev_trunc_bound_linf(p, args.ds)
+            else:
+                value = sobolev_trunc_bound_l2(p, args.ds)
+        except ValueError as exc:
+            raise ConfigError(f"--kind {args.kind}: {exc}")
         lines.append(f"point;{args.ds};{float(value)!r}")
         print(f"bound = {value:.6e}")
+    outdir = Path(args.out)
+    outdir.mkdir(parents=True, exist_ok=True)
     csv_path = outdir / "bound.csv"
     csv_path.write_text("\n".join(lines) + "\n")
     echo = outdir / "weight-params.json"
@@ -277,19 +291,23 @@ def cmd_bound(args) -> int:
 
 def cmd_eval(args) -> int:
     t0 = time.time()
-    model = ApproxModel.from_json_dict(_load_json(args.model, "--model"))
+    model = _load_doc(args.model, "--model", ApproxModel.from_json_dict)
     if not (args.x or args.points):
         raise ConfigError("eval needs --x or --points")
+    flag = f"--x {args.x}" if args.x else f"--points {args.points}"
     try:
         if args.x:
             pts = np.asarray([[float(t) for t in args.x.split(",")]])
         else:
             pts = np.loadtxt(args.points, delimiter=";", ndmin=2)
     except (OSError, ValueError) as exc:
-        raise ConfigError(f"--x/--points: {exc}")
+        raise ConfigError(f"{flag}: {exc}")
     if pts.shape[1] != model.index_set.d:
-        raise ConfigError(f"--x/--points: expected {model.index_set.d} coordinates, "
+        raise ConfigError(f"{flag}: expected {model.index_set.d} coordinates, "
                           f"got {pts.shape[1]}")
+    bad = np.flatnonzero(~np.isfinite(pts).all(axis=1))
+    if bad.size:
+        raise ConfigError(f"{flag}: non-finite value in row {bad[0] + 1}")
     vals = model.evaluate(pts)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -309,13 +327,11 @@ def build_parser() -> argparse.ArgumentParser:
                                  description="Sparse ANOVA Fourier approximation")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, scenario=True):
-        p.add_argument("--config", required=False)
+    def common(p, config_required=True):
+        p.add_argument("--config", required=config_required)
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--out", default=".")
-        if scenario:
-            p.add_argument("--scenario", choices=tuple(_SAMPLING_KINDS),
-                           default=None)
+        p.add_argument("--scenario", choices=tuple(_SAMPLING_KINDS), default=None)
 
     p = sub.add_parser("detect", help="pilot fit + sensitivity thresholding")
     common(p)
@@ -326,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_approximate)
 
     p = sub.add_parser("bench", help="benchmark-function experiment rows")
-    common(p)
+    common(p, config_required=False)
     p.add_argument("--table", type=int, default=None)
     p.add_argument("--row", type=int, default=None)
     p.add_argument("--desk", default=None,

@@ -14,7 +14,6 @@ of coefficient vectors across the whole package.
 from __future__ import annotations
 
 import hashlib
-import math
 from dataclasses import dataclass, field
 from itertools import combinations, product
 
@@ -318,40 +317,3 @@ def grouped(U: TermFamily, sets) -> GroupedIndexSet:
             raise ValueError(f"set labeled {s.term} supplied for term {u}")
         blocks.append(s)
     return GroupedIndexSet(U.d, tuple(blocks))
-
-
-def difference_set(freqs) -> np.ndarray:
-    """D(I) = {k - h : k, h in I} as unique rows (contains 0, negation-closed)."""
-    f = np.asarray(freqs, dtype=np.int64)
-    if f.ndim == 1:
-        f = f[:, None]
-    if f.shape[0] == 0:
-        return f
-    diffs = (f[:, None, :] - f[None, :, :]).reshape(-1, f.shape[1])
-    return np.unique(diffs, axis=0)
-
-
-def family_cardinality(d, d_s):
-    """|U_{d_s}| = sum_{n<=d_s} C(d,n) and the growth bound (e*d/d_s)^d_s."""
-    if not 1 <= d_s <= d:
-        raise ValueError("need 1 <= d_s <= d")
-    exact = sum(math.comb(d, n) for n in range(d_s + 1))
-    bound = (math.e * d / d_s) ** d_s
-    return exact, bound
-
-
-def diff_cardinality_bound(U: TermFamily, sets):
-    """Upper bounds on |D(I(U))|: the per-pair sum and the coarse product form.
-
-    Fine bound: sum over u in U, v subset of u (inclusive) of |I_u| |I_v|.
-    Coarse bound: 2^(max|u|) |U| max|I_u|^2.
-    """
-    sizes = {u: len(sets[u]) for u in U.sorted_terms()}
-    fine = 0
-    for u in U.sorted_terms():
-        for r in range(len(u) + 1):
-            for v in combinations(u, r):
-                fine += sizes[u] * sizes[v]
-    mx = max(sizes.values(), default=0)
-    coarse = (2 ** U.max_order()) * len(U) * mx * mx
-    return fine, coarse

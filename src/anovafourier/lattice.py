@@ -8,16 +8,12 @@ m.z != 0 mod M for all nonzero m in D(I), and makes the normal-equations
 matrix F*F equal M times the identity, so least squares reduces to one
 adjoint multiplication, a length-M DFT.  ``_kernels.lattice_fft`` computes
 it in place as two passes of short FFTs over an M1 x M2 view of one
-buffer, with O(sqrt M) work memory where one length-M ``np.fft.fft`` took
-about two more M-vectors.  The spectrum stays in the transform's
+buffer, with O(sqrt M) work memory.  The spectrum stays in the transform's
 transposed order: reconstruction reads only the |I| residues it needs, and
 evaluation scatters into that order.  Real samples at even M stay float64
 and take transforms of length M/2 on the float64 vector viewed as M/2
 complex values (``_kernels.real_spectrum``, ``_kernels.real_synthesis``).
-A lattice solve so holds the samples and one work vector, 38 MB of real
-samples at the black-box refit's M = 2400000 (77 MB as complex ones), and
-the black-box pipeline peaks at about 88 MB, where complex samples took
-130 MB and one ``np.fft.fft`` per transform 240 MB.
+A lattice solve so holds the samples and one work vector.
 The CBC search returns 5-smooth M only, so M splits into two factors near
 sqrt M and no short FFT falls back to Bluestein's algorithm, which at
 prime M took about 9 times as long.  It tests each candidate z_s on the
@@ -308,43 +304,6 @@ def _coeff_pair(coeffs):
         return coeffs.index_set.embedded(), coeffs.values
     freqs, values = coeffs
     return _embedded(freqs), np.asarray(values, dtype=np.complex128)
-
-
-@dataclass(frozen=True, eq=False)
-class DualLatticeWindow:
-    """Members of the integer dual lattice inside the cube [-K, K]^d."""
-
-    lattice: Rank1Lattice
-    K: int
-
-    def members(self) -> np.ndarray:
-        d = self.lattice.d
-        axis = np.arange(-self.K, self.K + 1, dtype=np.int64)
-        grids = np.meshgrid(*([axis] * d), indexing="ij")
-        cube = np.stack([g.ravel() for g in grids], axis=1)
-        res = self.lattice.residues(cube)
-        return cube[res == 0]
-
-
-def aliasing_sum(exact_coeff, k, window: DualLatticeWindow,
-                 boundary_tol: float = 1e-14) -> complex:
-    """Windowed dual-lattice sum sum_{h in dual, h != 0} c(k + h).
-
-    ``exact_coeff`` maps a d-dimensional integer vector to the true Fourier
-    coefficient.  Raises when dual members on the window boundary still carry
-    coefficient mass above ``boundary_tol`` (window too small).
-    """
-    k = np.asarray(k, dtype=np.int64)
-    total = 0j
-    for h in window.members():
-        if not np.any(h):
-            continue
-        c = complex(exact_coeff(k + h))
-        if np.max(np.abs(h)) == window.K and abs(c) > boundary_tol:
-            raise ValueError("aliasing window too small: boundary member "
-                             f"{h.tolist()} carries coefficient {c!r}")
-        total += c
-    return total
 
 
 def save_lattice(path, lat: Rank1Lattice, index_set_digest: str = "") -> None:

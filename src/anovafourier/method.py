@@ -107,7 +107,8 @@ def _check_sampling(sampling, target=None) -> dict:
     """The sampling spec with its kind filled in.
 
     ``target``, when given, is what will be sampled: a callable target
-    sampled at scattered nodes needs ``count``.
+    sampled at scattered nodes needs ``count``, and fixed data (X, y)
+    cannot be sampled on a lattice.
     """
     _check_keys(sampling, "sampling", ("kind", "count", "seed"))
     sampling = {"kind": next(iter(_SAMPLING_KINDS)), **sampling}
@@ -121,6 +122,9 @@ def _check_sampling(sampling, target=None) -> dict:
     if callable(target) and sampling["kind"] == "scattered" and "count" not in sampling:
         raise ConfigError("sampling.count is needed to sample a callable target "
                           "at scattered nodes")
+    if isinstance(target, tuple) and sampling["kind"] == "lattice":
+        raise ConfigError("sampling.kind 'lattice' needs a callable target, "
+                          "not fixed data")
     return sampling
 
 
@@ -452,8 +456,6 @@ class LatticeDesign:
     def acquire(cls, index_set: GroupedIndexSet, target, sampling: dict):
         """A CBC lattice for the index set from ``seed``, and the target's
         values at its nodes, made one block at a time; real ones stay float64."""
-        if isinstance(target, tuple):
-            raise ValueError("black-box sampling needs a callable target")
         lat = cbc_construct(index_set, seed=int(sampling.get("seed", 0)))
         _check_memory(lat.M * _LATTICE_BYTES_PER_SAMPLE,
                       f"lattice with M = {lat.M} samples")

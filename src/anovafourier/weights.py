@@ -18,11 +18,8 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from itertools import combinations, product
 
 import numpy as np
-
-from .index_sets import TermFamily
 
 
 @dataclass(frozen=True, eq=False)
@@ -130,77 +127,6 @@ def sobolev_trunc_bound_linf(p: WeightParams, d_s: int) -> float:
     for n in range(d_s + 1, p.d + 1):
         total += 2.0 ** n * p.gamma_of_order(n) ** 2 * z1 ** n * g2 ** n
     return math.sqrt(total)
-
-
-def sobolev_trunc_bound_linf_closed(p: WeightParams, d_s: int, c: float) -> float:
-    """Geometric closed form of the zeta-tail bound when Gamma_s = c^s.
-
-    Valid under ||gamma||_2 < 1 / (c sqrt(2 zeta(2 beta) - 2)); agrees with
-    the finite sum to roundoff.
-    """
-    if p.alpha != 0:
-        raise ValueError("this bound requires alpha = 0")
-    if p.beta <= 0.5:
-        return math.inf
-    if not np.allclose(p.Gamma, c ** np.arange(1, p.d + 1), rtol=1e-12, atol=0):
-        raise ValueError("Gamma is not geometric with the given base")
-    z1 = zeta(2.0 * p.beta) - 1.0
-    g2 = float(np.sum(p.gamma ** 2))
-    if math.sqrt(g2) >= 1.0 / (c * math.sqrt(2.0 * z1)):
-        raise ValueError("geometric closed form requires ||gamma||_2 < 1/(c sqrt(2 zeta(2b)-2))")
-    q = 2.0 * c * c * z1 * g2
-    if d_s >= p.d:
-        return 0.0
-    return math.sqrt(q ** (d_s + 1) / (1.0 - q) * (1.0 - q ** (p.d - d_s)))
-
-
-def superposition_threshold(p: WeightParams, delta: float) -> int:
-    """Smallest d_s whose squared L2 truncation bound is <= 1 - delta.
-
-    Returns d when no threshold qualifies.  The bound is nonincreasing in
-    d_s, so a linear scan returns the true minimum.
-    """
-    if not 0.0 < delta < 1.0:
-        raise ValueError("delta must lie in (0, 1)")
-    for d_s in range(1, p.d):
-        if sobolev_trunc_bound_l2(p, d_s) ** 2 <= 1.0 - delta:
-            return d_s
-    return p.d
-
-
-def min_excluded_weight(w, U: TermFamily, d: int | None = None) -> float:
-    """Exact min of w over the frequencies whose support falls outside U.
-
-    ``w`` is a WeightParams or a callable on Z^d, coordinate-wise monotone in
-    each |k_s|; the minimum is then attained at entries of modulus one on a
-    minimal excluded support, so only sign patterns need scanning.
-    """
-    if isinstance(w, WeightParams):
-        p = w
-        d = p.d
-        w_fn = lambda k: pod_weight(k, p)
-    else:
-        if d is None:
-            raise ValueError("d is required for a callable weight")
-        w_fn = w
-    mo = U.max_order()
-    if mo >= d and len(U) == 2 ** d:
-        raise ValueError("U is the full family; no excluded terms")
-    best = math.inf
-    for order in range(1, min(mo + 1, d) + 1):
-        for v in combinations(range(1, d + 1), order):
-            if v in U:
-                continue
-            if any(tuple(c for c in v if c != drop) not in U for drop in v):
-                continue  # not minimal: some proper subset already excluded
-            for signs in product((1, -1), repeat=order):
-                k = np.zeros(d, dtype=np.int64)
-                for c, s in zip(v, signs):
-                    k[c - 1] = s
-                best = min(best, float(w_fn(k)))
-    if not math.isfinite(best):
-        raise ValueError("no excluded support found below order max|u|+1")
-    return best
 
 
 @dataclass(frozen=True, eq=False)

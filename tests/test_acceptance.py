@@ -19,11 +19,9 @@ import numpy as np
 import pytest
 
 from anovafourier import bench
-from anovafourier.anova import CoefficientMap, sensitivity, term_family_ds, \
-    support
+from anovafourier.anova import CoefficientMap, sensitivity, term_family_ds
 from anovafourier.index_sets import grouped
-from anovafourier.lattice import (DualLatticeWindow, Rank1Lattice,
-                                  aliasing_sum, cbc_construct,
+from anovafourier.lattice import (Rank1Lattice, cbc_construct,
                                   is_reconstructing, lattice_evaluate,
                                   lattice_nodes, lattice_reconstruct)
 from anovafourier.method import (DetectionConfig, approximate,
@@ -34,6 +32,7 @@ from anovafourier.weights import WeightParams, sobolev_trunc_bound_l2, \
     wiener_trunc_bound
 from quadrature_oracles import direct_formula_check
 import bench_oracles as oracles
+from paper_oracles import DualLatticeWindow, aliasing_sum, support, u_plus
 
 
 def report(num, ok, detail):
@@ -256,7 +255,7 @@ def test_criterion_06_truncation_floor_ds2():
     assert floor == pytest.approx(0.09362, abs=2e-5)
     X, y = scatter_data()
     # any model over U+: even exact coefficients on a huge set sit at the floor
-    fam = bench.u_plus()
+    fam = u_plus()
     big = build_search_sets(9, 2, {"type": "full_grid", "N": [256, 64]},
                             family=fam)
     gbig = grouped(fam, big)

@@ -3,14 +3,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from anovafourier.anova import (CoefficientMap, sensitivity, support,
-                                term_family_ds, variance)
+from anovafourier.anova import (CoefficientMap, sensitivity, term_family_ds,
+                                variance)
 from anovafourier.index_sets import (LowDimIndexSet, TermFamily, full_grid,
                                      grouped)
 from quadrature_oracles import direct_formula_check, quadrature_projection
 from anovafourier import bench
 import bench_oracles as oracles
 from bench_oracles import truncate
+from paper_oracles import support
 
 
 def _grouped(d, d_s, N):

@@ -12,6 +12,7 @@ from anovafourier.index_sets import grouped
 from anovafourier.method import ApproxModel, build_search_sets, read_run_config
 from anovafourier.operator import uniform_nodes
 import bench_oracles as oracles
+from paper_oracles import support, u_plus
 
 
 def test_bspline_coeff_examples():
@@ -152,7 +153,6 @@ def test_testfun_coeff_examples():
 def test_testfun_zero_structure():
     rng = np.random.default_rng(2)
     star = bench.u_star().terms
-    from anovafourier.anova import support
     for _ in range(200):
         k = rng.integers(-3, 4, size=9)
         if support(k) not in star:
@@ -200,7 +200,7 @@ def test_errors_formula_collapse():
 
 def test_uplus_floor():
     # any model over U+ pays at least the third-order term's variance
-    fam = bench.u_plus()
+    fam = u_plus()
     sets = build_search_sets(9, 2, {"type": "full_grid", "N": [64, 16]},
                              family=fam)
     g = grouped(fam, sets)
@@ -242,7 +242,7 @@ _ROW_KINDS = {1: ("scattered", None), 2: ("scattered", bench.u_star),
               "scattered-ds3": ("scattered", None),
               "scattered-ds2": ("scattered", None),
               "scattered-ustar": ("scattered", bench.u_star),
-              "scattered-uplus": ("scattered", bench.u_plus),
+              "scattered-uplus": ("scattered", u_plus),
               "lattice-ds3": ("lattice", None)}
 
 

@@ -3,6 +3,8 @@ import json
 import os
 import subprocess
 import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -287,8 +289,8 @@ def test_detect_lattice_scenario_records_M(tmp_path):
     cfg["target"] = {"csv": _csv_target(tmp_path)}
     code = run_cli(["detect", "--config", write_config(tmp_path, cfg),
                     "--out", str(tmp_path / "lat")])
-    # lattice sampling requires a callable target -> pipeline error exit 1
-    assert code == 1
+    # lattice sampling requires a callable target -> configuration error exit 2
+    assert code == 2
 
 
 def test_detect_lattice_scenario_with_builtin(tmp_path):
@@ -462,6 +464,32 @@ def model_file(tmp_path):
     return str(path)
 
 
+#: bad input files by the placeholder that stands for them in an argv
+_BAD_FILES = {
+    "NAN_POINTS": "0.1;0.2;0.3\n0.4;nan;0.6\n",
+    "INF_POINTS": "0.1;inf;0.3\n",
+    "NO_BLOCKS": json.dumps({"d": 2}),
+    "ZERO_FREQ": json.dumps({"d": 2, "blocks": [{"u": [], "freqs": [[]]},
+                                                {"u": [1], "freqs": [[0], [1]]}]}),
+    "NOT_CLOSED": json.dumps({"d": 2, "blocks": [{"u": [], "freqs": [[]]},
+                                                 {"u": [1, 2], "freqs": [[1, 1]]}]}),
+}
+
+
+@pytest.fixture
+def input_files(tmp_path, model_file):
+    """A good model and the bad input files, by placeholder."""
+    files = {"MODEL": model_file}
+    doc = json.loads(Path(model_file).read_text())
+    del doc["index_set"]
+    bad = {**_BAD_FILES, "NO_INDEX_SET": json.dumps(doc)}
+    for name, text in bad.items():
+        path = tmp_path / f"{name.lower()}.txt"
+        path.write_text(text)
+        files[name] = str(path)
+    return files
+
+
 @pytest.mark.parametrize("argv,key", [
     (["eval", "--model", "no-such-model.json", "--x", "0,0,0"], "--model"),
     (["eval", "--model", "MODEL"], "--x or --points"),
@@ -471,13 +499,41 @@ def model_file(tmp_path):
     (["bound", "--alpha", "0", "--beta", "1", "--ds", "3", "--gammas", "abc"],
      "--gammas"),
     (["bound", "--alpha", "0", "--beta", "1", "--ds", "9", "--d", "9"], "--ds"),
+    (["eval", "--model", "MODEL", "--x", "0.1,nan,0.3"], "--x 0.1,nan,0.3"),
+    (["eval", "--model", "MODEL", "--x", "0.1,0.2,inf"], "--x 0.1,0.2,inf"),
+    (["eval", "--model", "MODEL", "--points", "NAN_POINTS"],
+     "non-finite value in row 2"),
+    (["eval", "--model", "MODEL", "--points", "INF_POINTS"],
+     "non-finite value in row 1"),
+    (["eval", "--model", "NO_INDEX_SET", "--x", "0,0,0"],
+     "missing field 'index_set'"),
+    (["lattice", "--index-set", "NO_BLOCKS"], "missing field 'blocks'"),
+    (["lattice", "--index-set", "ZERO_FREQ"], "zero entry"),
+    (["lattice", "--index-set", "NOT_CLOSED"], "not downward-closed"),
+    (["bound", "--alpha", "1", "--beta", "1", "--ds", "3", "--kind", "linf_zeta"],
+     "--kind linf_zeta: this bound requires alpha = 0"),
 ])
-def test_bad_arguments_exit_2(tmp_path, capsys, model_file, argv, key):
-    argv = [model_file if a == "MODEL" else a for a in argv]
-    code = run_cli(argv + ["--out", str(tmp_path / "out")])
+def test_bad_arguments_exit_2(tmp_path, capsys, input_files, argv, key):
+    """Exit 2 with the fault and its flag on stderr, a bad file named after
+    its flag, before any warning (a warning here fails the run with exit 1)."""
+    argv = [input_files.get(a, a) for a in argv]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run_cli(argv + ["--out", str(tmp_path / "out")])
     err = capsys.readouterr().err
     assert code == 2, err
     assert key in err
+    for flag, value in zip(argv, argv[1:]):
+        if value in input_files.values() and value != input_files["MODEL"]:
+            assert f"{flag} {value}" in err
+
+
+@pytest.mark.parametrize("command", ["detect", "approximate"])
+def test_run_commands_require_config(tmp_path, capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        run_cli([command, "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "--config" in capsys.readouterr().err
 
 
 def test_bench_row_identical_across_blas_threads(tmp_path):

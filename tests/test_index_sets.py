@@ -6,12 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from anovafourier.index_sets import (DEFAULT_AXIS_CAP, GroupedIndexSet,
-                                     LowDimIndexSet, TermFamily,
-                                     diff_cardinality_bound, difference_set,
-                                     embed, family_cardinality, full_grid,
-                                     grouped, hyperbolic_cross,
+                                     LowDimIndexSet, TermFamily, embed,
+                                     full_grid, grouped, hyperbolic_cross,
                                      is_downward_closed, weighted_index_set)
 from anovafourier.anova import term_family_ds
+from paper_oracles import (diff_cardinality_bound, difference_set,
+                           family_cardinality, support)
 
 
 def test_embed_examples():
@@ -200,7 +200,6 @@ def test_fine_bound_misses_incomparable_cross_differences():
 
 def test_partition_of_cube_by_support():
     # mapping k -> supp(k) partitions [-K,K]^3 into the per-term classes
-    from anovafourier.anova import support
     K = 8
     counts = {}
     for k in itertools.product(range(-K, K + 1), repeat=3):

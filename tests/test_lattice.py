@@ -8,14 +8,13 @@ from hypothesis import strategies as st
 
 from anovafourier.anova import CoefficientMap, term_family_ds
 from anovafourier.bench import u_star
-from anovafourier.index_sets import (LowDimIndexSet, difference_set, full_grid,
-                                     grouped)
-from anovafourier.lattice import (BLOCK_ROWS, DualLatticeWindow, Rank1Lattice,
-                                  aliasing_sum, cbc_construct,
+from anovafourier.index_sets import LowDimIndexSet, full_grid, grouped
+from anovafourier.lattice import (BLOCK_ROWS, Rank1Lattice, cbc_construct,
                                   is_reconstructing, lattice_evaluate,
                                   lattice_nodes, lattice_reconstruct, next_smooth,
                                   save_lattice)
 from anovafourier.method import build_search_sets
+from paper_oracles import DualLatticeWindow, aliasing_sum, difference_set
 
 
 def cube(K, d=2):

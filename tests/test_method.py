@@ -344,9 +344,9 @@ def test_config_rejects_bad_keys(field, value):
         DetectionConfig(**kwargs)
 
 
-def test_detect_checks_sampling_before_the_target():
-    def boom(X):
-        raise AssertionError("target called")
+def test_detect_checks_sampling_before_the_target(monkeypatch):
+    def boom(*_args):
+        raise AssertionError("target called or set built")
 
     cfg = tiny_config()
     object.__setattr__(cfg, "sampling", {"kind": "grid", "count": 10})
@@ -360,6 +360,10 @@ def test_detect_checks_sampling_before_the_target():
                           thresholds=[0.0, 0.0], sampling={"count": 10})
     with pytest.raises(ConfigError, match=r"search\.N\[0\]"):
         detect(cfg, boom)
+    X = uniform_nodes(3, 10, seed=1).points
+    monkeypatch.setattr(method, "build_search_sets", boom)
+    with pytest.raises(ConfigError, match="'lattice' needs a callable target"):
+        detect(tiny_config(kind="lattice"), (X, tiny_target(X)))
 
 
 def test_approximate_checks_sampling_and_solver():
@@ -369,6 +373,9 @@ def test_approximate_checks_sampling_and_solver():
         approximate(fam, sets, tiny_target, {"kind": "grid", "count": 10})
     with pytest.raises(ConfigError, match="solver.max_iters"):
         approximate(fam, sets, tiny_target, {"count": 10}, {"max_iters": 5})
+    X = uniform_nodes(3, 10, seed=1).points
+    with pytest.raises(ConfigError, match="'lattice' needs a callable target"):
+        approximate(fam, sets, (X, tiny_target(X)), {"kind": "lattice"})
     with pytest.raises(ConfigError, match="search.N"):
         build_search_sets(3, 1, {"type": "full_grid", "N": [4]},
                           family=TermFamily.downward_closure(3, [(1, 2)]))

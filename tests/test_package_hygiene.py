@@ -1,9 +1,11 @@
-"""Every module-level import of the package modules is used, and the
-package imports nothing but numpy, the standard library and itself.
+"""Every module-level import and definition of the package modules is
+used, and the package imports nothing but numpy, the standard library and
+itself.
 
-``__init__.py`` is left out of the first check: its imports are the
-package's exports.  ``multiprocessing`` and ``mmap`` load only when a
-Fourier product helper starts.
+``__init__.py`` is left out of the first two checks: its imports are the
+package's exports, and an export alone does not keep a definition.
+``multiprocessing`` and ``mmap`` load only when a Fourier product helper
+starts.
 """
 
 import ast
@@ -21,6 +23,9 @@ MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 #: top-level modules the package may import: numpy is its one dependency
 ALLOWED = {"numpy", "anovafourier"} | set(sys.stdlib_module_names)
+#: definitions kept although no package line reads them: perfbench records
+#: the backend
+UNREAD_KEPT = {"_kernels.BACKEND"}
 
 
 def unused_imports(source: str) -> list:
@@ -34,6 +39,44 @@ def unused_imports(source: str) -> list:
             bound += [a.asname or a.name for a in node.names]
     read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
     return [name for name in bound if name not in read]
+
+
+def _defined(node) -> list:
+    """Names a module-level statement defines: a function, a class or the
+    plain names it assigns."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [node.name]
+    targets = node.targets if isinstance(node, ast.Assign) else \
+        [node.target] if isinstance(node, ast.AnnAssign) else []
+    return [t.id for t in targets if isinstance(t, ast.Name)]
+
+
+def unread_definitions(sources: dict) -> list:
+    """``module.name`` of each module-level function, class or constant that
+    no other statement of the sources reads, by name or as an attribute.
+
+    ``sources`` maps module names to source text.  A read inside an unread
+    definition does not count, so a helper that only dead code calls is
+    reported too.
+    """
+    stmts = []  # (qualified names defined, bare names read) per statement
+    for module, source in sources.items():
+        for node in ast.parse(source).body:
+            reads = {n.id if isinstance(n, ast.Name) else n.attr
+                     for n in ast.walk(node)
+                     if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+                     or isinstance(n, ast.Attribute)}
+            stmts.append(({f"{module}.{name}" for name in _defined(node)}, reads))
+    unread = set()
+    while True:
+        live = [(names, reads) for names, reads in stmts
+                if not names or not names <= unread]
+        found = {q for names, _ in stmts for q in names
+                 if not any(q.rsplit(".", 1)[1] in reads
+                            for other, reads in live if other is not names)}
+        if found == unread:
+            return sorted(found)
+        unread = found
 
 
 def foreign_imports(source: str) -> list:
@@ -62,6 +105,21 @@ def test_detects_a_foreign_import():
               "from anovafourier.anova import sensitivity\n"
               "def f():\n    import scipy.fft\n    from numba import njit\n")
     assert foreign_imports(source) == ["scipy.fft", "numba"]
+
+
+def test_detects_an_unread_definition():
+    sources = {"a": "X = 1\nY = 2\ndef f():\n    return X\n"
+                    "def g(n):\n    return g(n - 1)\n"
+                    "def h():\n    return Y\nclass C:\n    pass\n",
+               "b": "from .a import C, h\nh()\ndef k(c: C):\n    return c.f\n"}
+    # h is read at the top of b and Y by h; g reads only itself, k is read
+    # nowhere, and C, f and X only under k
+    assert unread_definitions(sources) == ["a.C", "a.X", "a.f", "a.g", "b.k"]
+
+
+def test_every_definition_is_read_in_the_package():
+    sources = {p.stem: p.read_text() for p in MODULES}
+    assert [q for q in unread_definitions(sources) if q not in UNREAD_KEPT] == []
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)

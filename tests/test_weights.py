@@ -7,12 +7,13 @@ import pytest
 from anovafourier.index_sets import TermFamily
 from anovafourier.anova import term_family_ds
 from anovafourier.weights import (WeightParams, bound_curve,
-                                  min_excluded_weight, parse_weight_sequence,
-                                  pod_weight, sobolev_trunc_bound_l2,
-                                  sobolev_trunc_bound_linf,
-                                  sobolev_trunc_bound_linf_closed,
-                                  superposition_threshold, wiener_trunc_bound,
+                                  parse_weight_sequence, pod_weight,
+                                  sobolev_trunc_bound_l2,
+                                  sobolev_trunc_bound_linf, wiener_trunc_bound,
                                   zeta)
+from paper_oracles import (min_excluded_weight,
+                           sobolev_trunc_bound_linf_closed,
+                           superposition_threshold)
 
 
 def fig3_params(alpha=0.0, beta=1.0):
