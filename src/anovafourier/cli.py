@@ -24,8 +24,8 @@ from . import __version__
 from .index_sets import GroupedIndexSet
 from .lattice import cbc_construct, save_lattice
 from .method import (_SAMPLING_KINDS, ApproxModel, ConfigError,
-                     build_search_sets, approximate, detect, gap_intervals,
-                     read_run_config)
+                     _check_sampling, build_search_sets, approximate, detect,
+                     gap_intervals, read_run_config)
 from .weights import (WeightParams, bound_curve, parse_weight_sequence,
                       sobolev_trunc_bound_l2, sobolev_trunc_bound_linf)
 
@@ -169,6 +169,7 @@ def cmd_approximate(args) -> int:
     if family is None:
         raise ConfigError("config: missing required field 'active_set'")
     target = _target_from_config(cfg, dc.d)
+    _check_sampling(dc.sampling, target)
     sets = build_search_sets(dc.d, dc.d_s, dc.search, family=family)
     model = approximate(family, sets, target, dc.sampling, dc.solver)
     model.provenance["config"] = {k: v for k, v in cfg.items() if k != "target"}
@@ -261,8 +262,11 @@ def cmd_bound(args) -> int:
     lines = ["param;value;bound"]
     if args.sweep:
         lo, hi, num = args.sweep
-        curve = bound_curve(p, args.ds, args.sweep_param,
-                            np.linspace(lo, hi, int(num)), kind=args.kind)
+        try:
+            curve = bound_curve(p, args.ds, args.sweep_param,
+                                np.linspace(lo, hi, int(num)), kind=args.kind)
+        except ValueError as exc:
+            raise ConfigError(f"--kind {args.kind}: {exc}")
         for t, v in zip(curve.grid, curve.values):
             lines.append(f"{args.sweep_param};{float(t)!r};{float(v)!r}")
     else:

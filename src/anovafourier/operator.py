@@ -303,21 +303,30 @@ def _max_abs(v) -> float:
 
 
 def lsqr(op, y, atol: float = 1e-8, btol: float = 1e-8,
-         max_iter: int = 200) -> SolveReport:
+         max_iter: int = 200, ntol: float | None = None) -> SolveReport:
     """Matrix-free LSQR (Golub-Kahan bidiagonalization) for min ||y - F h||.
 
     Works natively on complex operators; the bidiagonalization scalars are
     the real norms of the Lanczos vectors, so the plane rotations stay real.
-    Stopping follows the standard criteria driven by (atol, btol); running
-    out of iterations raises a ``RuntimeWarning`` with the stop reason, which
-    ``stop_reason`` also records, and the current iterate is still returned.
-    The products run inside the operator's ``helped`` block, when it has one.
+    It stops on the first of two tests (Paige and Saunders 1982, section 6):
+
+    * residual: ||r|| <= btol ||y|| + atol ||F|| ||h||, which ends a fit of
+      (nearly) consistent data;
+    * normal equations: ||F* r|| / (||F|| ||r||) <= ntol (``None`` means
+      ``atol``), which ends a least-squares fit once h has stopped moving
+      the residual.
+
+    Running out of iterations raises a ``RuntimeWarning`` with the stop
+    reason, which ``stop_reason`` also records, and the current iterate is
+    still returned.  The products run inside the operator's ``helped``
+    block, when it has one.
     """
+    ntol = atol if ntol is None else ntol
     with getattr(op, "helped", nullcontext)():
-        return _lsqr(op, y, atol, btol, max_iter)
+        return _lsqr(op, y, atol, btol, ntol, max_iter)
 
 
-def _lsqr(op, y, atol, btol, max_iter) -> SolveReport:
+def _lsqr(op, y, atol, btol, ntol, max_iter) -> SolveReport:
     y = np.asarray(y, dtype=np.complex128)
     m, n = op.shape
     x = np.zeros(n, dtype=np.complex128)
@@ -369,7 +378,7 @@ def _lsqr(op, y, atol, btol, max_iter) -> SolveReport:
         if rnorm <= btol * bnorm + atol * anorm * xnorm:
             stop = "residual tolerance reached"
             break
-        if anorm * rnorm > 0 and arnorm / (anorm * rnorm) <= atol:
+        if anorm * rnorm > 0 and arnorm / (anorm * rnorm) <= ntol:
             stop = "normal-equations tolerance reached"
             break
     else:
@@ -378,7 +387,7 @@ def _lsqr(op, y, atol, btol, max_iter) -> SolveReport:
     fitted = op.forward(x)
     return SolveReport(coeffs, it, float(phibar), _norm(y - fitted), stop,
                        {"solver": "lsqr", "atol": atol, "btol": btol,
-                        "max_iter": max_iter},
+                        "ntol": ntol, "max_iter": max_iter},
                        _max_abs(fitted.imag))
 
 

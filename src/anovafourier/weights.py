@@ -143,9 +143,14 @@ class BoundCurve:
 
 def bound_curve(p: WeightParams, d_s: int, parameter: str, grid,
                 kind: str = "l2_linf_pod") -> BoundCurve:
-    """Evaluate a truncation bound along an alpha or beta grid."""
+    """Evaluate a truncation bound along an alpha or beta grid.
+
+    A grid point whose parameters the bound does not allow reads +inf; a
+    grid with no allowed point raises the first point's ``ValueError``.
+    """
     grid = np.asarray(grid, dtype=float)
     vals = np.empty_like(grid)
+    errors = []
     for i, t in enumerate(grid):
         alpha = t if parameter == "alpha" else p.alpha
         beta = t if parameter == "beta" else p.beta
@@ -155,8 +160,11 @@ def bound_curve(p: WeightParams, d_s: int, parameter: str, grid,
                 vals[i] = sobolev_trunc_bound_linf(q, d_s)
             else:
                 vals[i] = sobolev_trunc_bound_l2(q, d_s)
-        except ValueError:
+        except ValueError as exc:
+            errors.append(exc)
             vals[i] = math.inf
+    if errors and len(errors) == len(grid):
+        raise errors[0]
     return BoundCurve(parameter, grid, vals, p.d, d_s, kind)
 
 

@@ -195,6 +195,34 @@ def test_bound_subcommand_sweep(tmp_path):
     assert all(a >= b for a, b in zip(vals, vals[1:]))
 
 
+def test_bound_sweep_marks_invalid_points_inf(tmp_path):
+    """A sweep with some allowed points writes +inf at the others."""
+    code = run_cli(["bound", "--alpha", "1", "--beta", "1", "--ds", "2",
+                    "--kind", "linf_zeta", "--sweep", "-1", "1", "3",
+                    "--sweep-param", "alpha", "--out", str(tmp_path)])
+    assert code == 0
+    lines = (tmp_path / "bound.csv").read_text().splitlines()
+    vals = [float(line.split(";")[2]) for line in lines[1:]]
+    assert vals[0] == vals[2] == np.inf and np.isfinite(vals[1])
+
+
+def test_approximate_checks_sampling_before_building_sets(tmp_path, capsys,
+                                                         monkeypatch):
+    """A lattice refit of fixed data exits 2 before any search set is built."""
+    from anovafourier import cli
+
+    def boom(*_args, **_kwargs):
+        raise AssertionError("search sets built")
+    monkeypatch.setattr(cli, "build_search_sets", boom)
+    cfg = {**TINY_DETECT, "target": {"csv": _csv_target(tmp_path)},
+           "sampling": {"kind": "lattice", "seed": 2}, "active_set": [[1, 2]]}
+    code = run_cli(["approximate", "--config", write_config(tmp_path, cfg),
+                    "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert "'lattice' needs a callable target" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_bound_invalid_params_exit_2(tmp_path):
     assert run_cli(["bound", "--alpha", "-2", "--beta", "1", "--ds", "3",
                     "--out", str(tmp_path)]) == 2
@@ -411,6 +439,9 @@ _WEIGHT_NO_GAMMA = {"alpha": 0.0, "beta": 1.0, "gamma": [1.0] * 9}
     ("bench", {"family": "ustar"}, "config.family"),
     ("bench", {"target": {"csv": "data.csv"}}, "target"),
     ("bench", {"d": 3}, "d = 9"),
+    ("detect", {"solver": {"ntol": -1}}, "solver.ntol"),
+    ("approximate", {"solver": {"ntol": float("nan")}}, "solver.ntol"),
+    ("bench", {"solver": {"ntol": "abc"}}, "solver.ntol"),
 ])
 def test_malformed_config_exit_2(tmp_path, capsys, command, change, key):
     base = BUILTIN_APPROXIMATE if command == "approximate" else BUILTIN_DETECT
@@ -511,6 +542,9 @@ def input_files(tmp_path, model_file):
     (["lattice", "--index-set", "ZERO_FREQ"], "zero entry"),
     (["lattice", "--index-set", "NOT_CLOSED"], "not downward-closed"),
     (["bound", "--alpha", "1", "--beta", "1", "--ds", "3", "--kind", "linf_zeta"],
+     "--kind linf_zeta: this bound requires alpha = 0"),
+    (["bound", "--alpha", "1", "--beta", "1", "--ds", "2", "--kind", "linf_zeta",
+      "--sweep", "0", "3", "4", "--sweep-param", "beta"],
      "--kind linf_zeta: this bound requires alpha = 0"),
 ])
 def test_bad_arguments_exit_2(tmp_path, capsys, input_files, argv, key):
