@@ -266,7 +266,9 @@ def cmd_bound(args) -> int:
             curve = bound_curve(p, args.ds, args.sweep_param,
                                 np.linspace(lo, hi, int(num)), kind=args.kind)
         except ValueError as exc:
-            raise ConfigError(f"--kind {args.kind}: {exc}")
+            raise ConfigError(f"--kind {args.kind} with --sweep-param "
+                              f"{args.sweep_param} over --sweep {lo:g} {hi:g} "
+                              f"{int(num)}: no point allowed: {exc}")
         for t, v in zip(curve.grid, curve.values):
             lines.append(f"{args.sweep_param};{float(t)!r};{float(v)!r}")
     else:

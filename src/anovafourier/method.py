@@ -33,8 +33,10 @@ from .operator import (BlockFourierOperator, NodeSet, SolveReport, _helper_runs,
 from .weights import WeightParams, pod_weight
 
 _SEARCH_TYPES = ("full_grid", "hyperbolic_cross", "weighted")
-SOLVER_DEFAULTS = {"atol": 1e-8, "btol": 1e-8, "ntol": 1e-4,
-                   "max_iter_detect": 50, "max_iter_final": 200}
+SOLVER_DEFAULTS = {"atol": 1e-8, "btol": 1e-8, "max_iter_detect": 50,
+                   "max_iter_final": 200}
+#: LSQR's normal-equations tolerance when the solver config sets no atol
+_NTOL = 1e-4
 _WEIGHT_KEYS = ("alpha", "beta", "gamma", "Gamma")
 
 
@@ -129,8 +131,8 @@ def _check_sampling(sampling, target=None) -> dict:
 
 
 def _check_solver(solver) -> None:
-    _check_keys(solver, "solver", ("atol", "btol", "ntol", "max_iter"))
-    for key in ("atol", "btol", "ntol"):
+    _check_keys(solver, "solver", ("atol", "btol", "max_iter"))
+    for key in ("atol", "btol"):
         if key in solver and not (_is_real(solver[key]) and math.isfinite(solver[key])
                                   and solver[key] >= 0):
             raise ConfigError(f"solver.{key} must be a finite number >= 0, "
@@ -150,10 +152,11 @@ class DetectionConfig:
     order share their set); "weighted" additionally takes weight parameters
     under "weight".  ``thresholds`` is the order-dependent epsilon vector.
     ``sampling`` is {"kind": "scattered" | "lattice", "count", "seed"} and
-    ``solver`` {"atol", "btol", "ntol", "max_iter"}: LSQR's residual test
-    reads atol and btol, its normal-equations test ntol (see
-    :func:`~anovafourier.operator.lsqr`), and a missing key takes its value
-    from ``SOLVER_DEFAULTS``.  A bad value raises :class:`ConfigError`.
+    ``solver`` {"atol", "btol", "max_iter"}: a missing key takes its value
+    from ``SOLVER_DEFAULTS``.  LSQR's residual test reads atol and btol; its
+    normal-equations test reads ``_NTOL`` = 1e-4, or atol when the config
+    sets atol (see :func:`~anovafourier.operator.lsqr`).  A bad value raises
+    :class:`ConfigError`.
     """
 
     d: int
@@ -442,7 +445,8 @@ class ScatteredDesign:
                 **solver}
         return lsqr(BlockFourierOperator(self.nodes, index_set), y,
                     atol=float(opts["atol"]), btol=float(opts["btol"]),
-                    max_iter=int(opts["max_iter"]), ntol=float(opts["ntol"]))
+                    max_iter=int(opts["max_iter"]),
+                    ntol=None if "atol" in solver else _NTOL)
 
     def evaluate(self, coeffs: CoefficientMap) -> np.ndarray:
         return BlockFourierOperator(self.nodes, coeffs.index_set).forward(coeffs)

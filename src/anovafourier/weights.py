@@ -9,8 +9,10 @@ and dominating-mixed (beta) smoothness with per-dimension weights gamma and
 per-order weights Gamma.  Conventions: Gamma_0 = 1 and the empty product is
 1, so w(0) = 1.
 
-All bound evaluators return +inf as a marker (instead of raising) when a
-summability precondition fails, which keeps parameter sweeps plottable.
+The bound evaluators return +inf as a marker (instead of raising) when a
+summability precondition fails, which keeps parameter sweeps plottable; they
+raise ``ValueError`` for parameters the bound does not allow, which
+:func:`bound_curve` marks +inf too unless no point of its grid is allowed.
 """
 
 from __future__ import annotations

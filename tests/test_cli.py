@@ -439,9 +439,6 @@ _WEIGHT_NO_GAMMA = {"alpha": 0.0, "beta": 1.0, "gamma": [1.0] * 9}
     ("bench", {"family": "ustar"}, "config.family"),
     ("bench", {"target": {"csv": "data.csv"}}, "target"),
     ("bench", {"d": 3}, "d = 9"),
-    ("detect", {"solver": {"ntol": -1}}, "solver.ntol"),
-    ("approximate", {"solver": {"ntol": float("nan")}}, "solver.ntol"),
-    ("bench", {"solver": {"ntol": "abc"}}, "solver.ntol"),
 ])
 def test_malformed_config_exit_2(tmp_path, capsys, command, change, key):
     base = BUILTIN_APPROXIMATE if command == "approximate" else BUILTIN_DETECT
@@ -545,7 +542,10 @@ def input_files(tmp_path, model_file):
      "--kind linf_zeta: this bound requires alpha = 0"),
     (["bound", "--alpha", "1", "--beta", "1", "--ds", "2", "--kind", "linf_zeta",
       "--sweep", "0", "3", "4", "--sweep-param", "beta"],
-     "--kind linf_zeta: this bound requires alpha = 0"),
+     "--sweep 0 3 4: no point allowed: this bound requires alpha = 0"),
+    (["bound", "--alpha", "0", "--beta", "1", "--ds", "2",
+      "--sweep", "-3", "-1", "3", "--sweep-param", "beta"],
+     "--sweep -3 -1 3: no point allowed: beta must be >= 0"),
 ])
 def test_bad_arguments_exit_2(tmp_path, capsys, input_files, argv, key):
     """Exit 2 with the fault and its flag on stderr, a bad file named after

@@ -13,7 +13,7 @@ from anovafourier.lattice import (BLOCK_ROWS, Rank1Lattice, cbc_construct,
 from anovafourier.method import (ApproxModel, ConfigError, DetectionConfig,
                                  approximate, build_search_sets, detect,
                                  gap_intervals)
-from anovafourier.operator import BlockFourierOperator, NodeSet, uniform_nodes
+from anovafourier.operator import BlockFourierOperator, NodeSet, lsqr, uniform_nodes
 
 
 def tiny_target(X):
@@ -335,9 +335,6 @@ _WEIGHT = {"alpha": 0.0, "beta": 1.0, "gamma": [1.0] * 3, "Gamma": [1.0] * 3}
     ("solver", {"atol": -1}),
     ("solver", {"btol": float("nan")}),
     ("solver", {"max_iters": 5}),
-    ("solver", {"ntol": -1}),
-    ("solver", {"ntol": float("nan")}),
-    ("solver", {"ntol": "abc"}),
 ])
 def test_config_rejects_bad_keys(field, value):
     kwargs = dict(d=3, d_s=2, search={"type": "full_grid", "N": [4, 4]},
@@ -384,12 +381,14 @@ def test_approximate_checks_sampling_and_solver():
                           family=TermFamily.downward_closure(3, [(1, 2)]))
 
 
-def test_exact_polynomial_recovered_at_the_default_tolerances():
+@pytest.mark.parametrize("per_unknown,bound", [(20, 1e-7), (2, 1e-6)])
+def test_exact_polynomial_recovered_at_the_default_tolerances(per_unknown, bound):
     """On data that the index set reproduces exactly, the normal-equations
-    ratio stays above about 1/cond(F), so the loose default ntol cannot end
-    the fit before the residual test at atol = btol = 1e-8 does: the fit is
-    the one of the tight stop, bit for bit.  (Loosening atol itself to 1e-4
-    leaves a coefficient error of about 1e-4 here.)"""
+    ratio stays well above 1e-4 while F is well conditioned (here down to 2
+    samples per unknown), so the loose default cannot end the fit before the
+    residual test at atol = btol = 1e-8 does: the fit is the one of the
+    tight stop, bit for bit.  (Loosening atol itself to 1e-4 leaves a
+    coefficient error of about 1e-4 here.)"""
     fam = term_family_ds(5, 2)
     sets = build_search_sets(5, 2, {"type": "full_grid", "N": [16, 6]}, family=fam)
     g = grouped(fam, sets)
@@ -398,31 +397,31 @@ def test_exact_polynomial_recovered_at_the_default_tolerances():
 
     def polynomial(X):
         return BlockFourierOperator(NodeSet(X), g).forward(CoefficientMap(g, c))
-    sampling = {"count": 20 * len(g), "seed": 3}
+    sampling = {"count": per_unknown * len(g), "seed": 3}
     model = approximate(fam, sets, polynomial, sampling)
     report = model.provenance["solver_report"]
     assert report["stop_reason"] == "residual tolerance reached"
     err = np.linalg.norm(model.coefficients.values - c) / np.linalg.norm(c)
-    assert err < 1e-7, err
-    tight = approximate(fam, sets, polynomial, sampling, {"ntol": 1e-8})
-    assert tight.provenance["solver_report"]["iterations"] == report["iterations"]
+    assert err < bound, err
+    nodes = uniform_nodes(5, per_unknown * len(g), 3)
+    tight = lsqr(BlockFourierOperator(nodes, g), polynomial(nodes.points),
+                 max_iter=200, ntol=1e-8)
+    assert tight.iterations == report["iterations"]
     assert tight.coefficients.values.tobytes() == model.coefficients.values.tobytes()
 
 
 def test_solver_report_records_ntol():
-    res = detect(tiny_config(), tiny_target)
-    prov = res.pilot.provenance["solver_report"]["provenance"]
-    assert prov["ntol"] == method.SOLVER_DEFAULTS["ntol"] == 1e-4
-    assert (prov["atol"], prov["btol"]) == (1e-8, 1e-8)
-    cfg, _ = method.read_run_config({
-        "d": 3, "d_s": 2, "search": {"type": "full_grid", "N": [4, 4]},
-        "sampling": {"count": 3000, "seed": 3}, "solver": {"ntol": 1e-6}})
+    """The normal-equations tolerance is 1e-4 unless the solver config sets
+    atol, which then serves both tests, as in ``lsqr``."""
+    cfg = tiny_config()
     res = detect(cfg, tiny_target)
-    assert res.pilot.provenance["solver_report"]["provenance"]["ntol"] == 1e-6
+    prov = res.pilot.provenance["solver_report"]["provenance"]
+    assert (prov["atol"], prov["btol"], prov["ntol"]) == (1e-8, 1e-8, 1e-4)
     fam = res.active
     model = approximate(fam, build_search_sets(3, 2, cfg.search, family=fam),
-                        tiny_target, cfg.sampling, {"ntol": 1e-5})
-    assert model.provenance["solver_report"]["provenance"]["ntol"] == 1e-5
+                        tiny_target, cfg.sampling, {"atol": 1e-6})
+    prov = model.provenance["solver_report"]["provenance"]
+    assert (prov["atol"], prov["ntol"]) == (1e-6, 1e-6)
 
 
 def test_gap_intervals_perfect_and_shuffled():
