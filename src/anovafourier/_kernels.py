@@ -5,19 +5,24 @@ The grouped Fourier products F c and F* y are per-term tensor contractions
 on per-axis phase powers (``fourier_layout``, ``fourier_forward``,
 ``fourier_adjoint``): the unit phases exp(2 pi i x_s) are computed once per
 operator (``unit_phases``), the nodes are taken in chunks of ``_NODES``,
-and for each chunk one table of exp(2 pi i v x_s), v = +-1..+-V_s, is
-filled per axis from the chunk's unit phases.  Terms with the same
-remaining axes and the same tuples on them form a group (37 groups of 129
-terms on U_3, d = 9).  Per group and chunk, the forward sums its terms'
-first-axis matrix products, multiplies by the table rows of the remaining
-axes and sums over the tuples once; the adjoint multiplies the values by
-the conjugate rows once and gives each term one first-axis matrix product.
-The same path serves every block, box-shaped (full grid) or not
-(hyperbolic cross, weighted).
+and for each chunk one table of exp(2 pi i v x_s) is filled per axis from
+the chunk's unit phases: v = 1..V_s, V_s the largest |k_s|, and
+v = -R_s..-1, R_s the largest |k_s| of the terms of order >= 2.  Terms with
+the same remaining axes and the same tuples on them form a group (37 groups
+of 129 terms on U_3, d = 9).  Per group and chunk, the forward sums its
+terms' first-axis matrix products, multiplies by the table rows of the
+remaining axes and sums over the tuples once; the adjoint multiplies the
+values by the conjugate rows once and gives each term one first-axis
+matrix product.  The order-1 terms, the group with no remaining axes, read
+only positive powers: their negative values enter as conjugates through a
+second row of coefficients in the forward and a second column, conj y, in
+the adjoint.  The same path serves every block, box-shaped (full grid) or
+not (hyperbolic cross, weighted).
 
 Memory: the unit phases take 16 bytes per node and used axis (V_s > 0) and
 are kept by the operator.  A product allocates one table of R x ``_NODES``
-complex entries, R = sum_s 2 V_s, and refills it for every chunk; per group
+complex entries, R = sum_s (V_s + R_s) (``bandwidths``; 99 to 198 rows on
+the sets of ``perfbench``), and refills it for every chunk; per group
 it adds work arrays of at most (P, ``_NODES``) entries, freed before the
 next group, and once a flat buffer of the terms' zero-filled (P, n_a)
 matrices (1 to 7.2 |I| entries on the sets of ``perfbench``).  Besides its
@@ -68,6 +73,12 @@ class _TermLayout(NamedTuple):
     ``rows_a`` are the table rows of the n_a first-axis values,
     ``rows_a_adj`` those of the negated values (the conjugates), ascending.
     Rows that form an arithmetic run are a slice, read as a view.
+
+    An order-1 term reads only positive powers: its n_a values are the
+    distinct |v|, ``rows_a_adj`` is ``rows_a``, its forward matrix is
+    (2, n_a) with rows for v > 0 and v < 0, and its adjoint result is
+    (n_a, 2) with columns for v < 0 and v > 0 (see ``fourier_forward`` and
+    ``fourier_adjoint``).
     """
 
     mat: slice
@@ -77,9 +88,11 @@ class _TermLayout(NamedTuple):
 
 
 class _Group(NamedTuple):
-    """Terms with the same remaining axes and the same P tuples on them."""
+    """Terms with the same remaining axes and the same P tuples on them.
 
-    P: int
+    The order-1 terms, with no remaining axes (``rows_rest`` empty), form
+    one group."""
+
     rows_rest: tuple      # table rows of the P tuples, one per axis
     rows_rest_adj: tuple  # of their negations
     terms: list           # of _TermLayout
@@ -90,6 +103,8 @@ class FourierLayout(NamedTuple):
 
     n: int             # number of frequencies
     vmax: np.ndarray   # (d,) largest |k_s| per axis
+    rmax: np.ndarray   # (d,) largest |k_s| per axis over the terms of order >= 2
+    rows: int          # rows of the phase table (``bandwidths``)
     const: tuple       # slices of zero-order blocks (the constant term)
     groups: tuple      # of _Group
     size: int          # length of the flat buffer of all terms' matrices
@@ -98,13 +113,13 @@ class FourierLayout(NamedTuple):
     adj: np.ndarray    # and in its (n_a, P) adjoint results
 
 
-def _table_offsets(vmax) -> np.ndarray:
+def _table_offsets(vmax, rmax) -> np.ndarray:
     """Per axis, the row that frequency 0 would take in the stacked table.
 
-    Axis s holds v = -V_s..-1, 1..V_s; value v != 0 sits at row
+    Axis s holds v = -R_s..-1, 1..V_s; value v != 0 sits at row
     ``offset + v - (v > 0)``.
     """
-    return np.cumsum(2 * vmax) - vmax
+    return np.cumsum(rmax + vmax) - vmax
 
 
 def _run(rows):
@@ -116,32 +131,42 @@ def _run(rows):
     return rows
 
 
-def bandwidths(d: int, blocks) -> np.ndarray:
-    """V_s, the largest |k_s| per axis over ``(term, freqs)`` blocks.
+def bandwidths(d: int, blocks) -> tuple:
+    """(V, R, rows) of the phase table for ``(term, freqs)`` blocks.
 
-    ``term`` holds 1-based axes and ``freqs`` its (n_u, |u|) frequencies.
+    V_s is the largest |k_s| per axis, R_s the largest over the terms of
+    order >= 2, and the table has rows = sum_s (V_s + R_s).  ``term`` holds
+    1-based axes and ``freqs`` its (n_u, |u|) frequencies.
     """
     vmax = np.zeros(d, dtype=np.int64)
+    rmax = np.zeros(d, dtype=np.int64)
     for term, freqs in blocks:
         freqs = np.asarray(freqs, dtype=np.int64)
         if term and freqs.shape[0]:
             axes = [c - 1 for c in term]
-            vmax[axes] = np.maximum(vmax[axes], np.abs(freqs).max(axis=0))
-    return vmax
+            top = np.abs(freqs).max(axis=0)
+            vmax[axes] = np.maximum(vmax[axes], top)
+            if len(axes) > 1:
+                rmax[axes] = np.maximum(rmax[axes], top)
+    return vmax, rmax, int(np.sum(vmax + rmax))
 
 
 def fourier_layout(d: int, blocks) -> FourierLayout:
     """Layout of ``(term, freqs)`` blocks in canonical coefficient order.
 
     ``term`` holds 1-based axes and ``freqs`` its (n_u, |u|) frequencies,
-    none of them zero; the empty term's block is the constant term.
+    none of them zero; the empty term's block is the constant term.  The
+    phase table keeps v = 1..V_s on every axis, V_s the largest |k_s|, and
+    v = -R_s..-1 only as far as the terms of order >= 2 read them: the
+    order-1 terms take their negative values as conjugates of positive
+    powers.
     """
     blocks = [(tuple(term), np.asarray(freqs, dtype=np.int64))
               for term, freqs in blocks]
     if any(term and not np.all(freqs) for term, freqs in blocks):
         raise ValueError("frequency with a zero entry on its term's axes")
-    vmax = bandwidths(d, blocks)
-    zero = _table_offsets(vmax)
+    vmax, rmax, table_rows = bandwidths(d, blocks)
+    zero = _table_offsets(vmax, rmax)
 
     def rows(s, vals):
         return _run(zero[s] + vals - (vals > 0))
@@ -158,21 +183,34 @@ def fourier_layout(d: int, blocks) -> FourierLayout:
             continue
         if freqs.shape[0] == 0:
             continue
+        coef.append(np.arange(block.start, block.stop))
+        if len(axes) == 1:  # rows v > 0 and v < 0 over the distinct |v|
+            mags, pos = np.unique(np.abs(freqs[:, 0]), return_inverse=True)
+            pos, neg = pos.reshape(-1), freqs[:, 0] < 0
+            n_a = mags.size
+            fwd.append(size + neg * n_a + pos)
+            adj.append(size + 2 * pos + ~neg)
+            group = groups.setdefault((), _Group((), (), []))
+            rows_a = rows(axes[0], mags)
+            group.terms.append(_TermLayout(slice(size, size + 2 * n_a), n_a,
+                                           rows_a, rows_a))
+            size += 2 * n_a
+            continue
         a_vals, pos_a = np.unique(freqs[:, 0], return_inverse=True)
         rest, pos_r = np.unique(freqs[:, 1:], axis=0, return_inverse=True)
         pos_a, pos_r = pos_a.reshape(-1), pos_r.reshape(-1)
         P, n_a = rest.shape[0], a_vals.size
-        coef.append(np.arange(block.start, block.stop))
         fwd.append(size + pos_r * n_a + pos_a)
         adj.append(size + (n_a - 1 - pos_a) * P + pos_r)
         group = groups.setdefault((tuple(axes[1:]), rest.tobytes()), _Group(
-            P, tuple(rows(s, rest[:, j]) for j, s in enumerate(axes[1:])),
+            tuple(rows(s, rest[:, j]) for j, s in enumerate(axes[1:])),
             tuple(rows(s, -rest[:, j]) for j, s in enumerate(axes[1:])), []))
         group.terms.append(_TermLayout(
             slice(size, size + P * n_a), n_a, rows(axes[0], a_vals),
             rows(axes[0], -a_vals[::-1])))
         size += P * n_a
-    return FourierLayout(off, vmax, tuple(const), tuple(groups.values()), size,
+    return FourierLayout(off, vmax, rmax, table_rows, tuple(const),
+                         tuple(groups.values()), size,
                          *map(np.concatenate, (coef, fwd, adj)))
 
 
@@ -230,37 +268,36 @@ def unit_phases(X, vmax) -> np.ndarray:
     return U
 
 
-def _phase_table(U: np.ndarray, vmax, out: np.ndarray) -> np.ndarray:
-    """Fill ``out`` (rows, m) with the stacked tables exp(2 pi i v x_s).
+def _phase_table(U: np.ndarray, layout: FourierLayout, out: np.ndarray) -> np.ndarray:
+    """Fill ``out`` (``layout.rows``, m) with the stacked tables exp(2 pi i v x_s).
 
-    Axis s occupies 2 V_s rows, v = -V_s..-1 then 1..V_s, around row
-    ``_table_offsets(vmax)[s]``.  v = 1 is the axis' row of the unit phases
-    ``U`` (``unit_phases``); higher powers are binary products
+    Axis s occupies R_s + V_s rows, v = -R_s..-1 then 1..V_s, around row
+    ``_table_offsets(vmax, rmax)[s]``.  v = 1 is the axis' row of the unit
+    phases ``U`` (``unit_phases``); higher powers are binary products
     E[v] = E[v//2] E[v - v//2], and negative v are conjugates.  Everything
     is written in place.
     """
-    zero = _table_offsets(vmax)
+    zero = _table_offsets(layout.vmax, layout.rmax)
     j = 0
-    for s, V in enumerate(int(v) for v in vmax):
+    for s, (V, R) in enumerate(zip(layout.vmax.tolist(), layout.rmax.tolist())):
         if V == 0:
             continue
-        Es = out[zero[s] - V:zero[s] + V]
-        pos = Es[V:]  # v = 1..V
+        pos = out[zero[s]:zero[s] + V]  # v = 1..V
         pos[0] = U[j]
         j += 1
         for v in range(2, V + 1):
             np.multiply(pos[v // 2 - 1], pos[v - v // 2 - 1], out=pos[v - 1])
-        np.conjugate(pos[::-1], out=Es[:V])
+        np.conjugate(pos[:R][::-1], out=out[zero[s] - R:zero[s]])
     return out
 
 
 def _chunks(U, layout: FourierLayout):
     """Yield (lo, hi, table) per chunk of _NODES nodes, one table refilled."""
     m = U.shape[1]
-    E = np.empty((int(np.sum(2 * layout.vmax)), min(m, _NODES)), dtype=np.complex128)
+    E = np.empty((layout.rows, min(m, _NODES)), dtype=np.complex128)
     for lo in range(0, m, _NODES):
         hi = min(m, lo + _NODES)
-        yield lo, hi, _phase_table(U[:, lo:hi], layout.vmax, E[:, :hi - lo])
+        yield lo, hi, _phase_table(U[:, lo:hi], layout, E[:, :hi - lo])
 
 
 def fourier_forward(U, layout: FourierLayout, coeffs, out=None) -> np.ndarray:
@@ -269,14 +306,20 @@ def fourier_forward(U, layout: FourierLayout, coeffs, out=None) -> np.ndarray:
 
     Per group and chunk, T = sum over its terms of C @ E_a[A] (P, chunk),
     C the term's (P, n_a) coefficient matrix; T is multiplied by the
-    group's table rows E_j[rest_j] and summed over P.
+    group's table rows E_j[rest_j] and summed over P.  The order-1 terms'
+    C is (2, n_a) over |v|: c_v for v > 0 and conj c_-v for v < 0; their
+    T's second row is conjugated before the sum.
     """
     coeffs = np.asarray(coeffs, dtype=np.complex128)
     const = sum(complex(coeffs[b].sum()) for b in layout.const)
     buf = np.zeros(layout.size, dtype=np.complex128)
     buf[layout.fwd] = coeffs[layout.coef]
-    mats = [[buf[t.mat].reshape(g.P, t.n_a) for t in g.terms]
+    mats = [[buf[t.mat].reshape(-1, t.n_a) for t in g.terms]
             for g in layout.groups]
+    for g, Cs in zip(layout.groups, mats):
+        if not g.rows_rest:
+            for C in Cs:
+                np.conjugate(C[1], out=C[1])
     if out is None:
         out = np.empty(U.shape[1], dtype=np.complex128)
     out[:] = const
@@ -288,6 +331,8 @@ def fourier_forward(U, layout: FourierLayout, coeffs, out=None) -> np.ndarray:
                 T += _matmul(C, E[t.rows_a])
             for r in g.rows_rest:
                 T *= E[r]
+            if not g.rows_rest:
+                np.conjugate(T[1], out=T[1])
             acc += T.sum(axis=0)
     return out
 
@@ -300,25 +345,32 @@ def fourier_adjoint(U, layout: FourierLayout, y, out=None) -> np.ndarray:
     W = y * prod_j conj(E_j[rest_j]) (P, chunk); each of its terms adds
     G = conj(E_a[A]) @ W^T (n_a, P), rows in reverse first-axis order, to
     its place in the buffer, and after the last chunk every block reads its
-    (first value, rest) positions there.
+    (first value, rest) positions there.  The order-1 terms take
+    W = [y; conj y] on the rows of their |v| instead: G's first column is
+    F* y at -v, and its second the conjugate of F* y at v, conjugated before
+    the read-out.
     """
     y = np.asarray(y, dtype=np.complex128)
     if out is None:
         out = np.empty(layout.n, dtype=np.complex128)
     out[:] = 0
     buf = np.zeros(layout.size, dtype=np.complex128)
-    mats = [[buf[t.mat].reshape(t.n_a, g.P) for t in g.terms]
+    mats = [[buf[t.mat].reshape(t.n_a, -1) for t in g.terms]
             for g in layout.groups]
     for lo, hi, E in _chunks(U, layout):
         yc = y[lo:hi]
         for b in layout.const:
             out[b] += yc.sum()
         for g, Gs in zip(layout.groups, mats):
-            W = yc[None, :]
+            W = yc[None, :] if g.rows_rest else np.stack((yc, yc.conj()))
             for r in g.rows_rest_adj:
                 W = W * E[r]
             for t, G in zip(g.terms, Gs):
                 G += _matmul(E[t.rows_a_adj], W.T)
+    for g, Gs in zip(layout.groups, mats):
+        if not g.rows_rest:
+            for G in Gs:
+                np.conjugate(G[:, 1], out=G[:, 1])
     out[layout.coef] = buf[layout.adj]
     return out
 

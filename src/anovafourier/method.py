@@ -388,13 +388,13 @@ def _check_scattered_memory(index_set: GroupedIndexSet, m: int) -> None:
     (16 bytes per used axis) and ``_SCATTERED_BYTES_PER_NODE``; the phase
     table of one node chunk; four length-|I| LSQR vectors.  When LSQR's
     products get a helper process, also its own chunk table and the shared
-    vectors: two of length |I| and one of at most m/2.
+    vectors: two of length |I| and half B's floor(m/2) values.
     """
-    vmax = _kernels.bandwidths(index_set.d,
-                               [(b.term, b.freqs) for b in index_set.blocks])
+    vmax, _, rows = _kernels.bandwidths(
+        index_set.d, [(b.term, b.freqs) for b in index_set.blocks])
     per_node = 8 * index_set.d + 16 * int(np.count_nonzero(vmax)) \
         + _SCATTERED_BYTES_PER_NODE
-    table = 16 * 2 * int(vmax.sum()) * min(m, _kernels._NODES)
+    table = 16 * rows * min(m, _kernels._NODES)
     n = len(index_set)
     need = m * per_node + table + 4 * 16 * n
     if _helper_runs(m):

@@ -70,18 +70,22 @@ class BlockFourierOperator:
     the unit phases exp(2 pi i x_s) once, one cosine and sine per node and
     used axis (V_s > 0), and keeps them: 16 bytes per node and used axis.
     Per chunk of 2048 nodes, a product fills one table of phase powers
-    exp(2 pi i v x_s) per axis from those phases.  A block's product is a
-    matrix product on its first axis and elementwise products of table rows
-    on its other axes, done once per group of terms that share those axes
-    and their tuples.  A product allocates that table once (sum_s 2 V_s rows
-    of 2048 complex entries, 32 KB a row), per group work arrays of the same
-    width, the terms' zero-filled coefficient matrices and its result, so
-    beyond the result its memory does not grow with the node count.
+    exp(2 pi i v x_s) per axis from those phases: v = 1..V_s, V_s the
+    largest |k_s|, and v = -R_s..-1, R_s the largest |k_s| of the terms of
+    order >= 2 (the order-1 terms read their negative values as
+    conjugates).  A block's product is a matrix product on its first axis
+    and elementwise products of table rows on its other axes, done once per
+    group of terms that share those axes and their tuples.  A product
+    allocates that table once (sum_s (V_s + R_s) rows of 2048 complex
+    entries, 32 KB a row), per group work arrays of the same width, the
+    terms' zero-filled coefficient matrices and its result, so beyond the
+    result its memory does not grow with the node count.
 
-    Of its K chunks, the first ceil(K/2) are half A of the nodes and the
-    rest half B; the split depends only on the node count.  The adjoint is
-    always F_A* y_A + F_B* y_B, in that order, so a product has the same
-    bits whether one process computes both halves or ``helped`` lets a
+    On more than 2048 nodes, the first ceil(m/2) nodes are half A and the
+    rest half B, each taken in chunks from its own start; the split depends
+    only on the node count.  Both products always run the two halves, and
+    the adjoint is F_A* y_A + F_B* y_B, in that order, so a product has the
+    same bits whether one process computes both halves or ``helped`` lets a
     second one compute half B.
     """
 
@@ -94,8 +98,8 @@ class BlockFourierOperator:
         self._layout = _kernels.fourier_layout(
             index_set.d, [(b.term, b.freqs) for b in index_set.blocks])
         self._phases = _kernels.unit_phases(nodes.points, self._layout.vmax)
-        chunks = -(-len(nodes) // _kernels._NODES)
-        self._half = min(len(nodes), -(-chunks // 2) * _kernels._NODES)
+        m = len(nodes)
+        self._half = (m + 1) // 2 if m > _kernels._NODES else m
         self._helper = None
 
     @property
@@ -129,14 +133,18 @@ class BlockFourierOperator:
         if c.shape[0] != self.shape[1]:
             raise ValueError("coefficient length mismatch")
         U, layout, h = self._phases, self._layout, self._half
-        if self._helper is None:
+        if h == self.shape[0]:
             return _kernels.fourier_forward(U, layout, c)
         out = np.empty(self.shape[0], dtype=np.complex128)
-        self._helper.coeffs[:] = c
-        self._helper.request(b"f")
+        if self._helper is not None:
+            self._helper.coeffs[:] = c
+            self._helper.request(b"f")
         _kernels.fourier_forward(U[:, :h], layout, c, out=out[:h])
-        self._helper.wait()
-        out[h:] = self._helper.values
+        if self._helper is None:
+            _kernels.fourier_forward(U[:, h:], layout, c, out=out[h:])
+        else:
+            self._helper.wait()
+            out[h:] = self._helper.values
         return out
 
     def adjoint(self, y) -> np.ndarray:

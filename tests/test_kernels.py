@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from anovafourier import _kernels
 from anovafourier.anova import term_family_ds
+from anovafourier.bench import u_star
 from anovafourier.index_sets import (GroupedIndexSet, LowDimIndexSet,
                                      TermFamily, grouped)
 from anovafourier.method import build_search_sets
@@ -29,7 +30,11 @@ SEARCHES = [
     ("full_grid", {"type": "full_grid", "N": [10, 6, 4]}),
     ("hyperbolic_cross", {"type": "hyperbolic_cross", "N": [20, 20, 30]}),
     ("weighted", {"type": "weighted", "N": [8, 8, 20], "weight": _weight}),
+    # order 1 (v = -8..7) reaches past orders 2 and 3, so R_s < V_s
+    ("full_grid_wide_order1", {"type": "full_grid", "N": [16, 4, 2]}),
 ]
+#: only order-1 blocks (d_s = 1), so R_s = 0 on every axis
+ORDER1_ONLY = ("order1_only", {"type": "full_grid", "N": [16]})
 
 
 def _dense_check(g, X, seed):
@@ -54,30 +59,38 @@ def test_contraction_matches_dense(name, search):
     _dense_check(g, uniform_nodes(5, 700, seed=2), seed=0)
 
 
-@pytest.mark.parametrize("name,search", SEARCHES, ids=[s[0] for s in SEARCHES])
+@pytest.mark.parametrize("name,search", SEARCHES + [ORDER1_ONLY],
+                         ids=[s[0] for s in SEARCHES + [ORDER1_ONLY]])
 def test_contraction_partial_last_chunk(name, search):
     """Three node chunks with a short last one, and fewer nodes than a chunk."""
     assert _kernels._NODES % _kernels._KB == 0
-    g = grouped(term_family_ds(4, 3), build_search_sets(4, 3, search))
+    d_s = len(search["N"])
+    g = grouped(term_family_ds(4, d_s), build_search_sets(4, d_s, search))
+    V, R, _ = _kernels.bandwidths(4, [(b.term, b.freqs) for b in g.blocks])
+    if name == "full_grid_wide_order1":
+        assert np.all(R < V)
+    if name == "order1_only":
+        assert not R.any() and V.all()
     for m in (2 * _kernels._NODES + 77, _kernels._NODES // 3):
         _dense_check(g, uniform_nodes(4, m, seed=4), seed=1)
 
 
-def _table_from_nodes(X, vmax, out):
+def _table_from_nodes(X, layout, out):
     """Reference: the phase table filled from the chunk's nodes themselves,
-    one cosine and sine per node and used axis."""
-    zero = _kernels._table_offsets(vmax)
-    for s, V in enumerate(int(v) for v in vmax):
+    one cosine and sine per node and used axis; axis s holds
+    v = -R_s..-1, 1..V_s."""
+    zero = _kernels._table_offsets(layout.vmax, layout.rmax)
+    for s, (V, R) in enumerate(zip(layout.vmax.tolist(), layout.rmax.tolist())):
         if V == 0:
             continue
-        Es = out[zero[s] - V:zero[s] + V]
-        pos = Es[V:]
+        pos = out[zero[s]:zero[s] + V]
         phase = 2.0 * np.pi * X[:, s]
         np.cos(phase, out=pos[0].real)
         np.sin(phase, out=pos[0].imag)
         for v in range(2, V + 1):
             np.multiply(pos[v // 2 - 1], pos[v - v // 2 - 1], out=pos[v - 1])
-        np.conjugate(pos[::-1], out=Es[:V])
+        for v in range(1, R + 1):
+            np.conjugate(pos[v - 1], out=out[zero[s] - v])
     return out
 
 
@@ -100,11 +113,10 @@ def test_cached_phases_match_per_chunk_tables_bitwise(m, monkeypatch):
     got = _kernels.fourier_forward(U, layout, c), _kernels.fourier_adjoint(U, layout, y)
 
     def chunks(_U, layout):
-        E = np.empty((int(np.sum(2 * layout.vmax)), min(m, _kernels._NODES)),
-                     dtype=np.complex128)
+        E = np.empty((layout.rows, min(m, _kernels._NODES)), dtype=np.complex128)
         for lo in range(0, m, _kernels._NODES):
             hi = min(m, lo + _kernels._NODES)
-            yield lo, hi, _table_from_nodes(X.points[lo:hi], layout.vmax,
+            yield lo, hi, _table_from_nodes(X.points[lo:hi], layout,
                                             E[:, :hi - lo])
 
     monkeypatch.setattr(_kernels, "_chunks", chunks)
@@ -119,7 +131,7 @@ def test_product_memory_does_not_grow_by_a_table_per_node():
     The operator keeps 16 bytes per node and used axis (the unit phases),
     plus the nodes X.  The phase table has chunk width, so a product's peak
     may grow by a few length-m vectors (the result), not by a table of
-    (rows, m): 40 rows here, which over 60k more nodes would be 38 MB.
+    (rows, m): 30 rows here, which over 60k more nodes would be 29 MB.
     """
     g = grouped(term_family_ds(5, 2),
                 build_search_sets(5, 2, {"type": "full_grid", "N": [8, 4]}))
@@ -281,6 +293,26 @@ def test_pilot_layout_groups_terms_by_remaining_axes(search):
     layout = _kernels.fourier_layout(9, [(b.term, b.freqs) for b in g.blocks])
     assert sum(len(grp.terms) for grp in layout.groups) == 129
     assert len(layout.groups) == 37
+
+
+@pytest.mark.parametrize("family,search,rows", [
+    ("U_3", {"type": "full_grid", "N": [16, 6, 2]}, 99),
+    ("U_3", {"type": "hyperbolic_cross", "N": [30, 30, 30]}, 99),
+    ("U*", {"type": "full_grid", "N": [32, 8, 4]}, 180),
+    ("U*", {"type": "hyperbolic_cross", "N": [64, 64, 64]}, 198),
+])
+def test_phase_table_rows(family, search, rows):
+    """The table keeps v = 1..V_s and v = -R_s..-1: 99 rows for the pilot
+    sets on U_3 (d = 9) and 180 and 198 for the refit sets on U*, against
+    sum_s 2 V_s = 144, 144, 288 and 270."""
+    fam = term_family_ds(9, 3) if family == "U_3" else u_star()
+    g = grouped(fam, build_search_sets(9, 3, search, family=fam))
+    blocks = [(b.term, b.freqs) for b in g.blocks]
+    layout = _kernels.fourier_layout(9, blocks)
+    assert layout.rows == rows == _kernels.bandwidths(9, blocks)[2]
+    E = next(_kernels._chunks(_kernels.unit_phases(np.zeros((5, 9)), layout.vmax),
+                              layout))[2]
+    assert E.shape == (rows, 5)
 
 
 def test_residues_match_python_mod():

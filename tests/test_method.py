@@ -225,6 +225,13 @@ def test_oversized_lattice_fails_before_sampling(monkeypatch):
         detect(cfg, never)
 
 
+def _table_rows(g):
+    """Rows of a product's phase table, sum_s (V_s + R_s): V_s is the largest
+    |k_s| and R_s the largest over the terms of order >= 2."""
+    K = np.abs(g.embedded())
+    return int(K.max(axis=0).sum() + K[(K > 0).sum(axis=1) >= 2].max(axis=0).sum())
+
+
 def test_oversized_scattered_fit_fails_before_allocating(monkeypatch):
     """Nodes, unit phases, one chunk's phase table and the LSQR vectors are
     estimated before the nodes are drawn or the operator is built, for a
@@ -239,9 +246,8 @@ def test_oversized_scattered_fit_fails_before_allocating(monkeypatch):
     monkeypatch.setattr(method, "BlockFourierOperator", never)
     cfg = tiny_config()
     g = grouped(term_family_ds(3, 2), build_search_sets(3, 2, cfg.search))
-    vmax = np.abs(g.embedded()).max(axis=0)
     need = (3000 * (8 * 3 + 16 * 3 + method._SCATTERED_BYTES_PER_NODE)
-            + 16 * 2 * int(vmax.sum()) * 2048 + 4 * 16 * len(g))
+            + 16 * _table_rows(g) * 2048 + 4 * 16 * len(g))
     for target in (never, (X, tiny_target(X))):
         with pytest.raises(ConfigError,
                            match=f"m = 3000 nodes needs about {need} bytes"):
@@ -254,14 +260,13 @@ def test_scattered_memory_estimate_counts_the_product_helper(monkeypatch):
     monkeypatch.setattr(method, "_physical_memory", lambda: 0)
     cfg = tiny_config()
     g = grouped(term_family_ds(3, 2), build_search_sets(3, 2, cfg.search))
-    vmax = np.abs(g.embedded()).max(axis=0)
 
     def need(helper):
         monkeypatch.setattr(method, "_helper_runs", lambda m: helper)
         with pytest.raises(ConfigError, match="needs about") as err:
             method._check_scattered_memory(g, 5001)
         return int(str(err.value).split("needs about ")[1].split()[0])
-    extra = 16 * 2 * int(vmax.sum()) * 2048 + 16 * (2 * len(g) + 2500)
+    extra = 16 * _table_rows(g) * 2048 + 16 * (2 * len(g) + 2500)
     assert need(True) == need(False) + extra
 
 

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from anovafourier import _kernels
 from anovafourier.anova import CoefficientMap, term_family_ds
 from anovafourier.index_sets import (GroupedIndexSet, LowDimIndexSet,
                                      TermFamily, grouped)
@@ -302,6 +303,24 @@ def test_nodeset_rejects_non_finite(bad):
 def test_uniform_nodes_rejects_zero():
     with pytest.raises(ValueError):
         uniform_nodes(2, 0, seed=0)
+
+
+@pytest.mark.parametrize("m,half", [(2048, 2048), (2049, 1025), (12000, 6000),
+                                    (17000, 8500)])
+def test_products_split_nodes_into_balanced_halves(m, half, monkeypatch):
+    """Beyond one chunk of nodes, half A is the first ceil(m/2) nodes and
+    half B the rest, and without a helper the forward also runs the two
+    halves."""
+    g, _, op, _ = make_system(m=m)
+    assert op._half == half
+    widths, kernel = [], _kernels.fourier_forward
+
+    def forward(U, *args, **kwargs):
+        widths.append(U.shape[1])
+        return kernel(U, *args, **kwargs)
+    monkeypatch.setattr(_kernels, "fourier_forward", forward)
+    op.forward(np.ones(len(g)))
+    assert widths == ([half, m - half] if half < m else [m])
 
 
 def test_operator_dimension_mismatch():
