@@ -202,9 +202,12 @@ def fourier_layout(d: int, blocks) -> FourierLayout:
         P, n_a = rest.shape[0], a_vals.size
         fwd.append(size + pos_r * n_a + pos_a)
         adj.append(size + (n_a - 1 - pos_a) * P + pos_r)
-        group = groups.setdefault((tuple(axes[1:]), rest.tobytes()), _Group(
-            tuple(rows(s, rest[:, j]) for j, s in enumerate(axes[1:])),
-            tuple(rows(s, -rest[:, j]) for j, s in enumerate(axes[1:])), []))
+        key = (tuple(axes[1:]), rest.tobytes())
+        if key not in groups:
+            groups[key] = _Group(
+                tuple(rows(s, rest[:, j]) for j, s in enumerate(axes[1:])),
+                tuple(rows(s, -rest[:, j]) for j, s in enumerate(axes[1:])), [])
+        group = groups[key]
         group.terms.append(_TermLayout(
             slice(size, size + P * n_a), n_a, rows(axes[0], a_vals),
             rows(axes[0], -a_vals[::-1])))

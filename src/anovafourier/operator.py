@@ -17,6 +17,7 @@ surface.
 
 from __future__ import annotations
 
+import ctypes
 import math
 import os
 import sys
@@ -104,7 +105,7 @@ class BlockFourierOperator:
 
     @property
     def shape(self):
-        return (len(self.nodes), len(self.index_set))
+        return (len(self.nodes), self._layout.n)
 
     @contextmanager
     def helped(self):
@@ -324,6 +325,15 @@ def lsqr(op, y, atol: float = 1e-8, btol: float = 1e-8,
       ``atol``), which ends a least-squares fit once h has stopped moving
       the residual.
 
+    The report's provenance records, beside the tolerances, the last
+    normal-equations ratio (``ne_ratio``), LSQR's running estimate of ||F||,
+    sqrt of the sum of the squared bidiagonal entries (``anorm``), and its
+    condition estimate ``acond`` = ||F|| ||D_k||, where D_k = V_k R_k^-1 and
+    ||D_k||^2 sums ||w_j / rho_j||^2 (Paige and Saunders, section 5).  On
+    consistent data the ratio bottoms out near 1/cond(F), so a
+    normal-equations stop far above 1/acond could not have ended an exact
+    fit.
+
     Running out of iterations raises a ``RuntimeWarning`` with the stop
     reason, which ``stop_reason`` also records, and the current iterate is
     still returned.  The products run inside the operator's ``helped``
@@ -358,6 +368,8 @@ def _lsqr(op, y, atol, btol, ntol, max_iter) -> SolveReport:
     phibar = beta
     rhobar = alpha
     anorm2 = alpha * alpha
+    ddnorm = 0.0
+    ratio = 1.0  # ||F* r_0|| / (||F|| ||r_0||) = alpha beta / (alpha beta)
     stop = f"iteration limit {max_iter} reached without convergence"
     it = 0
     for it in range(1, max_iter + 1):
@@ -378,15 +390,17 @@ def _lsqr(op, y, atol, btol, ntol, max_iter) -> SolveReport:
         phi = c * phibar
         phibar = s * phibar
         x += (phi / rho) * w
+        ddnorm += _sumsq(w) / (rho * rho)
         w = v - (theta / rho) * w
         rnorm = phibar
         arnorm = alpha * abs(c * phibar)
         anorm = math.sqrt(anorm2)
         xnorm = _norm(x)
-        if rnorm <= btol * bnorm + atol * anorm * xnorm:
+        ratio = arnorm / (anorm * rnorm) if rnorm > 0 else 0.0
+        if rnorm <= btol * bnorm + atol * anorm * xnorm:  # also when rnorm = 0
             stop = "residual tolerance reached"
             break
-        if anorm * rnorm > 0 and arnorm / (anorm * rnorm) <= ntol:
+        if ratio <= ntol:
             stop = "normal-equations tolerance reached"
             break
     else:
@@ -395,8 +409,38 @@ def _lsqr(op, y, atol, btol, ntol, max_iter) -> SolveReport:
     fitted = op.forward(x)
     return SolveReport(coeffs, it, float(phibar), _norm(y - fitted), stop,
                        {"solver": "lsqr", "atol": atol, "btol": btol,
-                        "ntol": ntol, "max_iter": max_iter},
+                        "ntol": ntol, "max_iter": max_iter,
+                        "ne_ratio": ratio, "anorm": math.sqrt(anorm2),
+                        "acond": math.sqrt(anorm2 * ddnorm)},
                        _max_abs(fitted.imag))
+
+
+def _find_malloc_trim():
+    try:
+        trim = ctypes.CDLL(None).malloc_trim
+    except (AttributeError, OSError, TypeError):  # not glibc
+        return None
+    trim.argtypes, trim.restype = [ctypes.c_size_t], ctypes.c_int
+    return trim
+
+
+_MALLOC_TRIM = _find_malloc_trim()
+
+
+def _release_free_heap() -> None:
+    """Give the C heap's free pages back to the system (glibc malloc_trim).
+
+    glibc raises its mmap threshold to each large block it frees, so later
+    blocks below it come from the heap, whose free pages stay resident
+    unless they lie at its top.  How much freed memory an earlier stage
+    leaves resident so depends on the order of its allocations: perfbench's
+    black-box pipeline peaked at 85 or 94 MB from one environment to the
+    next (the size of the environment variables alone flipped it), and at
+    84.4 to 84.9 MB with this call before the solve (glibc 2.36, 2-CPU
+    Xeon).  A no-op without glibc.
+    """
+    if _MALLOC_TRIM is not None:
+        _MALLOC_TRIM(0)
 
 
 def lattice_solve(lat: Rank1Lattice, index_set: GroupedIndexSet, y,
@@ -410,10 +454,13 @@ def lattice_solve(lat: Rank1Lattice, index_set: GroupedIndexSet, y,
     in place.  Real samples stay float64, and every such vector is real:
     ||y - F h||^2 = ||y - Re F h||^2 + ||Im F h||^2, one part after the
     other, so at even M the solve holds 8 bytes per sample beyond them
-    (16 for complex samples).
+    (16 for complex samples).  Freed heap memory is returned to the system
+    first (:func:`_release_free_heap`), so the solve's peak RSS is the
+    arrays alive and not what earlier frees left resident.
     """
     if not certified and not is_reconstructing(lat, index_set):
         raise ValueError("lattice is not reconstructing for this index set")
+    _release_free_heap()
     y = np.asarray(y)
     y = y.astype(np.complex128 if np.iscomplexobj(y) else np.float64, copy=False)
     coeffs = lattice_reconstruct(y, index_set, lat)

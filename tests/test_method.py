@@ -386,14 +386,9 @@ def test_approximate_checks_sampling_and_solver():
                           family=TermFamily.downward_closure(3, [(1, 2)]))
 
 
-@pytest.mark.parametrize("per_unknown,bound", [(20, 1e-7), (2, 1e-6)])
-def test_exact_polynomial_recovered_at_the_default_tolerances(per_unknown, bound):
-    """On data that the index set reproduces exactly, the normal-equations
-    ratio stays well above 1e-4 while F is well conditioned (here down to 2
-    samples per unknown), so the loose default cannot end the fit before the
-    residual test at atol = btol = 1e-8 does: the fit is the one of the
-    tight stop, bit for bit.  (Loosening atol itself to 1e-4 leaves a
-    coefficient error of about 1e-4 here.)"""
+def _exact_polynomial():
+    """A random trigonometric polynomial on U_2 of d = 5 (full grid (16, 6),
+    |I| = 326) as a callable target, with its grouped set and coefficients."""
     fam = term_family_ds(5, 2)
     sets = build_search_sets(5, 2, {"type": "full_grid", "N": [16, 6]}, family=fam)
     g = grouped(fam, sets)
@@ -402,31 +397,103 @@ def test_exact_polynomial_recovered_at_the_default_tolerances(per_unknown, bound
 
     def polynomial(X):
         return BlockFourierOperator(NodeSet(X), g).forward(CoefficientMap(g, c))
+    return fam, sets, g, c, polynomial
+
+
+def _tight_fit(g, polynomial, count, max_iter):
+    nodes = uniform_nodes(5, count, 3)
+    return lsqr(BlockFourierOperator(nodes, g), polynomial(nodes.points),
+                max_iter=max_iter, ntol=1e-8)
+
+
+@pytest.mark.parametrize("per_unknown,bound", [(20, 1e-7), (2, 1e-6)])
+def test_exact_polynomial_recovered_at_the_default_tolerances(per_unknown, bound):
+    """On data that the index set reproduces exactly, the normal-equations
+    ratio stays well above 1e-4 while F is well conditioned (here down to 2
+    samples per unknown), so the loose default cannot end the fit before the
+    residual test at atol = btol = 1e-8 does: the fit is the one of the
+    tight stop, bit for bit.  (Loosening atol itself to 1e-4 leaves a
+    coefficient error of about 1e-4 here.)"""
+    fam, sets, g, c, polynomial = _exact_polynomial()
     sampling = {"count": per_unknown * len(g), "seed": 3}
     model = approximate(fam, sets, polynomial, sampling)
     report = model.provenance["solver_report"]
     assert report["stop_reason"] == "residual tolerance reached"
     err = np.linalg.norm(model.coefficients.values - c) / np.linalg.norm(c)
     assert err < bound, err
-    nodes = uniform_nodes(5, per_unknown * len(g), 3)
-    tight = lsqr(BlockFourierOperator(nodes, g), polynomial(nodes.points),
-                 max_iter=200, ntol=1e-8)
+    tight = _tight_fit(g, polynomial, sampling["count"], 200)
     assert tight.iterations == report["iterations"]
     assert tight.coefficients.values.tobytes() == model.coefficients.values.tobytes()
 
 
+@pytest.mark.parametrize("per_unknown", [20, 2])
+def test_exact_polynomial_pilot_stops_on_the_residual_test(per_unknown):
+    """The pilot's normal-equations tolerance, 1e-2, is still below the
+    ratio of a well-conditioned exact fit, so ``detect`` stops on the
+    residual test at the iterate of the tight stop.  (At 1.2 samples per
+    unknown the pilot's cap of 50 iterations ends the fit first.)"""
+    fam, sets, g, c, polynomial = _exact_polynomial()
+    count = per_unknown * len(g)
+    cfg = DetectionConfig(d=5, d_s=2, search={"type": "full_grid", "N": [16, 6]},
+                          thresholds=[0.0, 0.0], sampling={"count": count, "seed": 3})
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # fewer than 10 samples per unknown
+        res = detect(cfg, polynomial)
+    assert res.pilot.index_set.digest() == g.digest()
+    report = res.pilot.provenance["solver_report"]
+    assert report["provenance"]["ntol"] == 1e-2
+    assert report["stop_reason"] == "residual tolerance reached"
+    tight = _tight_fit(g, polynomial, count, 50)
+    assert tight.iterations == report["iterations"]
+    assert tight.coefficients.values.tobytes() == res.pilot.coefficients.values.tobytes()
+
+
 def test_solver_report_records_ntol():
-    """The normal-equations tolerance is 1e-4 unless the solver config sets
-    atol, which then serves both tests, as in ``lsqr``."""
+    """The normal-equations tolerance is 1e-2 for the pilot and 1e-4 for the
+    refit unless the solver config sets atol, which then serves both tests
+    in both stages, as in ``lsqr``."""
     cfg = tiny_config()
     res = detect(cfg, tiny_target)
     prov = res.pilot.provenance["solver_report"]["provenance"]
-    assert (prov["atol"], prov["btol"], prov["ntol"]) == (1e-8, 1e-8, 1e-4)
+    assert (prov["atol"], prov["btol"], prov["ntol"]) == (1e-8, 1e-8, 1e-2)
     fam = res.active
-    model = approximate(fam, build_search_sets(3, 2, cfg.search, family=fam),
-                        tiny_target, cfg.sampling, {"atol": 1e-6})
+    sets = build_search_sets(3, 2, cfg.search, family=fam)
+    model = approximate(fam, sets, tiny_target, cfg.sampling)
+    prov = model.provenance["solver_report"]["provenance"]
+    assert (prov["atol"], prov["btol"], prov["ntol"]) == (1e-8, 1e-8, 1e-4)
+    res = detect(DetectionConfig(d=3, d_s=2, search=cfg.search,
+                                 thresholds=list(cfg.thresholds),
+                                 sampling=cfg.sampling,
+                                 solver={"atol": 1e-6, "max_iter": 120}),
+                 tiny_target)
+    prov = res.pilot.provenance["solver_report"]["provenance"]
+    assert (prov["atol"], prov["ntol"]) == (1e-6, 1e-6)
+    model = approximate(fam, sets, tiny_target, cfg.sampling, {"atol": 1e-6})
     prov = model.provenance["solver_report"]["provenance"]
     assert (prov["atol"], prov["ntol"]) == (1e-6, 1e-6)
+
+
+def test_pilot_tolerance_keeps_the_ranking(monkeypatch):
+    """On the test function's data, the pilot at its default 1e-2 detects
+    the family that it detects at 1e-4, in fewer iterations, and moves no
+    end of a threshold gap by more than 1e-4 (about 2e-5 here, at 6
+    samples per unknown)."""
+    X = uniform_nodes(9, 8000, seed=1).points
+    data = (X, bench.testfun_value(X))
+    cfg = DetectionConfig(d=9, d_s=3, search={"type": "full_grid", "N": [8, 4, 2]},
+                          thresholds=[0.005, 0.005, 0.001],
+                          sampling={"kind": "scattered"})
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # fewer than 10 samples per unknown
+        loose = detect(cfg, data)
+        monkeypatch.setitem(method._NTOL, "detect", 1e-4)
+        tight = detect(cfg, data)
+    iters = [r.pilot.provenance["solver_report"]["iterations"] for r in (loose, tight)]
+    assert iters[0] < iters[1]
+    assert loose.active.terms == tight.active.terms == u_star().terms
+    gaps = [gap_intervals(r.report, u_star(), 3) for r in (loose, tight)]
+    assert all(gap is not None for gap in gaps[0] + gaps[1])
+    assert np.allclose(gaps[0], gaps[1], rtol=0, atol=1e-4), gaps
 
 
 def test_gap_intervals_perfect_and_shuffled():

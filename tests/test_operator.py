@@ -161,6 +161,30 @@ def test_lsqr_report_residual_consistency():
     assert doc["stop_reason"] == rep.stop_reason
 
 
+@pytest.mark.parametrize("consistent", [False, True])
+@pytest.mark.parametrize("ntol", [1e-2, 1e-4, None])
+def test_lsqr_records_its_stop_and_condition_estimate(consistent, ntol):
+    """The recorded normal-equations ratio is within ntol when that test
+    stopped the fit, and acond lies between 1 and sqrt(|I| k) cond_2(F), k
+    the iterations: ||F||_F <= sqrt(|I|) ||F||_2, and ||D_k||_F <=
+    sqrt(k) / sigma_min(F) (Paige and Saunders 1982)."""
+    rng = np.random.default_rng(9)
+    g, X, op, dense = make_system(m=400)
+    c = rng.normal(size=len(g)) + 1j * rng.normal(size=len(g))
+    y = dense @ c if consistent else rng.normal(size=400) + 1j * rng.normal(size=400)
+    rep = lsqr(op, y, max_iter=300, ntol=ntol)
+    prov = rep.provenance
+    assert prov["ntol"] == (prov["atol"] if ntol is None else ntol)
+    if rep.stop_reason == "normal-equations tolerance reached":
+        assert prov["ne_ratio"] <= prov["ntol"]
+    else:
+        assert rep.stop_reason == "residual tolerance reached"
+        assert consistent or ntol is None
+    sigma = np.linalg.svd(dense, compute_uv=False)
+    assert 1.0 <= prov["acond"] <= np.sqrt(len(g) * rep.iterations) * sigma[0] / sigma[-1]
+    assert prov["anorm"] <= np.linalg.norm(dense) * (1 + 1e-12)
+
+
 def test_lattice_solve_matches_lsqr():
     rng = np.random.default_rng(10)
     fam = term_family_ds(3, 2)
