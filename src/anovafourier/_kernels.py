@@ -151,6 +151,27 @@ def bandwidths(d: int, blocks) -> tuple:
     return vmax, rmax, int(np.sum(vmax + rmax))
 
 
+def _split_pattern(freqs):
+    """(a_vals, rest, rest bytes, fwd, adj) of one block's frequencies.
+
+    None of these depends on the term's axes, so ``fourier_layout`` splits
+    each distinct pattern once (the terms of one order share one in
+    ``method.build_search_sets``).  ``fwd`` and ``adj`` are each
+    frequency's place in the term's forward matrix and adjoint result,
+    counted from the matrix's start.  An order-1 block has ``rest`` None
+    and its distinct |v| as a_vals."""
+    if freqs.shape[1] == 1:
+        mags, pos = np.unique(np.abs(freqs[:, 0]), return_inverse=True)
+        pos, neg = pos.reshape(-1), freqs[:, 0] < 0
+        return mags, None, None, neg * mags.size + pos, 2 * pos + ~neg
+    a_vals, pos_a = np.unique(freqs[:, 0], return_inverse=True)
+    rest, pos_r = np.unique(freqs[:, 1:], axis=0, return_inverse=True)
+    pos_a, pos_r = pos_a.reshape(-1), pos_r.reshape(-1)
+    P, n_a = rest.shape[0], a_vals.size
+    return (a_vals, rest, rest.tobytes(), pos_r * n_a + pos_a,
+            (n_a - 1 - pos_a) * P + pos_r)
+
+
 def fourier_layout(d: int, blocks) -> FourierLayout:
     """Layout of ``(term, freqs)`` blocks in canonical coefficient order.
 
@@ -171,7 +192,7 @@ def fourier_layout(d: int, blocks) -> FourierLayout:
     def rows(s, vals):
         return _run(zero[s] + vals - (vals > 0))
 
-    const, groups = [], {}
+    const, groups, splits = [], {}, {}
     coef, fwd, adj = ([np.zeros(0, dtype=np.int64)] for _ in range(3))
     off = size = 0
     for term, freqs in blocks:
@@ -184,25 +205,22 @@ def fourier_layout(d: int, blocks) -> FourierLayout:
         if freqs.shape[0] == 0:
             continue
         coef.append(np.arange(block.start, block.stop))
-        if len(axes) == 1:  # rows v > 0 and v < 0 over the distinct |v|
-            mags, pos = np.unique(np.abs(freqs[:, 0]), return_inverse=True)
-            pos, neg = pos.reshape(-1), freqs[:, 0] < 0
-            n_a = mags.size
-            fwd.append(size + neg * n_a + pos)
-            adj.append(size + 2 * pos + ~neg)
+        key = (freqs.shape, freqs.tobytes())
+        if key not in splits:
+            splits[key] = _split_pattern(freqs)
+        a_vals, rest, rest_key, fwd_at, adj_at = splits[key]
+        n_a = a_vals.size
+        fwd.append(size + fwd_at)
+        adj.append(size + adj_at)
+        if rest is None:  # order 1: rows v > 0 and v < 0 over the distinct |v|
             group = groups.setdefault((), _Group((), (), []))
-            rows_a = rows(axes[0], mags)
+            rows_a = rows(axes[0], a_vals)
             group.terms.append(_TermLayout(slice(size, size + 2 * n_a), n_a,
                                            rows_a, rows_a))
             size += 2 * n_a
             continue
-        a_vals, pos_a = np.unique(freqs[:, 0], return_inverse=True)
-        rest, pos_r = np.unique(freqs[:, 1:], axis=0, return_inverse=True)
-        pos_a, pos_r = pos_a.reshape(-1), pos_r.reshape(-1)
-        P, n_a = rest.shape[0], a_vals.size
-        fwd.append(size + pos_r * n_a + pos_a)
-        adj.append(size + (n_a - 1 - pos_a) * P + pos_r)
-        key = (tuple(axes[1:]), rest.tobytes())
+        P = rest.shape[0]
+        key = (tuple(axes[1:]), rest_key)
         if key not in groups:
             groups[key] = _Group(
                 tuple(rows(s, rest[:, j]) for j, s in enumerate(axes[1:])),

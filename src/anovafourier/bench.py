@@ -198,21 +198,21 @@ def exact_norm_sq() -> float:
     return exact_variance() + exact_mean() ** 2
 
 
-def errors(model: ApproxModel, X, y):
-    """(eps_l2, eps_L2): training error at the nodes and exact L2 error.
+def training_error(model: ApproxModel) -> float:
+    """eps_l2 = ||y - F h|| / ||y|| on the model's own samples, where both
+    solvers record ||y - F h|| of their fitted values as ``residual_check``."""
+    _, y = model.fit_data()
+    return model.provenance["solver_report"]["residual_check"] / _norm(y)
 
-    The L2 error uses Parseval with the exact coefficients on the model's
-    index set:  ||f - S f||^2 = ||f||^2 + sum_I |c - h|^2 - sum_I |c|^2.
-    """
-    y = np.asarray(y, dtype=np.complex128)
-    fitted = model.evaluate_on(X)
-    eps_l2 = _norm(y - fitted) / _norm(y)
+
+def l2_error(model: ApproxModel) -> float:
+    """eps_L2 by Parseval with the exact coefficients on the model's index
+    set:  ||f - S f||^2 = ||f||^2 + sum_I |c - h|^2 - sum_I |c|^2."""
     exact = testfun_coeffs(model.index_set.embedded())
     diff = float(np.sum(np.abs(exact - model.coefficients.values) ** 2))
     kept = float(np.sum(exact ** 2))
     nsq = exact_norm_sq()
-    eps_L2 = math.sqrt(max(nsq + diff - kept, 0.0) / nsq)
-    return eps_l2, eps_L2
+    return math.sqrt(max(nsq + diff - kept, 0.0) / nsq)
 
 
 @dataclass(frozen=True, eq=False)
@@ -270,15 +270,14 @@ def run_experiment(cfg: dict) -> ExperimentRow:
         sets = build_search_sets(D, dc.d_s, dc.search, family=family)
         model = approximate(family, sets, testfun_value, dc.sampling, dc.solver)
         gaps = None
-    X, y = model.fit_data()
-    eps_l2, eps_L2 = errors(model, X, y)
     extra = {}
     if "lattice" in model.provenance:
         extra["M"] = model.provenance["lattice"]["M"]
     return ExperimentRow(str(cfg.get("id", "run")),
                          model.provenance["sampling"]["kind"], dc.d_s,
-                         tuple(dc.search["N"]), len(model.index_set), len(y),
-                         eps_l2, eps_L2, gaps, time.time() - t0, extra,
+                         tuple(dc.search["N"]), len(model.index_set),
+                         model.provenance["sample_count"], training_error(model),
+                         l2_error(model), gaps, time.time() - t0, extra,
                          model.provenance["solver_report"]["stop_reason"])
 
 

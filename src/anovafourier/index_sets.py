@@ -93,6 +93,13 @@ def is_downward_closed(terms) -> bool:
     return all(v in s for u in s for v in _proper_subsets(u))
 
 
+def _strictly_increasing(f: np.ndarray) -> bool:
+    """Whether the rows of ``f`` strictly increase in lexicographic order:
+    at the first column where two neighbours differ, the later is larger."""
+    first = (f[1:] != f[:-1]).argmax(axis=1)[:, None]
+    return bool(np.all(np.take_along_axis(f[1:] > f[:-1], first, axis=1)))
+
+
 @dataclass(frozen=True, eq=False)
 class LowDimIndexSet:
     """Frequency set I_u of |u|-dimensional integer vectors, no zero entries.
@@ -114,7 +121,8 @@ class LowDimIndexSet:
             f = f.reshape(-1, len(self.term))
             if f.size and not np.all(f != 0):
                 raise ValueError(f"zero entry in frequency set for term {self.term}")
-            f = np.unique(f, axis=0) if f.size else f  # unique rows, lex order
+            if not _strictly_increasing(f):
+                f = np.unique(f, axis=0)  # unique rows, lex order
         object.__setattr__(self, "freqs", f)
 
     def __len__(self):

@@ -238,7 +238,7 @@ def test_criterion_05_scattered_desk_scale():
         warnings.simplefilter("ignore")
         model = approximate(bench.u_star(), sets, (X, y),
                             {"kind": "scattered"}, {"max_iter": 200})
-    eps_l2, eps_L2 = bench.errors(model, X, y)
+    eps_l2, eps_L2 = bench.training_error(model), bench.l2_error(model)
     elapsed = time.time() - t0
     ok = eps_L2 < 0.1 and elapsed < 900
     report(5, ok, f"gaps nonempty at all orders, U* recovered for thresholds "
@@ -262,7 +262,7 @@ def test_criterion_06_truncation_floor_ds2():
     from anovafourier.method import ApproxModel
     ideal = ApproxModel(CoefficientMap(
         gbig, bench.testfun_coeffs(gbig.embedded()).astype(complex)))
-    _, ideal_L2 = bench.errors(ideal, X, y)
+    ideal_L2 = bench.l2_error(ideal)
     assert ideal_L2 >= 0.0936 - 1e-3
     # desk-scale d_s = 2 run
     sets = build_search_sets(9, 2, {"type": "full_grid", "N": [32, 8]},
@@ -271,7 +271,7 @@ def test_criterion_06_truncation_floor_ds2():
         warnings.simplefilter("ignore")
         model = approximate(fam, sets, (X, y), {"kind": "scattered"},
                             {"max_iter": 200})
-    eps_l2, eps_L2 = bench.errors(model, X, y)
+    eps_l2, eps_L2 = bench.training_error(model), bench.l2_error(model)
     elapsed = time.time() - t0
     ok = (eps_L2 >= 0.0936 - 1e-3) and (0.093 <= eps_L2 <= 0.13) and elapsed < 600
     report(6, ok, f"floor = {floor:.5f}, ideal-coefficient model eps_L2 = "

@@ -1,5 +1,9 @@
+import json
 import math
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -192,7 +196,8 @@ def test_errors_formula_collapse():
     model = ApproxModel(CoefficientMap(g, exact.astype(complex)))
     X = uniform_nodes(9, 2000, seed=0)
     y = bench.testfun_value(X.points)
-    eps_l2, eps_L2 = bench.errors(model, X, y)
+    eps_L2 = bench.l2_error(model)
+    eps_l2 = np.linalg.norm(y - model.evaluate(X.points)) / np.linalg.norm(y)
     expect = math.sqrt(1 - np.sum(exact ** 2) / bench.exact_norm_sq())
     assert eps_L2 == pytest.approx(expect, rel=1e-10)
     assert eps_l2 > 0
@@ -206,8 +211,7 @@ def test_uplus_floor():
     g = grouped(fam, sets)
     exact = bench.testfun_coeffs(g.embedded())
     model = ApproxModel(CoefficientMap(g, exact.astype(complex)))
-    X = uniform_nodes(9, 500, seed=1)
-    _, eps_L2 = bench.errors(model, X, bench.testfun_value(X.points))
+    eps_L2 = bench.l2_error(model)
     floor = math.sqrt(bench.exact_term_variances()[(4, 8, 9)] / bench.exact_norm_sq())
     assert eps_L2 >= floor - 1e-12
     assert floor == pytest.approx(0.09362, abs=2e-5)
@@ -226,6 +230,78 @@ def test_run_experiment_tiny_scattered():
     line = row.csv_line()
     assert line.startswith("tiny;scattered;2;")
     assert bench.ExperimentRow.csv_header().count(";") == line.count(";")
+
+
+@pytest.mark.parametrize("cfg,rel", [
+    pytest.param({"d": 9, "d_s": 2, "search": {"type": "full_grid", "N": (8, 4)},
+                  "sampling": {"kind": "scattered", "count": 8000, "seed": 1}},
+                 0.0, id="scattered-detection"),
+    pytest.param({"d": 9, "d_s": 3,
+                  "search": {"type": "hyperbolic_cross", "N": (10, 10, 10)},
+                  "sampling": {"kind": "lattice", "seed": 1},
+                  "active_set": [[1, 5], [2, 6], [3, 7], [4, 8, 9]]},
+                 1e-12, id="lattice-refit")])
+def test_row_eps_l2_matches_a_direct_evaluation(cfg, rel, monkeypatch):
+    """A row's eps_l2, read from its solve's residual, is the training error
+    of its model evaluated again on its own samples: to the bit on scattered
+    nodes, where LSQR's last forward runs the same node halves as a fresh
+    operator, and to roundoff on a lattice, whose solve evaluates Re and
+    Im F h apart."""
+    from anovafourier.operator import _norm
+    fitted = []
+    for name in ("detect", "approximate"):
+        def fit(*args, _fit=getattr(bench, name)):
+            out = _fit(*args)
+            fitted.append(getattr(out, "pilot", out))
+            return out
+        monkeypatch.setattr(bench, name, fit)
+    row = bench.run_experiment(cfg)
+    (model,) = fitted
+    design, y = model.fit_data()
+    direct = _norm(y - model.evaluate_on(design)) / _norm(y)
+    assert 0 < row.eps_l2 < 1
+    assert row.eps_l2 == pytest.approx(direct, rel=rel, abs=0)
+
+
+_SCORING_PEAK = """
+import json
+import sys
+from anovafourier import bench
+from anovafourier.method import detect, read_run_config
+
+cfg = bench.TABLE_CONFIGS[(4, 1)]
+if sys.argv[1] == "detect":
+    M = detect(read_run_config(cfg)[0], bench.testfun_value).pilot.provenance["sample_count"]
+else:
+    M = bench.run_experiment(cfg).samples
+with open("/proc/self/status") as fh:
+    peak = next(int(ln.split()[1]) for ln in fh if ln.startswith("VmHWM:"))
+print(json.dumps({"M": M, "peak": peak * 1024}))
+"""
+
+
+def _scoring_peak(stage):
+    """(samples, peak RSS in bytes) of table 4 row 1 in a fresh interpreter,
+    after ``detect`` alone or after the whole row, scoring included."""
+    proc = subprocess.run([sys.executable, "-c", _SCORING_PEAK, stage],
+                          capture_output=True, text=True, check=True)
+    out = json.loads(proc.stdout.strip().splitlines()[-1])
+    return out["M"], out["peak"]
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(),
+                    reason="reads VmHWM from /proc")
+def test_scoring_a_row_adds_no_memory():
+    """Scoring table 4 row 1 (M = 729000 lattice samples) raises the peak RSS
+    of its detection by at most 1 byte per sample: eps_l2 comes from the
+    solve's residual and eps_L2 from the coefficients, so no length-M vector
+    is made.  Evaluating the model again at every sample in complex128 rose
+    by 48 bytes per sample."""
+    M, fit_peak = _scoring_peak("detect")
+    M_row, row_peak = _scoring_peak("row")
+    assert M_row == M
+    rise = (row_peak - fit_peak) / M
+    assert rise <= 1, f"scoring raised the peak by {rise:.1f} bytes per sample"
 
 
 def test_table_registry_contents():
@@ -277,7 +353,6 @@ def test_oversampling_regime_residual_bounds_l2_error():
         model = _approximate(fam, sets, bench.testfun_value,
                              {"kind": "scattered", "count": m, "seed": 11},
                              {"max_iter": 200})
-    X, y = model.fit_data()
-    eps_l2, eps_L2 = bench.errors(model, X, y)
+    eps_l2, eps_L2 = bench.training_error(model), bench.l2_error(model)
     assert eps_L2 <= 3 * eps_l2
     assert eps_l2 <= 3 * eps_L2

@@ -226,6 +226,22 @@ def test_blocks_disjoint_randomized():
         assert len(np.unique(emb, axis=0)) == len(emb)
 
 
+@settings(max_examples=200, deadline=None)
+@given(k=st.integers(1, 3), data=st.data())
+def test_low_dim_set_rows_are_unique_and_sorted(k, data):
+    """Any rows give np.unique's rows, whether the set sorts them or finds
+    them sorted already; sorted unique rows are kept as given."""
+    values = st.integers(-4, 4).filter(bool)
+    rows = data.draw(st.lists(st.lists(values, min_size=k, max_size=k),
+                              max_size=12))
+    f = np.asarray(rows, dtype=np.int64).reshape(-1, k)
+    want = np.unique(f, axis=0)
+    got = LowDimIndexSet(tuple(range(1, k + 1)), f).freqs
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    again = LowDimIndexSet(tuple(range(1, k + 1)), want).freqs
+    assert np.shares_memory(again, want) or want.size == 0
+
+
 def test_difference_set_symmetry_property():
     rng = np.random.default_rng(9)
     for _ in range(10):
