@@ -26,8 +26,7 @@ from .lattice import cbc_construct, save_lattice
 from .method import (_SAMPLING_KINDS, ApproxModel, ConfigError,
                      _check_sampling, build_search_sets, approximate, detect,
                      gap_intervals, read_run_config)
-from .weights import (WeightParams, bound_curve, parse_weight_sequence,
-                      sobolev_trunc_bound_l2, sobolev_trunc_bound_linf)
+from .weights import BOUNDS, WeightParams, bound_curve, parse_weight_sequence
 
 
 def _load_json(path, what="config"):
@@ -57,19 +56,51 @@ def _digest(obj) -> str:
                                      separators=(",", ":")).encode()).hexdigest()
 
 
-def _write_manifest(outdir: Path, command: str, cfg, seeds, artifacts, t0,
-                    **extra):
-    manifest = {"command": command,
-                "config_digest": _digest(cfg),
-                "seeds": seeds,
-                "artifacts": sorted(str(a) for a in artifacts),
-                "tool_version": __version__,
-                "wall_time_seconds": time.time() - t0,
-                **extra}
-    path = outdir / f"{command}-manifest.json"
-    with open(path, "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-    return path
+class _Output:
+    """A command's output directory, its artifacts and its manifest.
+
+    Made once the command's stage has run, so a failed stage leaves no
+    directory.  Every artifact path comes from :meth:`path`, which lists it
+    in the manifest that :meth:`manifest` writes.
+    """
+
+    def __init__(self, out, command: str, t0: float):
+        self.dir = Path(out)
+        self.dir.mkdir(parents=True, exist_ok=True)
+        self.command, self.t0, self.artifacts = command, t0, []
+
+    def path(self, name: str) -> Path:
+        p = self.dir / name
+        self.artifacts.append(p)
+        return p
+
+    def text(self, name: str, text: str) -> None:
+        self.path(name).write_text(text)
+
+    def json(self, name: str, doc, sort_keys: bool = False) -> None:
+        self.text(name, json.dumps(doc, indent=2, sort_keys=sort_keys))
+
+    def manifest(self, cfg, seeds, **extra) -> None:
+        doc = {"command": self.command,
+               "config_digest": _digest(cfg),
+               "seeds": seeds,
+               "artifacts": sorted(str(a) for a in self.artifacts),
+               "tool_version": __version__,
+               "wall_time_seconds": time.time() - self.t0,
+               **extra}
+        (self.dir / f"{self.command}-manifest.json").write_text(
+            json.dumps(doc, indent=2, sort_keys=True))
+
+
+def _check_table(table, where: str, n: int, unit: str):
+    """``table`` if it has ``n`` columns and only finite rows; otherwise a
+    ConfigError naming ``where`` and the column count or the first bad row."""
+    if table.shape[1] != n:
+        raise ConfigError(f"{where}: expected {n} {unit}, got {table.shape[1]}")
+    bad = np.flatnonzero(~np.isfinite(table).all(axis=1))
+    if bad.size:
+        raise ConfigError(f"{where}: non-finite value in row {bad[0] + 1}")
+    return table
 
 
 def _exit_code(stage: str, stop: str) -> int:
@@ -94,11 +125,7 @@ def _target_from_config(cfg, d):
             data = np.loadtxt(target["csv"], delimiter=";", ndmin=2)
         except (OSError, ValueError) as exc:
             raise ConfigError(f"target.csv: cannot read {target['csv']!r}: {exc}")
-        if data.shape[1] != d + 1:
-            raise ConfigError(f"target.csv: expected {d + 1} columns, got {data.shape[1]}")
-        bad = np.flatnonzero(~np.isfinite(data).all(axis=1))
-        if bad.size:
-            raise ConfigError(f"target.csv: non-finite value in row {bad[0] + 1}")
+        _check_table(data, "target.csv", d + 1, "columns")
         X = data[:, :d]
         wrapped = int(np.sum((X < 0) | (X >= 1)))
         if wrapped:
@@ -126,39 +153,22 @@ def cmd_detect(args) -> int:
     dc, _ = read_run_config(cfg)
     target = _target_from_config(cfg, dc.d)
     result = detect(dc, target)
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
-    artifacts = []
-    p = outdir / "sensitivity.json"
-    p.write_text(json.dumps(result.report.to_json_dict(), indent=2, sort_keys=True))
-    artifacts.append(p)
-    p = outdir / "sensitivity.csv"
-    p.write_text(result.report.to_csv())
-    artifacts.append(p)
-    p = outdir / "active_set.json"
-    p.write_text(json.dumps({"d": dc.d,
-                             "terms": [list(u) for u in result.active.sorted_terms()]},
-                            indent=2))
-    artifacts.append(p)
+    out = _Output(args.out, "detect", t0)
+    out.json("sensitivity.json", result.report.to_json_dict(), sort_keys=True)
+    out.text("sensitivity.csv", result.report.to_csv())
+    out.json("active_set.json",
+             {"d": dc.d, "terms": [list(u) for u in result.active.sorted_terms()]})
     if cfg.get("truth") == "bench-ustar":
         from .bench import u_star
         gaps = gap_intervals(result.report, u_star(), dc.d_s)
-        p = outdir / "gaps.json"
-        p.write_text(json.dumps({"gaps": [list(g) if g else None for g in gaps]},
-                                indent=2))
-        artifacts.append(p)
-    p = outdir / "pilot-model.json"
-    result.pilot.save(p)
-    artifacts.append(p)
+        out.json("gaps.json", {"gaps": [list(g) if g else None for g in gaps]})
+    result.pilot.save(out.path("pilot-model.json"))
     extra = {}
     if "lattice" in result.pilot.provenance:
-        lp = outdir / "pilot-lattice.json"
-        lp.write_text(json.dumps(result.pilot.provenance["lattice"],
-                                 indent=2, sort_keys=True))
-        artifacts.append(lp)
+        out.json("pilot-lattice.json", result.pilot.provenance["lattice"],
+                 sort_keys=True)
         extra["lattice_M"] = result.pilot.provenance["lattice"]["M"]
-    _write_manifest(outdir, "detect", cfg, dc.sampling.get("seed"), artifacts,
-                    t0, **extra)
+    out.manifest(cfg, dc.sampling.get("seed"), **extra)
     return _exit_code("detect", result.pilot.provenance["solver_report"]["stop_reason"])
 
 
@@ -173,13 +183,9 @@ def cmd_approximate(args) -> int:
     sets = build_search_sets(dc.d, dc.d_s, dc.search, family=family)
     model = approximate(family, sets, target, dc.sampling, dc.solver)
     model.provenance["config"] = {k: v for k, v in cfg.items() if k != "target"}
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
-    p = outdir / "model.json"
-    model.save(p)
-    artifacts = [p]
-    artifacts.append(_write_manifest(outdir, "approximate", cfg,
-                                     dc.sampling.get("seed"), artifacts, t0))
+    out = _Output(args.out, "approximate", t0)
+    model.save(out.path("model.json"))
+    out.manifest(cfg, dc.sampling.get("seed"))
     return _exit_code("approximate", model.provenance["solver_report"]["stop_reason"])
 
 
@@ -204,26 +210,22 @@ def cmd_bench(args) -> int:
         raise ConfigError("bench needs --config, --table or --desk")
     cfg = _overridden(cfg, args)
     row = run_experiment(cfg)
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
-    csv_path = outdir / "experiments.csv"
+    out = _Output(args.out, "bench", t0)
+    csv_path = out.path("experiments.csv")
     new = not csv_path.exists()
     with open(csv_path, "a") as fh:
         if new:
             fh.write(ExperimentRow.csv_header() + "\n")
         fh.write(row.csv_line() + "\n")
-    json_path = outdir / f"{row.id}.json"
-    json_path.write_text(json.dumps({
+    out.json(f"{row.id}.json", {
         "id": row.id, "scenario": row.scenario, "d_s": row.d_s,
         "N": list(row.N), "set_size": row.set_size, "samples": row.samples,
         "eps_l2": row.eps_l2, "eps_L2": row.eps_L2,
         "gaps": [list(g) if g else None for g in row.gaps] if row.gaps else None,
         "seconds": row.seconds, "extra": row.extra,
-        "scale": "config" if args.config else "desk" if args.desk else "full"},
-        indent=2))
+        "scale": "config" if args.config else "desk" if args.desk else "full"})
     print(row.csv_line())
-    _write_manifest(outdir, "bench", cfg, cfg.get("sampling", {}).get("seed"),
-                    [csv_path, json_path], t0)
+    out.manifest(cfg, cfg.get("sampling", {}).get("seed"))
     return _exit_code("bench", row.stop_reason)
 
 
@@ -231,13 +233,10 @@ def cmd_lattice(args) -> int:
     t0 = time.time()
     idx = _load_doc(args.index_set, "--index-set", GroupedIndexSet.from_json_dict)
     lat = cbc_construct(idx, seed=args.seed or 0)
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
-    p = outdir / "lattice.json"
-    save_lattice(p, lat, idx.digest())
+    out = _Output(args.out, "lattice", t0)
+    save_lattice(out.path("lattice.json"), lat, idx.digest())
     print(f"M = {lat.M}, z = {lat.z.tolist()}")
-    _write_manifest(outdir, "lattice", {"index_set": args.index_set},
-                    args.seed, [p], t0)
+    out.manifest({"index_set": args.index_set}, args.seed)
     return 0
 
 
@@ -263,35 +262,27 @@ def cmd_bound(args) -> int:
     if args.sweep:
         lo, hi, num = args.sweep
         try:
-            curve = bound_curve(p, args.ds, args.sweep_param,
-                                np.linspace(lo, hi, int(num)), kind=args.kind)
+            grid = np.linspace(lo, hi, int(num))
+            values = bound_curve(p, args.ds, args.sweep_param, grid, args.kind)
         except ValueError as exc:
             raise ConfigError(f"--kind {args.kind} with --sweep-param "
                               f"{args.sweep_param} over --sweep {lo:g} {hi:g} "
                               f"{int(num)}: no point allowed: {exc}")
-        for t, v in zip(curve.grid, curve.values):
+        for t, v in zip(grid, values):
             lines.append(f"{args.sweep_param};{float(t)!r};{float(v)!r}")
     else:
         try:
-            if args.kind == "linf_zeta":
-                value = sobolev_trunc_bound_linf(p, args.ds)
-            else:
-                value = sobolev_trunc_bound_l2(p, args.ds)
+            value = BOUNDS[args.kind](p, args.ds)
         except ValueError as exc:
             raise ConfigError(f"--kind {args.kind}: {exc}")
         lines.append(f"point;{args.ds};{float(value)!r}")
         print(f"bound = {value:.6e}")
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
-    csv_path = outdir / "bound.csv"
-    csv_path.write_text("\n".join(lines) + "\n")
-    echo = outdir / "weight-params.json"
-    echo.write_text(json.dumps({"alpha": args.alpha, "beta": args.beta,
-                                "gamma": gamma.tolist(),
-                                "Gamma": Gamma.tolist(), "d": d, "d_s": args.ds},
-                               indent=2, sort_keys=True))
-    _write_manifest(outdir, "bound", vars(args) | {"func": None}, None,
-                    [csv_path, echo], t0)
+    out = _Output(args.out, "bound", t0)
+    out.text("bound.csv", "\n".join(lines) + "\n")
+    out.json("weight-params.json", {"alpha": args.alpha, "beta": args.beta,
+                                    "gamma": gamma.tolist(), "Gamma": Gamma.tolist(),
+                                    "d": d, "d_s": args.ds}, sort_keys=True)
+    out.manifest(vars(args) | {"func": None}, None)
     return 0
 
 
@@ -308,23 +299,13 @@ def cmd_eval(args) -> int:
             pts = np.loadtxt(args.points, delimiter=";", ndmin=2)
     except (OSError, ValueError) as exc:
         raise ConfigError(f"{flag}: {exc}")
-    if pts.shape[1] != model.index_set.d:
-        raise ConfigError(f"{flag}: expected {model.index_set.d} coordinates, "
-                          f"got {pts.shape[1]}")
-    bad = np.flatnonzero(~np.isfinite(pts).all(axis=1))
-    if bad.size:
-        raise ConfigError(f"{flag}: non-finite value in row {bad[0] + 1}")
-    vals = model.evaluate(pts)
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
-    p = outdir / "evaluations.csv"
-    with open(p, "w") as fh:
-        fh.write("index;re;im\n")
-        for i, v in enumerate(vals):
-            fh.write(f"{i};{float(v.real)!r};{float(v.imag)!r}\n")
-        if args.x:
-            print(f"value = {vals[0].real!r} + {vals[0].imag!r}i")
-    _write_manifest(outdir, "eval", {"model": args.model}, None, [p], t0)
+    vals = model.evaluate(_check_table(pts, flag, model.index_set.d, "coordinates"))
+    out = _Output(args.out, "eval", t0)
+    out.text("evaluations.csv", "index;re;im\n" + "".join(
+        f"{i};{float(v.real)!r};{float(v.imag)!r}\n" for i, v in enumerate(vals)))
+    if args.x:
+        print(f"value = {vals[0].real!r} + {vals[0].imag!r}i")
+    out.manifest({"model": args.model}, None)
     return 0
 
 
@@ -368,8 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=int, default=9)
     p.add_argument("--gammas", default="1/s")
     p.add_argument("--Gammas", default="1")
-    p.add_argument("--kind", choices=("l2_linf_pod", "linf_zeta"),
-                   default="l2_linf_pod")
+    p.add_argument("--kind", choices=tuple(BOUNDS), default="l2_linf_pod")
     p.add_argument("--sweep", nargs=3, type=float, metavar=("LO", "HI", "NUM"))
     p.add_argument("--sweep-param", choices=("alpha", "beta"), default="alpha")
     p.add_argument("--out", default=".")

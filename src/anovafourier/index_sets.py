@@ -257,7 +257,7 @@ class GroupedIndexSet:
     blocks: tuple  # of LowDimIndexSet, canonical order
 
     def __post_init__(self):
-        terms = [b.term for b in self.blocks]
+        terms = [validate_term(b.term, self.d) for b in self.blocks]
         if len(set(terms)) != len(terms):
             raise ValueError("duplicate term blocks")
         if not is_downward_closed(terms):

@@ -77,7 +77,7 @@ def _check_search(search, max_order: int, exact: bool = False) -> None:
     """One cutoff per term order 1..max_order (exactly that many if
     ``exact``); a weight spec with every field when one is given or the
     type is "weighted".  Whether a cutoff suits its set type is left to
-    the set constructor (see ``_order_set``)."""
+    the set constructor (see ``_term_set``)."""
     _check_keys(search, "search", ("type", "N", "weight"))
     if search.get("type") not in _SEARCH_TYPES:
         raise ConfigError(f"search.type must be one of {', '.join(_SEARCH_TYPES)}, "
@@ -150,12 +150,13 @@ class DetectionConfig:
     """Inputs of the detection stage, checked at construction.
 
     ``search`` is {"type": "full_grid" | "hyperbolic_cross" | "weighted",
-    "N": [N_1, .., N_ds]} with one cutoff per term order (terms of equal
-    order share their set); "weighted" additionally takes weight parameters
-    under "weight".  ``thresholds`` is the order-dependent epsilon vector.
-    ``sampling`` is {"kind": "scattered" | "lattice", "count", "seed"} and
-    ``solver`` {"atol", "btol", "max_iter"}: a missing key takes its value
-    from ``SOLVER_DEFAULTS``.  LSQR's residual test reads atol and btol; its
+    "N": [N_1, .., N_ds]} with one cutoff per term order; "weighted"
+    additionally takes weight parameters under "weight" and builds each
+    term's set on its own axes (see :func:`build_search_sets`).
+    ``thresholds`` is the order-dependent epsilon vector.  ``sampling`` is
+    {"kind": "scattered" | "lattice", "count", "seed"} and ``solver``
+    {"atol", "btol", "max_iter"}: a missing key takes its value from
+    ``SOLVER_DEFAULTS``.  LSQR's residual test reads atol and btol; its
     normal-equations test reads the stage's ``_NTOL``, 1e-2 for this pilot
     fit, which only ranks terms, and 1e-4 for ``approximate``'s refit, or
     atol in both stages when the config sets atol (see
@@ -229,16 +230,15 @@ def read_run_config(cfg) -> tuple[DetectionConfig, TermFamily | None]:
                            solver=cfg.get("solver", {})), family
 
 
-def _order_set(kind: str, order: int, N, weight=None) -> np.ndarray:
-    template = tuple(range(1, order + 1))
+def _term_set(kind: str, term, N, weight, d: int) -> np.ndarray:
     try:
         if kind == "full_grid":
-            return full_grid(template, int(N)).freqs
+            return full_grid(term, int(N)).freqs
         if kind == "hyperbolic_cross":
-            return hyperbolic_cross(template, float(N)).freqs
-        return weighted_index_set(template, weight, float(N), d=order).freqs
+            return hyperbolic_cross(term, float(N)).freqs
+        return weighted_index_set(term, weight, float(N), d=d).freqs
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"search.N[{order - 1}] = {N!r}: {exc}") from exc
+        raise ConfigError(f"search.N[{len(term) - 1}] = {N!r}: {exc}") from exc
 
 
 def _weight_fn(search: dict):
@@ -257,24 +257,25 @@ def build_search_sets(d: int, d_s: int, search: dict,
                       family: TermFamily | None = None) -> dict:
     """Per-term index sets over a family (default U_{d_s}), order-dependent.
 
-    Terms of equal order share one frequency pattern, constructed once.
-    ``search`` needs a cutoff for every order in the family.
+    Grids and crosses do not depend on a term's axes, so terms of equal
+    order share one frequency pattern, constructed once.  A weighted set is
+    built per term, on the term's own axes in Z^d.  ``search`` needs a
+    cutoff for every order in the family.
     """
     _check_dims(d, d_s)
     fam = family if family is not None else term_family_ds(d, d_s)
     _check_search(search, fam.max_order())
-    N = search["N"]
+    kind, N = search["type"], search["N"]
     weight = _weight_fn(search)
     patterns = {}
     sets = {(): empty_term_set()}
     for u in fam.sorted_terms():
         if not u:
             continue
-        order = len(u)
-        if order not in patterns:
-            patterns[order] = _order_set(search["type"], order,
-                                         N[order - 1], weight)
-        sets[u] = LowDimIndexSet(u, patterns[order])
+        key = u if kind == "weighted" else len(u)
+        if key not in patterns:
+            patterns[key] = _term_set(kind, u, N[len(u) - 1], weight, d)
+        sets[u] = LowDimIndexSet(u, patterns[key])
     return sets
 
 
@@ -355,14 +356,16 @@ class ActiveSetResult:
 #: bytes per sample that a lattice stage holds at its peak: the value
 #: vector and one work vector (the in-place transform's, then the fitted
 #: values), plus the stage's index sets and sampling blocks, which do not
-#: grow with M.  Both vectors take 8 bytes per sample for real values at
-#: even M and 16 otherwise.  Peak RSS over the RSS before the stage, test
-#: function, CBC seeds 1, 2, 5 and 10: at even M 19.4-22.5 on the black-box
-#: refit sets (M = 1440000 to 2949120) and 30.7-34.2 on the pilot sets
-#: (589824 to 729000); at odd M 36.5 (refit, 5^9) and 51.2 (pilot, 3^12),
-#: as complex values read at every M (35.4-51.6).  The check runs before
-#: the target is sampled, so it cannot know the values' type: rounded up
-#: to 4 complex values.
+#: grow with M.  The values take 8 bytes per sample when real and 16 when
+#: complex; the work vector 8 for real values at even M and 16 otherwise.
+#: Peak RSS over the RSS before the stage, test function, CBC seeds 1, 2, 5
+#: and 10: at even M 19.4-22.5 on the black-box refit sets (M = 1440000 to
+#: 2949120) and 30.7-34.2 on the pilot sets (589824 to 729000); at odd M
+#: 35.3 (refit, 5^9, where ``approximate``'s second evaluation, a complex
+#: vector and its real part, sets the peak) and 38.7 (pilot, 3^12), as
+#: complex values read at every M (35.4-51.6).  The check runs before the
+#: target is sampled, so it cannot know the values' type: rounded up to 4
+#: complex values.
 _LATTICE_BYTES_PER_SAMPLE = 64
 
 
@@ -432,8 +435,12 @@ class ScatteredDesign:
         if isinstance(target, tuple):
             X, y = target
             nodes = X if isinstance(X, NodeSet) else NodeSet(np.asarray(X))
+            y = np.asarray(y, dtype=np.complex128)
+            if y.shape != (len(nodes),):
+                raise ValueError(f"fixed data: y of shape {y.shape} does not "
+                                 f"match X of shape {nodes.points.shape}")
             _check_scattered_memory(index_set, len(nodes))
-            return cls(nodes), np.asarray(y, dtype=np.complex128), {}
+            return cls(nodes), y, {}
         m = int(sampling["count"])
         _check_scattered_memory(index_set, m)
         nodes = uniform_nodes(index_set.d, m, int(sampling.get("seed", 0)))

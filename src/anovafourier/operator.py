@@ -23,7 +23,7 @@ import os
 import sys
 import threading
 import warnings
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -336,11 +336,12 @@ def lsqr(op, y, atol: float = 1e-8, btol: float = 1e-8,
 
     Running out of iterations raises a ``RuntimeWarning`` with the stop
     reason, which ``stop_reason`` also records, and the current iterate is
-    still returned.  The products run inside the operator's ``helped``
-    block, when it has one.
+    still returned.  A ``y`` that is zero, or that F* maps to zero, stops
+    before the first iteration with h = 0 and the same report.  The
+    products run inside the operator's ``helped`` block.
     """
     ntol = atol if ntol is None else ntol
-    with getattr(op, "helped", nullcontext)():
+    with op.helped():
         return _lsqr(op, y, atol, btol, ntol, max_iter)
 
 
@@ -350,61 +351,57 @@ def _lsqr(op, y, atol, btol, ntol, max_iter) -> SolveReport:
     x = np.zeros(n, dtype=np.complex128)
 
     u = y.copy()
-    bnorm = beta = _norm(u)
-    if beta == 0.0:
-        coeffs = CoefficientMap(op.index_set, x)
-        return SolveReport(coeffs, 0, 0.0, 0.0, "zero right-hand side",
-                           imag_residual=0.0)
-    u /= beta
-    v = op.adjoint(u)
-    alpha = _norm(v)
-    if alpha == 0.0:
-        coeffs = CoefficientMap(op.index_set, x)
-        return SolveReport(coeffs, 0, beta, beta,
-                           "right-hand side orthogonal to range",
-                           imag_residual=0.0)
-    v /= alpha
-    w = v.copy()
-    phibar = beta
-    rhobar = alpha
-    anorm2 = alpha * alpha
-    ddnorm = 0.0
-    ratio = 1.0  # ||F* r_0|| / (||F|| ||r_0||) = alpha beta / (alpha beta)
-    stop = f"iteration limit {max_iter} reached without convergence"
+    bnorm = beta = phibar = _norm(u)
+    alpha = anorm2 = ddnorm = ratio = 0.0  # F* r = 0 on both early stops
     it = 0
-    for it in range(1, max_iter + 1):
-        u = op.forward(v) - alpha * u
-        beta = _norm(u)
-        if beta > 0.0:
-            u /= beta
-            v = op.adjoint(u) - beta * v
-            alpha = _norm(v)
-            if alpha > 0.0:
-                v /= alpha
-        anorm2 += alpha * alpha + beta * beta
-        rho = math.hypot(rhobar, beta)
-        c = rhobar / rho
-        s = beta / rho
-        theta = s * alpha
-        rhobar = -c * alpha
-        phi = c * phibar
-        phibar = s * phibar
-        x += (phi / rho) * w
-        ddnorm += _sumsq(w) / (rho * rho)
-        w = v - (theta / rho) * w
-        rnorm = phibar
-        arnorm = alpha * abs(c * phibar)
-        anorm = math.sqrt(anorm2)
-        xnorm = _norm(x)
-        ratio = arnorm / (anorm * rnorm) if rnorm > 0 else 0.0
-        if rnorm <= btol * bnorm + atol * anorm * xnorm:  # also when rnorm = 0
-            stop = "residual tolerance reached"
-            break
-        if ratio <= ntol:
-            stop = "normal-equations tolerance reached"
-            break
+    if beta > 0.0:
+        u /= beta
+        v = op.adjoint(u)
+        alpha = _norm(v)
+    if beta == 0.0:
+        stop = "zero right-hand side"
+    elif alpha == 0.0:
+        stop = "right-hand side orthogonal to range"
     else:
-        warnings.warn(f"LSQR: {stop}", RuntimeWarning, stacklevel=3)
+        v /= alpha
+        w = v.copy()
+        rhobar = alpha
+        anorm2 = alpha * alpha
+        ratio = 1.0  # ||F* r_0|| / (||F|| ||r_0||) = alpha beta / (alpha beta)
+        stop = f"iteration limit {max_iter} reached without convergence"
+        for it in range(1, max_iter + 1):
+            u = op.forward(v) - alpha * u
+            beta = _norm(u)
+            if beta > 0.0:
+                u /= beta
+                v = op.adjoint(u) - beta * v
+                alpha = _norm(v)
+                if alpha > 0.0:
+                    v /= alpha
+            anorm2 += alpha * alpha + beta * beta
+            rho = math.hypot(rhobar, beta)
+            c = rhobar / rho
+            s = beta / rho
+            theta = s * alpha
+            rhobar = -c * alpha
+            phi = c * phibar
+            phibar = s * phibar
+            x += (phi / rho) * w
+            ddnorm += _sumsq(w) / (rho * rho)
+            w = v - (theta / rho) * w
+            rnorm = phibar
+            arnorm = alpha * abs(c * phibar)
+            anorm = math.sqrt(anorm2)
+            xnorm = _norm(x)
+            ratio = arnorm / (anorm * rnorm) if rnorm > 0 else 0.0
+            if rnorm <= btol * bnorm + atol * anorm * xnorm:  # also when rnorm = 0
+                stop = "residual tolerance reached"
+                break
+            if ratio <= ntol:
+                stop = "normal-equations tolerance reached"
+                break
+        else:
+            warnings.warn(f"LSQR: {stop}", RuntimeWarning, stacklevel=3)
     coeffs = CoefficientMap(op.index_set, x)
     fitted = op.forward(x)
     return SolveReport(coeffs, it, float(phibar), _norm(y - fitted), stop,
@@ -451,10 +448,11 @@ def lattice_solve(lat: Rank1Lattice, index_set: GroupedIndexSet, y,
     skip the re-check when the lattice was just certified by construction).
     Besides the samples it holds one length-M vector at a time: the
     transform's work vector, then fitted values, which become the residual
-    in place.  Real samples stay float64, and every such vector is real:
-    ||y - F h||^2 = ||y - Re F h||^2 + ||Im F h||^2, one part after the
-    other, so at even M the solve holds 8 bytes per sample beyond them
-    (16 for complex samples).  Freed heap memory is returned to the system
+    in place.  Real samples at even M stay float64, and every such vector
+    is real: ||y - F h||^2 = ||y - Re F h||^2 + ||Im F h||^2, one part
+    after the other, so the solve holds 8 bytes per sample beyond them.
+    Complex samples, and real ones at odd M, which have no half-length
+    transform, take one complex evaluation (16 bytes per sample).  Freed heap memory is returned to the system
     first (:func:`_release_free_heap`), so the solve's peak RSS is the
     arrays alive and not what earlier frees left resident.
     """
@@ -464,7 +462,7 @@ def lattice_solve(lat: Rank1Lattice, index_set: GroupedIndexSet, y,
     y = np.asarray(y)
     y = y.astype(np.complex128 if np.iscomplexobj(y) else np.float64, copy=False)
     coeffs = lattice_reconstruct(y, index_set, lat)
-    if np.iscomplexobj(y):
+    if np.iscomplexobj(y) or lat.M % 2:
         fitted = lattice_evaluate(coeffs, lat)
         imag = _max_abs(fitted.imag)
         fitted -= y

@@ -69,14 +69,14 @@ def pod_weight(k, p: WeightParams) -> float:
 _BERNOULLI = (1.0 / 6.0, -1.0 / 30.0, 1.0 / 42.0, -1.0 / 30.0)
 
 
-def zeta(s: float, terms: int = 64) -> float:
+def zeta(s: float) -> float:
     """Riemann zeta for s > 1 by direct series with Euler-Maclaurin tail.
 
-    Accurate to ~1e-14 for s >= 1.05 with the default cutoff.
+    Accurate to ~1e-14 for s >= 1.05 with the series cut at K = 64.
     """
     if s <= 1.0:
         return math.inf
-    K = terms
+    K = 64
     head = sum(n ** -s for n in range(1, K))
     tail = K ** (1.0 - s) / (s - 1.0) + 0.5 * K ** -s
     corr = 0.0
@@ -131,21 +131,14 @@ def sobolev_trunc_bound_linf(p: WeightParams, d_s: int) -> float:
     return math.sqrt(total)
 
 
-@dataclass(frozen=True, eq=False)
-class BoundCurve:
-    """Sampled truncation-bound curve for one parameter sweep."""
-
-    parameter: str       # "alpha" or "beta"
-    grid: np.ndarray
-    values: np.ndarray
-    d: int
-    d_s: int
-    kind: str            # "l2_linf_pod" or "linf_zeta"
+#: truncation bound by the name ``bound --kind`` gives it
+BOUNDS = {"l2_linf_pod": sobolev_trunc_bound_l2,
+          "linf_zeta": sobolev_trunc_bound_linf}
 
 
 def bound_curve(p: WeightParams, d_s: int, parameter: str, grid,
-                kind: str = "l2_linf_pod") -> BoundCurve:
-    """Evaluate a truncation bound along an alpha or beta grid.
+                kind: str = "l2_linf_pod") -> np.ndarray:
+    """The bound ``BOUNDS[kind]`` at each point of an alpha or beta grid.
 
     A grid point whose parameters the bound does not allow reads +inf; a
     grid with no allowed point raises the first point's ``ValueError``.
@@ -157,17 +150,13 @@ def bound_curve(p: WeightParams, d_s: int, parameter: str, grid,
         alpha = t if parameter == "alpha" else p.alpha
         beta = t if parameter == "beta" else p.beta
         try:
-            q = WeightParams(alpha, beta, p.gamma, p.Gamma)
-            if kind == "linf_zeta":
-                vals[i] = sobolev_trunc_bound_linf(q, d_s)
-            else:
-                vals[i] = sobolev_trunc_bound_l2(q, d_s)
+            vals[i] = BOUNDS[kind](WeightParams(alpha, beta, p.gamma, p.Gamma), d_s)
         except ValueError as exc:
             errors.append(exc)
             vals[i] = math.inf
     if errors and len(errors) == len(grid):
         raise errors[0]
-    return BoundCurve(parameter, grid, vals, p.d, d_s, kind)
+    return vals
 
 
 _SQRT_TOKENS = {"pi": math.pi, "sqrt2": math.sqrt(2.0), "sqrt3": math.sqrt(3.0)}

@@ -501,6 +501,11 @@ _BAD_FILES = {
                                                 {"u": [1], "freqs": [[0], [1]]}]}),
     "NOT_CLOSED": json.dumps({"d": 2, "blocks": [{"u": [], "freqs": [[]]},
                                                  {"u": [1, 2], "freqs": [[1, 1]]}]}),
+    "TERM_OUTSIDE": json.dumps({"d": 2, "blocks": [{"u": [], "freqs": [[]]},
+                                                   {"u": [3], "freqs": [[1]]}]}),
+    "TERM_UNSORTED": json.dumps({"d": 2, "blocks": [
+        {"u": [], "freqs": [[]]}, {"u": [1], "freqs": [[1]]},
+        {"u": [2], "freqs": [[1]]}, {"u": [2, 1], "freqs": [[1, 1]]}]}),
 }
 
 
@@ -546,6 +551,10 @@ def input_files(tmp_path, model_file):
     (["bound", "--alpha", "0", "--beta", "1", "--ds", "2",
       "--sweep", "-3", "-1", "3", "--sweep-param", "beta"],
      "--sweep -3 -1 3: no point allowed: beta must be >= 0"),
+    (["lattice", "--index-set", "TERM_OUTSIDE"],
+     "term (3,) has coordinates outside 1..2"),
+    (["lattice", "--index-set", "TERM_UNSORTED"],
+     "term (2, 1) is not strictly increasing"),
 ])
 def test_bad_arguments_exit_2(tmp_path, capsys, input_files, argv, key):
     """Exit 2 with the fault and its flag on stderr, a bad file named after

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 import warnings
 
@@ -7,13 +8,14 @@ import pytest
 from anovafourier import bench, method
 from anovafourier.anova import CoefficientMap, sensitivity, term_family_ds
 from anovafourier.bench import u_star
-from anovafourier.index_sets import TermFamily, grouped
+from anovafourier.index_sets import TermFamily, grouped, weighted_index_set
 from anovafourier.lattice import (BLOCK_ROWS, Rank1Lattice, cbc_construct,
                                   lattice_nodes, lattice_reconstruct)
 from anovafourier.method import (ApproxModel, ConfigError, DetectionConfig,
                                  approximate, build_search_sets, detect,
                                  gap_intervals)
 from anovafourier.operator import BlockFourierOperator, NodeSet, lsqr, uniform_nodes
+from anovafourier.weights import WeightParams, pod_weight
 
 
 def tiny_target(X):
@@ -79,6 +81,21 @@ def test_detect_rejects_data_for_lattice():
     X = uniform_nodes(3, 10, seed=0)
     with pytest.raises(ValueError):
         detect(cfg, (X, np.zeros(10)))
+
+
+@pytest.mark.parametrize("shape", [(50,), (60, 1), (60, 2)])
+def test_fixed_data_checks_the_shape_of_y(shape):
+    """Values that are not one per node fail before the operator is built,
+    naming both shapes."""
+    X = uniform_nodes(3, 60, seed=0)
+
+    def boom(*_args):
+        raise AssertionError("operator built")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(method, "BlockFourierOperator", boom)
+        with pytest.raises(ValueError, match=re.escape(
+                f"y of shape {shape} does not match X of shape (60, 3)")):
+            detect(tiny_config(), (X, np.zeros(shape)))
 
 
 def test_detect_rejects_non_finite_target(monkeypatch):
@@ -320,6 +337,29 @@ def test_config_validation():
 
 
 _WEIGHT = {"alpha": 0.0, "beta": 1.0, "gamma": [1.0] * 3, "Gamma": [1.0] * 3}
+
+
+def test_weighted_search_sets_are_built_on_each_terms_axes():
+    """A POD weight reads the gamma entries of a term's own axes: at
+    gamma = (1, 0.5, 0.1) the singletons keep 38, 18 and 2 frequencies, and
+    the pairs with axis 3 none.  A callable weight sees vectors in Z^d."""
+    weight = {"alpha": 0.0, "beta": 1.0, "gamma": [1.0, 0.5, 0.1],
+              "Gamma": [1.0] * 3}
+    sets = build_search_sets(3, 2, {"type": "weighted", "N": [20, 20],
+                                    "weight": weight})
+    p = WeightParams(**weight)
+    for u in term_family_ds(3, 2).sorted_terms():
+        want = weighted_index_set(u, lambda k: pod_weight(k, p), 20.0, d=3)
+        assert np.array_equal(sets[u].freqs, want.freqs), u
+    assert [len(sets[u]) for u in [(1,), (2,), (3,), (1, 2), (1, 3), (2, 3)]] \
+        == [38, 18, 2, 32, 0, 0]
+    seen = set()
+
+    def weight_fn(k):
+        seen.add(len(k))
+        return pod_weight(k, p)
+    build_search_sets(3, 2, {"type": "weighted", "N": [20, 20], "weight": weight_fn})
+    assert seen == {3}
 
 
 @pytest.mark.parametrize("field,value", [

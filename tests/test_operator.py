@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from anovafourier import _kernels
 from anovafourier.anova import CoefficientMap, term_family_ds
 from anovafourier.index_sets import (GroupedIndexSet, LowDimIndexSet,
-                                     TermFamily, grouped)
+                                     TermFamily, empty_term_set, grouped)
 from anovafourier.lattice import cbc_construct, lattice_nodes
 from anovafourier.method import build_search_sets
 from anovafourier.operator import (BlockFourierOperator, NodeSet,
@@ -120,6 +120,21 @@ def test_lsqr_orthogonal_rhs():
     rep = lsqr(op, y_perp, atol=1e-10, btol=1e-10, max_iter=300)
     assert np.linalg.norm(rep.coefficients.values) < 1e-6
     assert rep.residual_check == pytest.approx(np.linalg.norm(y_perp), rel=1e-6)
+    # a zero y, and one that F* maps to exactly zero (here the constant term
+    # alone against values summing to 0), stop before the first iteration
+    # with h = 0 and the report of every other stop
+    const = BlockFourierOperator(uniform_nodes(2, 6, seed=1),
+                                 GroupedIndexSet(2, (empty_term_set(),)))
+    for early_op, early_y, stop in [
+            (op, np.zeros(60), "zero right-hand side"),
+            (const, np.array([1.0, -1.0, 1.0, -1.0, 2.0, -2.0]),
+             "right-hand side orthogonal to range")]:
+        early = lsqr(early_op, early_y, atol=1e-10, btol=1e-10, max_iter=300)
+        assert (early.stop_reason, early.iterations) == (stop, 0)
+        assert not early.coefficients.values.any()
+        assert early.residual_check == pytest.approx(np.linalg.norm(early_y))
+        assert early.imag_residual == 0.0
+        assert early.provenance.keys() == rep.provenance.keys()
 
 
 def test_lsqr_vs_dense_normal_equations():
@@ -375,7 +390,7 @@ def status_kb(key):
     with open("/proc/self/status") as fh:
         return next(int(ln.split()[1]) for ln in fh if ln.startswith(key))
 
-M = 10 ** 6
+M = int(sys.argv[2])
 g = grouped(term_family_ds(2, 1),
             build_search_sets(2, 1, {"type": "full_grid", "N": [8]}))
 lat = Rank1Lattice(np.array([1, 17]), M)
@@ -388,12 +403,12 @@ print(json.dumps({"M": M, "rise": (status_kb("VmHWM:") - start) * 1024,
 """
 
 
-def _solve_peak(samples):
-    """Run ``_SOLVE_PEAK`` on "complex" or "real" samples in a fresh
+def _solve_peak(samples, M=10 ** 6):
+    """Run ``_SOLVE_PEAK`` on M "complex" or "real" samples in a fresh
     interpreter: it keeps earlier tests' allocations out of the peak, read as
     VmHWM (``ru_maxrss`` would carry the forking process's peak across
     ``exec``).  Returns (peak rise per sample in bytes, residual norm)."""
-    proc = subprocess.run([sys.executable, "-c", _SOLVE_PEAK, samples],
+    proc = subprocess.run([sys.executable, "-c", _SOLVE_PEAK, samples, str(M)],
                           capture_output=True, text=True, check=True)
     out = json.loads(proc.stdout.strip().splitlines()[-1])
     return out["rise"] / out["M"], out["residual"]
@@ -428,3 +443,16 @@ def test_lattice_solve_peak_memory_per_real_sample():
     per_sample, residual = _solve_peak("real")
     assert np.isfinite(residual)
     assert per_sample <= 12, f"peak rose {per_sample:.1f} bytes per sample"
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(),
+                    reason="reads VmRSS from /proc")
+def test_lattice_solve_peak_memory_per_real_sample_at_odd_M():
+    """At odd M (here 5^9) there is no half-length transform, so real
+    samples take one complex evaluation: one complex128 length-M vector,
+    16 bytes per sample (16.8 measured).  Evaluating Re F h and Im F h as
+    two full transforms, each with a float64 copy, rose by 24.7.  At most
+    20 bytes per sample."""
+    per_sample, residual = _solve_peak("real", 5 ** 9)
+    assert np.isfinite(residual)
+    assert per_sample <= 20, f"peak rose {per_sample:.1f} bytes per sample"

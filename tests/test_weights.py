@@ -179,12 +179,12 @@ def test_min_excluded_weight_full_family_rejected():
 def test_bound_curve_fig3_shapes():
     p = fig3_params()
     solid = bound_curve(p, 3, "alpha", np.linspace(0, 10, 21))
-    assert np.all(np.isfinite(solid.values)) and np.all(solid.values > 0)
-    assert np.all(np.diff(solid.values) <= 1e-15)
+    assert np.all(np.isfinite(solid)) and np.all(solid > 0)
+    assert np.all(np.diff(solid) <= 1e-15)
     dashed = bound_curve(fig3_params(1.0, 0.0), 3, "beta", np.linspace(0, 10, 21))
-    assert np.all(np.isfinite(dashed.values)) and np.all(np.diff(dashed.values) <= 1e-15)
+    assert np.all(np.isfinite(dashed)) and np.all(np.diff(dashed) <= 1e-15)
     zcurve = bound_curve(p, 3, "beta", np.linspace(1.7287, 10, 15), kind="linf_zeta")
-    assert np.all(np.isfinite(zcurve.values)) and np.all(np.diff(zcurve.values) <= 1e-15)
+    assert np.all(np.isfinite(zcurve)) and np.all(np.diff(zcurve) <= 1e-15)
 
 
 def test_parse_weight_sequence():
