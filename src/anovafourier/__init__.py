@@ -12,7 +12,7 @@ __version__ = "0.1.0"
 from ._kernels import BACKEND
 from .anova import (CoefficientMap, SensitivityReport, sensitivity,
                     term_family_ds, variance)
-from .index_sets import (GroupedIndexSet, LowDimIndexSet, TermFamily, embed,
+from .index_sets import (GroupedIndexSet, LowDimIndexSet, TermFamily,
                          full_grid, grouped, hyperbolic_cross,
                          weighted_index_set)
 from .lattice import (Rank1Lattice, cbc_construct, is_reconstructing,

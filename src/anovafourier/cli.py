@@ -304,7 +304,7 @@ def cmd_eval(args) -> int:
     out.text("evaluations.csv", "index;re;im\n" + "".join(
         f"{i};{float(v.real)!r};{float(v.imag)!r}\n" for i, v in enumerate(vals)))
     if args.x:
-        print(f"value = {vals[0].real!r} + {vals[0].imag!r}i")
+        print(f"value = {float(vals[0].real)!r} + {float(vals[0].imag)!r}i")
     out.manifest({"model": args.model}, None)
     return 0
 

@@ -6,6 +6,10 @@ set I_u of |u|-dimensional integer vectors with no zero entry; embedding I_u
 into Z^d on the axes of u produces blocks that are pairwise disjoint across
 terms, because the support of an embedded frequency is exactly u.
 
+Crosses and weighted sets keep the frequencies whose weight, a function of
+the |l_s| that grows with each of them, is at most a cutoff; one scan,
+:func:`_signed_set`, enumerates both.
+
 Canonical ordering everywhere: terms sorted by (order, lexicographic coords),
 frequencies inside a block sorted lexicographically.  This fixes the layout
 of coefficient vectors across the whole package.
@@ -21,8 +25,8 @@ import numpy as np
 
 Term = tuple[int, ...]
 
-#: enumeration guard for weighted_index_set (entries per axis)
-DEFAULT_AXIS_CAP = 2_000_000
+#: entries per axis at which a set stops growing and raises
+_AXIS_CAP = 2_000_000
 
 
 def validate_term(term, d) -> Term:
@@ -49,8 +53,6 @@ class TermFamily:
     def __post_init__(self):
         for u in self.terms:
             validate_term(u, self.d)
-        if self.terms and () not in self.terms:
-            raise ValueError("nonempty family must contain the empty term")
         missing = [(u, v) for u in self.terms
                    for v in _proper_subsets(u) if v not in self.terms]
         if missing:
@@ -86,11 +88,6 @@ class TermFamily:
 def _proper_subsets(u: Term):
     for r in range(len(u)):
         yield from combinations(u, r)
-
-
-def is_downward_closed(terms) -> bool:
-    s = set(tuple(u) for u in terms)
-    return all(v in s for u in s for v in _proper_subsets(u))
 
 
 def _strictly_increasing(f: np.ndarray) -> bool:
@@ -133,22 +130,6 @@ def empty_term_set() -> LowDimIndexSet:
     return LowDimIndexSet((), np.zeros((1, 0), dtype=np.int64))
 
 
-def embed(term, freq, d) -> np.ndarray:
-    """Embed a |u|-dimensional frequency into Z^d on the axes of u.
-
-    The result k has k_u = freq and zeros elsewhere, so supp(k) = u whenever
-    freq has no zero entry.
-    """
-    term = validate_term(term, d)
-    freq = np.asarray(freq, dtype=np.int64).reshape(-1)
-    if freq.shape[0] != len(term):
-        raise ValueError("frequency length does not match term order")
-    k = np.zeros(d, dtype=np.int64)
-    for c, v in zip(term, freq):
-        k[c - 1] = v
-    return k
-
-
 def embed_block(term, freqs, d) -> np.ndarray:
     freqs = np.asarray(freqs, dtype=np.int64)
     if len(term) == 0:
@@ -180,73 +161,58 @@ def hyperbolic_cross(term, N) -> LowDimIndexSet:
     """Mixed-smoothness cross: prod_s (1+|l_s|)^(3/2) <= N, entries nonzero."""
     if N < 1:
         raise ValueError("cutoff must be >= 1")
-    term = tuple(term)
-    if not term:
-        return empty_term_set()
-    bound = float(N) ** (2.0 / 3.0)  # on prod (1+|l_s|)
-    rows = []
-
-    def rec(depth, prod_so_far, prefix):
-        a = 1
-        while prod_so_far * (1 + a) <= bound * (1 + 1e-12):
-            if depth + 1 == len(term):
-                rows.append(prefix + (a,))
-            else:
-                rec(depth + 1, prod_so_far * (1 + a), prefix + (a,))
-            a += 1
-
-    rec(0, 1.0, ())
-    if not rows:
-        return LowDimIndexSet(term, np.zeros((0, len(term)), dtype=np.int64))
-    mags = np.asarray(rows, dtype=np.int64)
-    signs = np.array(list(product((1, -1), repeat=len(term))), dtype=np.int64)
-    freqs = (mags[:, None, :] * signs[None, :, :]).reshape(-1, len(term))
-    return LowDimIndexSet(term, freqs)
+    bound = float(N) ** (2.0 / 3.0) * (1 + 1e-12)  # on prod (1+|l_s|)
+    return _signed_set(tuple(term), lambda m: np.prod(1.0 + m, axis=1) <= bound)
 
 
-def weighted_index_set(term, w, N_u, d=None, axis_cap=DEFAULT_AXIS_CAP) -> LowDimIndexSet:
-    """Term-dependent set {l : w(embed(u, l)) <= N_u} for a weight w on Z^d.
+def weighted_index_set(term, w, N_u, d) -> LowDimIndexSet:
+    """Term-dependent set {l : w(k) <= N_u}, k = |l| on the axes of u in Z^d.
 
-    Requires w >= 1, coordinate-wise monotone in |k_s| and unbounded along
-    each axis (otherwise enumeration would not terminate); the per-axis
-    search stops at ``axis_cap`` and raises if the weight has not yet
-    exceeded the cutoff there.
+    ``w`` maps an (n, d) array of rows k to n weights.  It must depend on
+    |k_s| only, be monotone in each |k_s| and grow without bound along each
+    axis, as the POD weights do; a weight that keeps 2*10^6 entries or more
+    on one axis raises ``ValueError``.
     """
-    term = tuple(term)
-    if d is None:
-        d = max(term, default=1)
-    if not term:
-        return empty_term_set()
+    term = validate_term(term, d)
+    return _signed_set(term, lambda m: w(embed_block(term, m, d)) <= N_u)
+
+
+def _signed_set(term, inside) -> LowDimIndexSet:
+    """The frequencies with no zero entry whose magnitude rows are inside.
+
+    ``inside`` maps an (n, |u|) array of magnitude rows to n booleans and is
+    monotone: a row outside stays outside when an entry grows.  The rows grow
+    one axis at a time.  A prefix takes as next entry each a >= 1 for which
+    (prefix, a, 1, ..., 1) is inside; for a monotone test that holds exactly
+    when some row starting with (prefix, a) is inside.  The largest such a is
+    found for all prefixes at once, by doubling and then bisection.  The
+    signs are expanded last.
+    """
     su = len(term)
-
-    def w_at(vec):
-        return float(w(embed(term, vec, d)))
-
-    rows = []
-    # For a fixed sign pattern the weight is monotone in each magnitude, so a
-    # depth-first scan with the all-ones completion as lower probe is exact.
-    for signs in product((1, -1), repeat=su):
-
-        def rec(depth, prefix):
-            a = 1
-            while True:
-                if a > axis_cap:
-                    raise ValueError(
-                        "axis search bound exceeded; weight grows too slowly")
-                vec = prefix + (signs[depth] * a,)
-                tail = tuple(signs[i] for i in range(depth + 1, su))
-                if w_at(np.array(vec + tail, dtype=np.int64)) > N_u:
-                    break
-                if depth + 1 == su:
-                    rows.append(vec)
-                else:
-                    rec(depth + 1, vec)
-                a += 1
-
-        rec(0, ())
-    freqs = (np.asarray(rows, dtype=np.int64).reshape(-1, su)
-             if rows else np.zeros((0, su), dtype=np.int64))
-    return LowDimIndexSet(term, freqs)
+    rows = np.zeros((1, 0), dtype=np.int64)
+    for j in range(su):
+        n = len(rows)
+        lo = np.zeros(n, dtype=np.int64)  # largest a known inside, 0 if none
+        hi = np.full(n, _AXIS_CAP + 1, dtype=np.int64)  # smallest a known outside
+        probe = np.ones((n, su), dtype=np.int64)
+        probe[:, :j] = rows
+        todo = np.arange(n)
+        while len(todo):
+            a = np.minimum(np.maximum(2 * lo[todo], 1), (lo[todo] + hi[todo]) // 2)
+            probe[todo, j] = a
+            ok = inside(probe[todo])
+            lo[todo[ok]] = a[ok]
+            hi[todo[~ok]] = a[~ok]
+            todo = todo[hi[todo] - lo[todo] > 1]
+        if np.any(lo >= _AXIS_CAP):
+            raise ValueError(f"an axis holds {_AXIS_CAP} entries or more; "
+                             "the weight grows too slowly")
+        start = np.repeat(np.cumsum(lo) - lo, lo)
+        rows = np.column_stack([np.repeat(rows, lo, axis=0),
+                                np.arange(len(start)) - start + 1])
+    signs = np.array(list(product((1, -1), repeat=su)), dtype=np.int64)
+    freqs = rows[:, None, :] * signs[None]
+    return LowDimIndexSet(term, freqs.reshape(len(rows) * len(signs), su))
 
 
 @dataclass(frozen=True, eq=False)
@@ -257,11 +223,10 @@ class GroupedIndexSet:
     blocks: tuple  # of LowDimIndexSet, canonical order
 
     def __post_init__(self):
-        terms = [validate_term(b.term, self.d) for b in self.blocks]
+        terms = [b.term for b in self.blocks]
         if len(set(terms)) != len(terms):
             raise ValueError("duplicate term blocks")
-        if not is_downward_closed(terms):
-            raise ValueError("block family is not downward-closed")
+        TermFamily(self.d, frozenset(terms))  # checks the terms and closure
         ordered = tuple(sorted(self.blocks, key=lambda b: term_sort_key(b.term)))
         object.__setattr__(self, "blocks", ordered)
 
@@ -293,15 +258,8 @@ class GroupedIndexSet:
 
     @staticmethod
     def from_json_dict(doc) -> "GroupedIndexSet":
-        blocks = []
-        for b in doc["blocks"]:
-            term = tuple(b["u"])
-            if term:
-                freqs = np.asarray(b["freqs"], dtype=np.int64).reshape(-1, len(term))
-            else:
-                freqs = np.zeros((1, 0), dtype=np.int64)
-            blocks.append(LowDimIndexSet(term, freqs))
-        return GroupedIndexSet(int(doc["d"]), tuple(blocks))
+        blocks = tuple(LowDimIndexSet(tuple(b["u"]), b["freqs"]) for b in doc["blocks"])
+        return GroupedIndexSet(int(doc["d"]), blocks)
 
     def digest(self) -> str:
         """SHA-256 of d and, per block, its term, the shape of its

@@ -151,8 +151,9 @@ class DetectionConfig:
 
     ``search`` is {"type": "full_grid" | "hyperbolic_cross" | "weighted",
     "N": [N_1, .., N_ds]} with one cutoff per term order; "weighted"
-    additionally takes weight parameters under "weight" and builds each
-    term's set on its own axes (see :func:`build_search_sets`).
+    additionally takes under "weight" POD parameters or a callable from an
+    (n, d) array of rows |k| to n weights, and builds each term's set on
+    its own axes (see :func:`build_search_sets`).
     ``thresholds`` is the order-dependent epsilon vector.  ``sampling`` is
     {"kind": "scattered" | "lattice", "count", "seed"} and ``solver``
     {"atol", "btol", "max_iter"}: a missing key takes its value from
@@ -236,7 +237,7 @@ def _term_set(kind: str, term, N, weight, d: int) -> np.ndarray:
             return full_grid(term, int(N)).freqs
         if kind == "hyperbolic_cross":
             return hyperbolic_cross(term, float(N)).freqs
-        return weighted_index_set(term, weight, float(N), d=d).freqs
+        return weighted_index_set(term, weight, float(N), d).freqs
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"search.N[{len(term) - 1}] = {N!r}: {exc}") from exc
 

@@ -55,15 +55,14 @@ class WeightParams:
         return 1.0 if n == 0 else float(self.Gamma[n - 1])
 
 
-def pod_weight(k, p: WeightParams) -> float:
-    """Evaluate the POD weight at a frequency k in Z^d."""
-    k = np.asarray(k, dtype=np.int64)
-    supp = np.flatnonzero(k)
-    gamma_u = p.gamma_of_order(len(supp)) * float(np.prod(p.gamma[supp])) \
-        if len(supp) else 1.0
-    iso = (1.0 + float(np.sum(np.abs(k)))) ** p.alpha
-    mixed = float(np.prod((1.0 + np.abs(k[supp])) ** p.beta)) if len(supp) else 1.0
-    return iso * mixed / gamma_u
+def pod_weight(k, p: WeightParams):
+    """The POD weight at frequencies k: rows (..., d) in Z^d, weights (...)."""
+    a = np.abs(np.asarray(k, dtype=np.int64))
+    supp = a != 0
+    gamma_u = (np.concatenate(([1.0], p.Gamma))[supp.sum(axis=-1)]
+               * np.prod(np.where(supp, p.gamma, 1.0), axis=-1))
+    iso = (1.0 + a.sum(axis=-1)) ** p.alpha
+    return iso * np.prod((1.0 + a) ** p.beta, axis=-1) / gamma_u
 
 
 _BERNOULLI = (1.0 / 6.0, -1.0 / 30.0, 1.0 / 42.0, -1.0 / 30.0)

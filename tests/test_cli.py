@@ -506,6 +506,8 @@ _BAD_FILES = {
     "TERM_UNSORTED": json.dumps({"d": 2, "blocks": [
         {"u": [], "freqs": [[]]}, {"u": [1], "freqs": [[1]]},
         {"u": [2], "freqs": [[1]]}, {"u": [2, 1], "freqs": [[1, 1]]}]}),
+    "EMPTY_TERM_FREQS": json.dumps({"d": 2, "blocks": [
+        {"u": [], "freqs": [[1, 2], [3, 4]]}, {"u": [1], "freqs": [[1]]}]}),
 }
 
 
@@ -555,6 +557,8 @@ def input_files(tmp_path, model_file):
      "term (3,) has coordinates outside 1..2"),
     (["lattice", "--index-set", "TERM_UNSORTED"],
      "term (2, 1) is not strictly increasing"),
+    (["lattice", "--index-set", "EMPTY_TERM_FREQS"],
+     "empty term must carry exactly the empty vector"),
 ])
 def test_bad_arguments_exit_2(tmp_path, capsys, input_files, argv, key):
     """Exit 2 with the fault and its flag on stderr, a bad file named after
@@ -569,6 +573,16 @@ def test_bad_arguments_exit_2(tmp_path, capsys, input_files, argv, key):
     for flag, value in zip(argv, argv[1:]):
         if value in input_files.values() and value != input_files["MODEL"]:
             assert f"{flag} {value}" in err
+
+
+def test_eval_x_prints_plain_floats(tmp_path, capsys, model_file):
+    """The --x line carries the floats that evaluations.csv holds."""
+    from anovafourier.method import ApproxModel
+    assert run_cli(["eval", "--model", model_file, "--x", "0.1,0.2,0.3",
+                    "--out", str(tmp_path / "ev")]) == 0
+    v = ApproxModel.load(model_file).evaluate(np.array([[0.1, 0.2, 0.3]]))[0]
+    assert capsys.readouterr().out.splitlines() == [
+        f"value = {float(v.real)!r} + {float(v.imag)!r}i"]
 
 
 @pytest.mark.parametrize("command", ["detect", "approximate"])

@@ -5,28 +5,30 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from anovafourier.index_sets import (DEFAULT_AXIS_CAP, GroupedIndexSet,
-                                     LowDimIndexSet, TermFamily, embed,
-                                     full_grid, grouped, hyperbolic_cross,
-                                     is_downward_closed, weighted_index_set)
+from anovafourier.index_sets import (GroupedIndexSet, LowDimIndexSet,
+                                     TermFamily, embed_block, full_grid,
+                                     grouped, hyperbolic_cross,
+                                     weighted_index_set)
 from anovafourier.anova import term_family_ds
+from anovafourier.weights import WeightParams, pod_weight
 from paper_oracles import (diff_cardinality_bound, difference_set,
                            family_cardinality, support)
 
 
 def test_embed_examples():
-    assert embed((1, 3), (2, -1), 3).tolist() == [2, 0, -1]
-    assert embed((), (), 4).tolist() == [0, 0, 0, 0]
-    assert embed((2,), (5,), 2).tolist() == [0, 5]
+    assert embed_block((1, 3), [(2, -1)], 3).tolist() == [[2, 0, -1]]
+    assert embed_block((), [()], 4).tolist() == [[0, 0, 0, 0]]
+    assert embed_block((2,), [(5,)], 2).tolist() == [[0, 5]]
 
 
-def test_embed_rejects_out_of_range():
+def test_weighted_index_set_rejects_out_of_range():
+    w = lambda k: 1.0 + np.abs(k).sum(axis=1)
     with pytest.raises(ValueError):
-        embed((0,), (1,), 3)
+        weighted_index_set((0,), w, 2.0, 3)
     with pytest.raises(ValueError):
-        embed((4,), (1,), 3)
+        weighted_index_set((4,), w, 2.0, 3)
     with pytest.raises(ValueError):
-        embed((2, 1), (1, 1), 3)
+        weighted_index_set((2, 1), w, 2.0, 3)
 
 
 def test_full_grid_examples():
@@ -72,14 +74,14 @@ def test_hyperbolic_cross_grouped_count():
 
 
 def test_weighted_index_set_matches_hyperbolic():
-    w = lambda k: float(np.prod((1.0 + np.abs(k[k != 0])) ** 1.5)) if np.any(k) else 1.0
+    w = lambda k: np.prod((1.0 + np.abs(k)) ** 1.5, axis=1)
     s = weighted_index_set((1,), w, 100.0, d=1)
     ref = hyperbolic_cross((1,), 100)
     assert np.array_equal(s.freqs, ref.freqs)
 
 
 def test_weighted_index_set_l1_examples():
-    w = lambda k: 1.0 + float(np.abs(k).sum())
+    w = lambda k: 1.0 + np.abs(k).sum(axis=1)
     s = weighted_index_set((1,), w, 3.0, d=1)
     assert sorted(s.freqs.ravel().tolist()) == [-2, -1, 1, 2]
     s2 = weighted_index_set((1, 2), w, 3.0, d=2)
@@ -87,9 +89,48 @@ def test_weighted_index_set_l1_examples():
 
 
 def test_weighted_index_set_cap_errors():
-    w = lambda k: 1.0  # never grows: enumeration would not terminate
+    w = lambda k: np.ones(len(k))  # never grows: enumeration would not terminate
     with pytest.raises(ValueError):
-        weighted_index_set((1,), w, 2.0, d=1, axis_cap=100)
+        weighted_index_set((1,), w, 2.0, d=1)
+
+
+def _box(term, R):
+    """All |u|-vectors with entries in +-1..+-R."""
+    axis = [v for v in range(-R, R + 1) if v]
+    return np.array(list(itertools.product(axis, repeat=len(term))),
+                    dtype=np.int64).reshape(-1, len(term))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 50))
+def test_hyperbolic_cross_matches_definition(order, N):
+    """Rows of a box scan with prod_s (1+|l_s|)^(3/2) <= N, that is
+    prod_s (1+|l_s|)^3 <= N^2 in integers; no entry of the cross exceeds
+    N^(2/3) - 1 < 14."""
+    term = tuple(range(1, order + 1))
+    box = _box(term, 14)
+    want = box[np.prod(1 + np.abs(box), axis=1) ** 3 <= N ** 2]
+    assert np.array_equal(hyperbolic_cross(term, N).freqs, want)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda d: st.tuples(
+           st.just(d),
+           st.lists(st.integers(1, d), min_size=1, max_size=min(d, 3),
+                    unique=True).map(lambda a: tuple(sorted(a))),
+           st.lists(st.floats(0.05, 1.0), min_size=d, max_size=d),
+           st.lists(st.floats(0.05, 1.0), min_size=d, max_size=d))),
+       st.floats(0.0, 2.0), st.floats(1.0, 2.5), st.floats(1.0, 40.0))
+def test_weighted_index_set_matches_definition(axes, alpha, beta, N):
+    """Rows of a box scan with POD weight <= N on the term's axes.  As
+    w(k) >= (1+|k_s|)^beta, no entry exceeds N^(1/beta) - 1."""
+    d, term, gamma, Gamma = axes
+    p = WeightParams(alpha, beta, np.array(gamma),
+                     np.sort(Gamma)[::-1])
+    box = _box(term, int(N ** (1.0 / beta)))
+    want = box[pod_weight(embed_block(term, box, d), p) <= N]
+    got = weighted_index_set(term, lambda k: pod_weight(k, p), N, d)
+    assert np.array_equal(got.freqs, want)
 
 
 def test_grouped_small_example():
@@ -270,6 +311,16 @@ def test_canonical_block_order_and_json_round_trip():
     assert g.digest() == g2.digest()
 
 
+def test_json_empty_term_carries_the_empty_vector():
+    for freqs in ([[]], []):
+        g = GroupedIndexSet.from_json_dict({"d": 1, "blocks": [
+            {"u": [], "freqs": freqs}, {"u": [1], "freqs": [[1]]}]})
+        assert g.blocks[0].freqs.shape == (1, 0)
+    with pytest.raises(ValueError, match="empty vector"):
+        GroupedIndexSet.from_json_dict({"d": 1, "blocks": [
+            {"u": [], "freqs": [[1, 2], [3, 4]]}]})
+
+
 def test_digest_tells_terms_and_dimension_apart():
     """The same frequencies under another term, or in another dimension,
     give another digest."""
@@ -288,6 +339,9 @@ def test_zero_entry_rejected():
         LowDimIndexSet((1, 2), np.array([[1, 0]]))
 
 
-def test_is_downward_closed_helper():
-    assert is_downward_closed([(), (1,), (2,), (1, 2)])
-    assert not is_downward_closed([(1, 2)])
+def test_grouped_index_set_checks_downward_closure():
+    blocks = lambda terms: tuple(LowDimIndexSet(u, np.ones((1, len(u)), np.int64))
+                                 for u in terms)
+    GroupedIndexSet(2, blocks([(), (1,), (2,), (1, 2)]))
+    with pytest.raises(ValueError, match="not downward-closed"):
+        GroupedIndexSet(2, blocks([(1, 2)]))

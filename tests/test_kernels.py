@@ -23,7 +23,7 @@ def test_backend_flag_reported():
 
 def _weight(k):
     k = np.abs(np.asarray(k))
-    return (1.0 + k.sum()) ** 0.5 * np.prod(1.0 + k[k > 0])
+    return (1.0 + k.sum(axis=1)) ** 0.5 * np.prod(1.0 + k, axis=1)
 
 
 SEARCHES = [
