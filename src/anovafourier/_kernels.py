@@ -35,9 +35,12 @@ dimension (``_matmul``), so results do not depend on the number of BLAS
 threads.
 
 Lattices: ``residues`` computes k.z mod M for a frequency array, and
-``first_injective`` is the CBC search's O(n) test of one candidate z_s,
-run on prefixes of 1024, 2048, 4096, .. entries so that most collisions
-stop it early.
+``first_injective`` is the CBC search's test of candidates z_s.  Entries
+with k_s = 0 do not move with z_s: their residues are checked and marked
+once per call, and each candidate is tested on the moving entries only,
+after a vectorized screen of all candidates against the marks and on
+prefixes of 1024, 2048, 4096, .. entries, so that most collisions stop it
+early.
 ``lattice_fft`` is the length-M DFT of a lattice solve, done in place as
 short FFTs along both axes of an M1 x M2 view (the four-step FFT), so it
 needs O(sqrt M) work memory where one length-M ``np.fft.fft`` needs about
@@ -63,7 +66,8 @@ BACKEND = "numpy"
 _NODES = 2048
 _KB = 128  # inner length of one BLAS matrix product
 _TWIDDLE_BLOCK = 1 << 16  # entries per block of rows that one twiddle step scales
-_PREFIX = 1024  # representatives in a CBC candidate's first test
+_PREFIX = 1024  # moving representatives in a CBC candidate's first test
+_SCREEN = 128  # moving residues per candidate in the CBC screen
 
 
 class _TermLayout(NamedTuple):
@@ -405,24 +409,49 @@ def residues(freqs, z, M):
     return r
 
 
-def first_injective(base, kcol, cands, M, slot):
+def first_injective(base, kcol, cands, M, slot, mark):
     """Index of the first z in ``cands`` with base + kcol z injective mod M.
 
     Returns -1 when no candidate qualifies.  ``base`` and ``kcol`` lie in
-    [0, M).  The test scatters each index j into ``slot[r_j]`` and gathers
-    it back: two equal residues share a slot that keeps only one of their
-    indices, so the other reads back wrong.  Every slot read was written for
-    the same candidate, so ``slot`` (length >= M, of an integer type that
-    holds n - 1) may hold anything on entry and is reused across candidates
-    and calls.  O(n) per candidate.
+    [0, M).  Entries with kcol = 0 are fixed at their base for every z, so
+    they are tested for distinctness once, and -1 is returned if they are
+    not; their residues are then marked True in ``mark`` (bool, length
+    >= M, all False on entry and again on return).  Each candidate is
+    tested on the moving entries (kcol != 0) only: one collides with a
+    fixed entry when its residue is marked, and with another moving entry
+    when the two share a slot.  The latter test scatters each index j into
+    ``slot[r_j]`` and gathers it back: two equal residues share a slot that
+    keeps only one of their indices, so the other reads back wrong.  Every
+    slot read was written in the same call, so ``slot`` (length >= M, of an
+    integer type that holds n - 1) may hold anything on entry and is reused
+    across candidates and calls.  O(n) per call and O(moving entries) per
+    candidate.
 
-    A candidate is tested on the first ``_PREFIX`` entries, then on twice
-    as many, and so on up to all n; each stage computes and scatters only its
-    new entries and gathers the whole prefix.  A collision in a prefix is a
-    collision in the whole set, so the pick is the same as with one test of
-    all n, or of the entries in any other order, and most rejected
-    candidates cost O(``_PREFIX``).
+    A candidate is tested on the first ``_PREFIX`` moving entries, then on
+    twice as many, and so on up to all of them; each stage computes, checks
+    against the marks and scatters only its new entries and gathers the
+    whole prefix.  Once candidate 0 has failed, the others are screened in
+    one vectorized pass: those whose first ``_SCREEN`` moving residues hit
+    a mark are dropped, and the rest take the staged test in order.  A
+    collision in any subset is a collision in the whole set, so the pick is
+    the same as with one test of all n entries in any order, and most
+    rejected candidates cost O(``_SCREEN``).
     """
+    fixed = kcol == 0
+    still = base[fixed]
+    pos = np.arange(still.size, dtype=slot.dtype)
+    slot[still] = pos
+    if (slot[still] != pos).any():
+        return -1
+    mark[still] = True
+    try:
+        return _first_clear(base[~fixed], kcol[~fixed], cands, M, slot, mark)
+    finally:
+        mark[still] = False
+
+
+def _first_clear(base, kcol, cands, M, slot, mark):
+    """``first_injective`` on the moving entries, the fixed ones marked."""
     n = base.shape[0]
     stops = [min(_PREFIX, n)]
     while stops[-1] < n:
@@ -430,7 +459,8 @@ def first_injective(base, kcol, cands, M, slot):
     idx = np.arange(n, dtype=slot.dtype)
     r = np.empty(n, dtype=np.int64)
     back = np.empty(n, dtype=slot.dtype)
-    for i, zs in enumerate(cands):
+
+    def clear(zs):
         zs = zs % M
         lo = 0
         for hi in stops:
@@ -438,13 +468,26 @@ def first_injective(base, kcol, cands, M, slot):
             np.multiply(kcol[lo:hi], zs, out=new)
             new += base[lo:hi]
             np.remainder(new, M, out=new)
+            if mark[new].any():
+                return False
             slot[new] = idx[lo:hi]
             slot.take(r[:hi], out=back[:hi])
             if (back[:hi] != idx[:hi]).any():
-                break
+                return False
             lo = hi
-        else:
-            return i
+        return True
+
+    if len(cands) == 0:
+        return -1
+    if clear(cands[0]):
+        return 0
+    w = min(_SCREEN, n)
+    head = np.multiply.outer(np.asarray(cands[1:], dtype=np.int64) % M, kcol[:w])
+    head += base[:w]
+    head %= M
+    for i in 1 + np.flatnonzero(~mark[head].any(axis=1)):
+        if clear(cands[i]):
+            return int(i)
     return -1
 
 

@@ -24,8 +24,8 @@ from . import __version__
 from .index_sets import GroupedIndexSet
 from .lattice import cbc_construct, save_lattice
 from .method import (_SAMPLING_KINDS, ApproxModel, ConfigError,
-                     _check_sampling, build_search_sets, approximate, detect,
-                     gap_intervals, read_run_config)
+                     _check_sampling, _check_seed, build_search_sets,
+                     approximate, detect, gap_intervals, read_run_config)
 from .weights import BOUNDS, WeightParams, bound_curve, parse_weight_sequence
 
 
@@ -231,8 +231,9 @@ def cmd_bench(args) -> int:
 
 def cmd_lattice(args) -> int:
     t0 = time.time()
+    _check_seed(args.seed, "--seed")
     idx = _load_doc(args.index_set, "--index-set", GroupedIndexSet.from_json_dict)
-    lat = cbc_construct(idx, seed=args.seed or 0)
+    lat = cbc_construct(idx, seed=args.seed)
     out = _Output(args.out, "lattice", t0)
     save_lattice(out.path("lattice.json"), lat, idx.digest())
     print(f"M = {lat.M}, z = {lat.z.tolist()}")

@@ -17,8 +17,10 @@ A lattice solve so holds the samples and one work vector.
 The CBC search returns 5-smooth M only, so M splits into two factors near
 sqrt M and no short FFT falls back to Bluestein's algorithm, which at
 prime M took about 9 times as long.  It tests each candidate z_s on the
-distinct coordinate prefixes of I in a fixed shuffled order, on prefixes
-of 1024, 2048, 4096, .. of them, so most failing candidates cost O(1024).
+distinct coordinate prefixes of I whose s-th entry is not 0, since those
+with k_s = 0 keep residues already distinct; it screens the candidates on
+128 of them against the residues of the others, so most failing
+candidates cost O(128).
 
 All residue arithmetic reduces k and z modulo M before multiplying, which
 keeps intermediates below 2^63 for any M < 2^31.
@@ -161,23 +163,32 @@ def cbc_construct(freqs, seed: int = 0, M_cap: int | None = None) -> Rank1Lattic
     sizes and a sample of candidates, so it may still exhaust below the
     cap; then a hard error is raised.
 
-    Cost: testing one candidate is O(n), n the number of prefix
-    representatives (<= |I|): one scatter of their indices into a slot
-    array of length M and one gather back, on 1024 representatives first
-    and then on prefixes twice as long, so most rejected candidates cost
-    O(1024) (:func:`_kernels.first_injective`).  Each coordinate visits its
-    representatives in a fixed shuffled order from a generator of its own
-    (``_CBC_SHUFFLE_SEED``), not the candidates' stream.  The order cannot
-    change the pick, since a collision in any subset is one in the whole
-    set, but a random 1024 holds more distinct differences than the
-    lexicographically first: on the black-box benchmark's two sets (seed 1)
-    the tests gather 9.1M and 16.3M entries, against 15.6M and 19.7M in
-    lexicographic order with prefixes growing 4 times.  Representatives
-    and all-zero columns are found once, and each size keeps one residue
-    per prefix group.  The slot array is allocated per lattice size, of the
-    narrowest unsigned type that holds |I| - 1 (2 M bytes for
-    |I| <= 65536, 4 M at most); one array kept across sizes faulted in
-    fewer pages but raised the black-box pipeline's peak RSS (ROADMAP).
+    Cost: at coordinate s, a prefix representative with k_s = 0 keeps its
+    parent's residue, and those are pairwise distinct once coordinate s-1
+    is chosen, so only the representatives with k_s != 0 move with z_s
+    (3880 of 13273 and 5054 of 11167 at the last coordinate of the
+    black-box benchmark's two sets).  :func:`_kernels.first_injective`
+    marks the fixed residues once per coordinate in a bool array of length
+    M and tests each candidate on the moving ones: one scatter of their
+    indices into a slot array of length M and one gather back, on 1024 of
+    them first and then on prefixes twice as long, each checked against
+    the marks.  Once the first candidate has failed, one vectorized pass
+    drops every candidate whose first 128 moving residues hit a mark.  On
+    the two sets (seed 1) the screen drops 6720 of 10545 and 8205 of 15295
+    candidates, and the tests gather 0.91M and 2.37M entries, against 9.1M
+    and 16.3M when every representative was tested.  Each coordinate visits
+    its representatives in a fixed shuffled order from a generator of its
+    own (``_CBC_SHUFFLE_SEED``), not the candidates' stream, with those of
+    k_s = 0 first, so the test splits them off as one block.  The order
+    cannot change the pick, since a collision in any subset is one in the
+    whole set, but a random 1024 holds more distinct differences than the
+    lexicographically first.  Representatives and all-zero columns are
+    found once, and each size keeps one residue per prefix group.  The
+    scratch is allocated per lattice size and freed before the next: the
+    slot array, of the narrowest unsigned type that holds |I| - 1 (2 M
+    bytes for |I| <= 65536, 4 M at most), and the M-byte marks.  One slot
+    array kept across sizes faulted in fewer pages but raised the black-box
+    pipeline's peak RSS (ROADMAP).
     """
     f = _embedded(freqs)
     n, d = f.shape
@@ -197,7 +208,10 @@ def cbc_construct(freqs, seed: int = 0, M_cap: int | None = None) -> Rank1Lattic
         pairs = gid * (2 * np.abs(col).max() + 2) + (col - col.min())
         _, new = np.unique(pairs, return_inverse=True)
         order = shuffle.permutation(new.max() + 1)
-        reps = np.unique(new, return_index=True)[1][order]
+        first = np.unique(new, return_index=True)[1]
+        # representatives with k_s = 0 first: the test splits them off cheaply
+        order = order[np.argsort(col[first[order]] != 0, kind="stable")]
+        reps = first[order]
         levels.append((place[gid[reps]], f[reps, s]))
         gid, place = new, np.argsort(order)
     if gid.max() + 1 < n:  # fewer distinct full prefixes than rows
@@ -220,32 +234,43 @@ def cbc_construct(freqs, seed: int = 0, M_cap: int | None = None) -> Rank1Lattic
 
     free = [not col.any() for _, col in levels]  # z_s free; left at 0
     for M in size_schedule():
-        z = np.zeros(d, dtype=np.int64)
-        slot = np.empty(M, dtype=np.min_scalar_type(n - 1))  # scratch, reused
-        res = np.zeros(1, dtype=np.int64)  # of the empty prefix
-        for s, (parent, col) in enumerate(levels):
-            base = res[parent]
-            if free[s]:
-                res = base
-                continue
-            ncand = min(_CBC_CANDIDATES, M - 1)
-            if ncand == M - 1:
-                cands = 1 + rng.permutation(M - 1)
-            else:
-                # sampling with replacement; duplicates only waste a try
-                cands = rng.integers(1, M, size=ncand)
-            kcol = np.mod(col, M)
-            pick = _kernels.first_injective(base, kcol, cands, M, slot)
-            if pick < 0:
-                break
-            z[s] = cands[pick]
-            res = (base + kcol * z[s]) % M
-        else:
+        z = _cbc_vector(levels, free, M, n, rng)
+        if z is not None:
             lat = Rank1Lattice(z, M)
             if is_reconstructing(lat, f):
                 return lat
     raise RuntimeError(
         f"CBC search exhausted: no reconstructing lattice found with M <= {M_last}")
+
+
+def _cbc_vector(levels, free, M: int, n: int, rng):
+    """The generating vector that ``cbc_construct`` grows at size M, or None
+    when a coordinate's candidates all fail.
+
+    The candidate tests' scratch lives only in this call, so the arrays of
+    two sizes are never held at once."""
+    slot = np.empty(M, dtype=np.min_scalar_type(n - 1))
+    mark = np.zeros(M, dtype=bool)  # all False between tests
+    z = np.zeros(len(levels), dtype=np.int64)
+    res = np.zeros(1, dtype=np.int64)  # of the empty prefix
+    for s, (parent, col) in enumerate(levels):
+        base = res[parent]
+        if free[s]:
+            res = base
+            continue
+        ncand = min(_CBC_CANDIDATES, M - 1)
+        if ncand == M - 1:
+            cands = 1 + rng.permutation(M - 1)
+        else:
+            # sampling with replacement; duplicates only waste a try
+            cands = rng.integers(1, M, size=ncand)
+        kcol = np.mod(col, M)
+        pick = _kernels.first_injective(base, kcol, cands, M, slot, mark)
+        if pick < 0:
+            return None
+        z[s] = cands[pick]
+        res = (base + kcol * z[s]) % M
+    return z
 
 
 def lattice_evaluate(coeffs, lat: Rank1Lattice, real: bool = False) -> np.ndarray:

@@ -68,6 +68,17 @@ def _check_keys(spec, where: str, allowed) -> None:
                           f"(allowed: {', '.join(allowed)})")
 
 
+def _check_at_least(value, where: str, low: int) -> None:
+    if not (_is_int(value) and value >= low):
+        raise ConfigError(f"{where} must be an integer >= {low}, got {value!r}")
+
+
+def _check_seed(seed, where: str) -> None:
+    """A seed of nodes or of a CBC search is an integer >= 0, as numpy's
+    generators need; ``where`` names it in the error."""
+    _check_at_least(seed, where, 0)
+
+
 def _check_dims(d, d_s) -> None:
     if not (_is_int(d) and _is_int(d_s) and 1 <= d_s <= d):
         raise ConfigError(f"need integers 1 <= d_s <= d, got d_s={d_s!r}, d={d!r}")
@@ -119,10 +130,10 @@ def _check_sampling(sampling, target=None) -> dict:
     if sampling["kind"] not in _SAMPLING_KINDS:
         raise ConfigError(f"sampling.kind must be one of {', '.join(_SAMPLING_KINDS)}, "
                           f"got {sampling['kind']!r}")
-    for key, low in (("seed", 0), ("count", 1)):
-        if key in sampling and not (_is_int(sampling[key]) and sampling[key] >= low):
-            raise ConfigError(f"sampling.{key} must be an integer >= {low}, "
-                              f"got {sampling[key]!r}")
+    if "seed" in sampling:
+        _check_seed(sampling["seed"], "sampling.seed")
+    if "count" in sampling:
+        _check_at_least(sampling["count"], "sampling.count", 1)
     if callable(target) and sampling["kind"] == "scattered" and "count" not in sampling:
         raise ConfigError("sampling.count is needed to sample a callable target "
                           "at scattered nodes")
@@ -231,13 +242,13 @@ def read_run_config(cfg) -> tuple[DetectionConfig, TermFamily | None]:
                            solver=cfg.get("solver", {})), family
 
 
-def _term_set(kind: str, term, N, weight, d: int) -> np.ndarray:
+def _term_set(kind: str, term, N, weight, d: int) -> LowDimIndexSet:
     try:
         if kind == "full_grid":
-            return full_grid(term, int(N)).freqs
+            return full_grid(term, int(N))
         if kind == "hyperbolic_cross":
-            return hyperbolic_cross(term, float(N)).freqs
-        return weighted_index_set(term, weight, float(N), d).freqs
+            return hyperbolic_cross(term, float(N))
+        return weighted_index_set(term, weight, float(N), d)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"search.N[{len(term) - 1}] = {N!r}: {exc}") from exc
 
@@ -273,10 +284,12 @@ def build_search_sets(d: int, d_s: int, search: dict,
     for u in fam.sorted_terms():
         if not u:
             continue
-        key = u if kind == "weighted" else len(u)
-        if key not in patterns:
-            patterns[key] = _term_set(kind, u, N[len(u) - 1], weight, d)
-        sets[u] = LowDimIndexSet(u, patterns[key])
+        if kind == "weighted":
+            sets[u] = _term_set(kind, u, N[len(u) - 1], weight, d)
+            continue
+        if len(u) not in patterns:
+            patterns[len(u)] = _term_set(kind, u, N[len(u) - 1], weight, d).freqs
+        sets[u] = LowDimIndexSet(u, patterns[len(u)])
     return sets
 
 

@@ -513,12 +513,13 @@ _BAD_FILES = {
 
 @pytest.fixture
 def input_files(tmp_path, model_file):
-    """A good model and the bad input files, by placeholder."""
+    """A good model and index set and the bad input files, by placeholder."""
     files = {"MODEL": model_file}
     doc = json.loads(Path(model_file).read_text())
-    del doc["index_set"]
-    bad = {**_BAD_FILES, "NO_INDEX_SET": json.dumps(doc)}
-    for name, text in bad.items():
+    index_set = doc.pop("index_set")
+    texts = {**_BAD_FILES, "NO_INDEX_SET": json.dumps(doc),
+             "INDEX_SET": json.dumps(index_set)}
+    for name, text in texts.items():
         path = tmp_path / f"{name.lower()}.txt"
         path.write_text(text)
         files[name] = str(path)
@@ -559,6 +560,8 @@ def input_files(tmp_path, model_file):
      "term (2, 1) is not strictly increasing"),
     (["lattice", "--index-set", "EMPTY_TERM_FREQS"],
      "empty term must carry exactly the empty vector"),
+    (["lattice", "--index-set", "INDEX_SET", "--seed", "-1"],
+     "--seed must be an integer >= 0, got -1"),
 ])
 def test_bad_arguments_exit_2(tmp_path, capsys, input_files, argv, key):
     """Exit 2 with the fault and its flag on stderr, a bad file named after
@@ -571,7 +574,8 @@ def test_bad_arguments_exit_2(tmp_path, capsys, input_files, argv, key):
     assert code == 2, err
     assert key in err
     for flag, value in zip(argv, argv[1:]):
-        if value in input_files.values() and value != input_files["MODEL"]:
+        if value in input_files.values() and value not in (
+                input_files["MODEL"], input_files["INDEX_SET"]):
             assert f"{flag} {value}" in err
 
 

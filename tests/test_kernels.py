@@ -331,15 +331,17 @@ def test_first_injective():
     kcol = np.array([1, 2, 3], dtype=np.int64)
     # z = 1: residues (1, 3, 5) mod 7 distinct
     slot = np.empty(7, dtype=np.int32)
+    mark = np.zeros(7, dtype=bool)
     pick = _kernels.first_injective(base, kcol, np.array([1], dtype=np.int64),
-                                    7, slot)
+                                    7, slot, mark)
     assert pick == 0
     # z = 0 would clash nothing here, but duplicates must be detected:
     base2 = np.array([0, 0], dtype=np.int64)
     kcol2 = np.array([1, 3], dtype=np.int64)
     # z = 7: residues (7, 21) = (0, 0) mod 7 -> collision, then z = 1 works
     picks = _kernels.first_injective(base2, kcol2,
-                                     np.array([7, 1], dtype=np.int64), 7, slot)
+                                     np.array([7, 1], dtype=np.int64), 7, slot,
+                                     mark)
     assert picks == 1
 
 
@@ -362,6 +364,7 @@ def test_first_injective_matches_unique(seed, M, doomed):
     so every candidate collides and the pick is -1."""
     rng = np.random.default_rng(seed)
     slot = rng.integers(-1, 400, size=M).astype(np.int32)
+    mark = np.zeros(M, dtype=bool)
     for _ in range(3):
         n = int(rng.integers(1, min(M + 2, 400) + 1))  # n > M: all fail
         width = int(rng.choice([M, max(2, int(np.sqrt(M))), 2]))
@@ -373,7 +376,8 @@ def test_first_injective_matches_unique(seed, M, doomed):
         if clash:
             base[1], kcol[1] = base[0], kcol[0]
         expect = _first_injective_unique(base, kcol, cands, M)
-        assert _kernels.first_injective(base, kcol, cands, M, slot) == expect
+        assert _kernels.first_injective(base, kcol, cands, M, slot,
+                                        mark) == expect
         assert expect == -1 or not clash
 
 
@@ -441,7 +445,8 @@ def test_first_injective_prefix_stages_match_unique(seed, n, planted, dense):
     kcol[where] = rng.integers(1, M, size=where.size)
     cands = rng.integers(0, 3 * M, size=int(rng.integers(1, 30)))
     expect = _first_injective_unique(base, kcol, cands, M)
-    assert _kernels.first_injective(base, kcol, cands, M, slot) == expect
+    assert _kernels.first_injective(base, kcol, cands, M, slot,
+                                    np.zeros(M, dtype=bool)) == expect
 
 
 @settings(max_examples=40, deadline=None)
@@ -462,7 +467,68 @@ def test_first_injective_pick_ignores_entry_order(seed, n, planted):
     kcol[rng.choice(n, size=planted, replace=False)] = rng.integers(1, M, size=planted)
     cands = rng.integers(0, 3 * M, size=int(rng.integers(1, 30)))
     expect = _first_injective_unique(base, kcol, cands, M)
+    mark = np.zeros(M, dtype=bool)
     for _ in range(3):
         perm = rng.permutation(n)
         assert _kernels.first_injective(base[perm], kcol[perm], cands, M,
-                                        slot) == expect
+                                        slot, mark) == expect
+
+
+def _cbc_level(rng, parents, spread, load, M_max):
+    """(base, kcol, M) of one CBC coordinate.
+
+    Each of ``parents`` distinct residues has one to three children with
+    distinct entries k in [-spread, spread], in shuffled order: a child
+    with k = 0 stays fixed at its parent's residue, the others move.  M is
+    near moving x (fixed + moving / 2) / load, the expected number of
+    collisions of a random candidate being about ``load``, and at most
+    ``M_max``."""
+    counts = rng.integers(1, 4, size=parents)
+    k = np.concatenate([rng.choice(2 * spread + 1, size=c, replace=False) - spread
+                        for c in counts])
+    moving = np.count_nonzero(k)
+    M = int(min(M_max, max(k.size + 1, moving * (k.size - moving / 2) / load)))
+    base = np.repeat(rng.choice(M, size=parents, replace=False), counts)
+    perm = rng.permutation(k.size)
+    return base[perm], k[perm] % M, M
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), parents=st.integers(1, 2500),
+       spread=st.integers(1, 20), load=st.floats(0.05, 4.0))
+def test_first_injective_matches_unique_on_cbc_levels(seed, parents, spread, load):
+    """CBC-shaped problems: the fixed entries (kcol = 0) have distinct
+    bases, and the moving ones, up to 7500, span one to four prefix
+    stages; with M set by ``load``, some candidates pass and others collide
+    with a fixed or a moving entry.  Three problems run back to back on one
+    slot with stale entries and one mark array, which must be all False
+    after every return."""
+    rng = np.random.default_rng(seed)
+    M_max = 1 << 22
+    slot = rng.integers(0, 4 * parents, size=M_max).astype(np.int32)
+    mark = np.zeros(M_max, dtype=bool)
+    for _ in range(3):
+        base, kcol, M = _cbc_level(rng, parents, spread, load, M_max)
+        cands = rng.integers(0, 3 * M, size=int(rng.integers(1, 40)))
+        cands[rng.random(cands.size) < 0.05] = M
+        expect = _first_injective_unique(base, kcol, cands, M)
+        assert _kernels.first_injective(base, kcol, cands, M, slot, mark) == expect
+        assert not mark.any()
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), parents=st.integers(1, 1500))
+def test_first_injective_fixed_clash_fails_every_candidate(seed, parents):
+    """Two fixed entries (kcol = 0) with one base collide for every z, so
+    the pick is -1 as in the reference, and the marks stay all False."""
+    rng = np.random.default_rng(seed)
+    base, kcol, M = _cbc_level(rng, parents, 3, 0.05, 1 << 22)
+    clash = np.array([base[0], base[0]])
+    base = np.concatenate([base, clash])
+    kcol = np.concatenate([kcol, [0, 0]])
+    cands = rng.integers(0, 3 * M, size=int(rng.integers(1, 20)))
+    slot = rng.integers(0, base.size, size=M).astype(np.int32)
+    mark = np.zeros(M, dtype=bool)
+    assert _first_injective_unique(base, kcol, cands, M) == -1
+    assert _kernels.first_injective(base, kcol, cands, M, slot, mark) == -1
+    assert not mark.any()

@@ -1,5 +1,8 @@
 import itertools
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -158,6 +161,47 @@ def test_cbc_pins_blackbox_lattices():
     assert lat.M == 2400000
     assert lat.z.tolist() == [1175016, 1873752, 273513, 648944, 2216931,
                               2342464, 1570403, 694029, 642722]
+
+
+_CBC_PEAK = """
+import json
+from anovafourier.bench import u_star
+from anovafourier.index_sets import grouped
+from anovafourier.lattice import cbc_construct
+from anovafourier.method import build_search_sets
+
+def status_kb(key):
+    with open("/proc/self/status") as fh:
+        return next(int(ln.split()[1]) for ln in fh if ln.startswith(key))
+
+cross = {"type": "hyperbolic_cross", "N": [1000] * 3}
+refit = grouped(u_star(), build_search_sets(9, 3, cross, u_star()))
+start = status_kb("VmRSS:")
+lat = cbc_construct(refit, seed=1)
+print(json.dumps({"n": len(refit), "M": lat.M,
+                  "rise": (status_kb("VmHWM:") - start) * 1024}))
+"""
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(),
+                    reason="reads VmHWM from /proc")
+def test_cbc_peak_memory_is_one_size_of_scratch():
+    """On the black-box benchmark's refit set (seed 1), the CBC search
+    raises the peak RSS over the RSS it starts from by at most the scratch
+    of the largest size it tries, plus 8 MB.
+
+    The scratch is the slot array (2 bytes per entry at |I| = 11167) and the
+    marks (1 byte), both of length M: 7.2 MB at the final M = 2400000.  The
+    rise read 12.5 MB; the rest is the per-coordinate representatives, the
+    frequency array and the allocator.  With the last size's scratch kept
+    beside the next one's it read 22.3 MB.  A fresh interpreter keeps
+    earlier tests' allocations out of the peak."""
+    proc = subprocess.run([sys.executable, "-c", _CBC_PEAK],
+                          capture_output=True, text=True, check=True)
+    out = json.loads(proc.stdout.strip().splitlines()[-1])
+    scratch = out["M"] * (np.min_scalar_type(out["n"] - 1).itemsize + 1)
+    assert out["rise"] <= scratch + 8e6, \
+        f"peak rose {out['rise'] / 1e6:.1f} MB, scratch {scratch / 1e6:.1f} MB"
 
 
 def test_cbc_default_cap_reaches_past_the_spread():
