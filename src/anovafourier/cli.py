@@ -12,7 +12,6 @@ an LSQR stopped at its iteration limit (after the artifacts are written).
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import sys
 import time
@@ -23,9 +22,9 @@ import numpy as np
 from . import __version__
 from .index_sets import GroupedIndexSet
 from .lattice import cbc_construct, save_lattice
-from .method import (_SAMPLING_KINDS, ApproxModel, ConfigError,
-                     _check_sampling, _check_seed, build_search_sets,
-                     approximate, detect, gap_intervals, read_run_config)
+from .method import (_SAMPLING_KINDS, ApproxModel, ConfigError, _check_sampling,
+                     _digest, _number, approximate, build_search_sets, detect,
+                     gap_intervals, read_run_config)
 from .weights import BOUNDS, WeightParams, bound_curve, parse_weight_sequence
 
 
@@ -49,11 +48,6 @@ def _load_doc(path, flag, parse):
         raise ConfigError(f"{flag} {path}: missing field {exc}") from None
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{flag} {path}: {exc}") from None
-
-
-def _digest(obj) -> str:
-    return hashlib.sha256(json.dumps(obj, sort_keys=True,
-                                     separators=(",", ":")).encode()).hexdigest()
 
 
 class _Output:
@@ -231,7 +225,7 @@ def cmd_bench(args) -> int:
 
 def cmd_lattice(args) -> int:
     t0 = time.time()
-    _check_seed(args.seed, "--seed")
+    _number(args.seed, "--seed", 0, integer=True)
     idx = _load_doc(args.index_set, "--index-set", GroupedIndexSet.from_json_dict)
     lat = cbc_construct(idx, seed=args.seed)
     out = _Output(args.out, "lattice", t0)

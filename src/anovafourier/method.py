@@ -6,7 +6,11 @@ indices of the pilot, and keeps the downward closure of the terms whose
 index exceeds the order-dependent threshold (strict inequality; ties are
 excluded).  Stage two refits on the active family with fresh (usually
 larger) per-term sets; in the black-box scenario a new reconstructing
-lattice is built for the refined index set.
+lattice is built for the refined index set.  Both stages run one fit
+routine, which checks the sampling and solver specs before any set is
+built or any sample is drawn; every rule on the keys of a run config
+(except ``target``) is stated here once, and a bad value raises
+:class:`ConfigError`.
 """
 
 from __future__ import annotations
@@ -17,29 +21,29 @@ import math
 import numbers
 import os
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from . import _kernels
 from .anova import CoefficientMap, SensitivityReport, sensitivity, term_family_ds
 from .index_sets import (GroupedIndexSet, LowDimIndexSet, TermFamily,
                          empty_term_set, full_grid, grouped, hyperbolic_cross,
                          weighted_index_set)
 from .lattice import (BLOCK_ROWS, Rank1Lattice, cbc_construct, lattice_evaluate,
                       lattice_nodes)
-from .operator import (BlockFourierOperator, NodeSet, SolveReport, _helper_runs,
-                       _max_abs, lattice_solve, lsqr, uniform_nodes)
+from .operator import (BlockFourierOperator, NodeSet, SolveReport, _max_abs,
+                       lattice_solve, lsqr, scattered_fit_bytes, uniform_nodes)
 from .weights import WeightParams, pod_weight
 
 _SEARCH_TYPES = ("full_grid", "hyperbolic_cross", "weighted")
-SOLVER_DEFAULTS = {"atol": 1e-8, "btol": 1e-8, "max_iter_detect": 50,
-                   "max_iter_final": 200}
-#: LSQR's normal-equations tolerance per stage when the solver config sets no
-#: atol: the pilot only ranks terms, and its truncation error (5e-2 to 1e-1 on
-#: the benchmark's data) is far above what iterations past 1e-2 change
-_NTOL = {"detect": 1e-2, "final": 1e-4}
-_WEIGHT_KEYS = ("alpha", "beta", "gamma", "Gamma")
+#: LSQR's settings per stage.  atol and btol are shared; ntol, the
+#: normal-equations tolerance, applies when the solver config sets no atol:
+#: the pilot only ranks terms, and its truncation error (5e-2 to 1e-1 on the
+#: benchmark's data) is far above what iterations past 1e-2 change
+SOLVER_DEFAULTS = {stage: {"atol": 1e-8, "btol": 1e-8, "max_iter": it, "ntol": ntol}
+                   for stage, it, ntol in (("detect", 50, 1e-2),
+                                           ("approximate", 200, 1e-4))}
+_WEIGHT_KEYS = tuple(f.name for f in fields(WeightParams))
 
 
 class ConfigError(ValueError):
@@ -51,12 +55,30 @@ class ConfigError(ValueError):
     """
 
 
-def _is_int(v) -> bool:
-    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+def _number(value, where: str, low=None, high=None, integer: bool = False):
+    """Raise ConfigError naming ``where`` unless ``value`` is a finite real
+    number in [low, high] (either end may be None), and an integer if
+    ``integer``.  A bool is not a number."""
+    if not (isinstance(value, numbers.Integral if integer else numbers.Real)
+            and not isinstance(value, bool)
+            and (isinstance(value, numbers.Integral) or math.isfinite(value))
+            and (low is None or value >= low) and (high is None or value <= high)):
+        bounds = f" in [{low}, {high}]" if high is not None else \
+            f" >= {low}" if low is not None else ""
+        raise ConfigError(f"{where} must be {'an integer' if integer else 'a finite number'}"
+                          f"{bounds}, got {value!r}")
 
 
-def _is_real(v) -> bool:
-    return isinstance(v, numbers.Real) and not isinstance(v, bool)
+def _per_order(values, where: str, n: int, exact: bool = True, low=None, high=None):
+    """Raise ConfigError unless ``values`` is a list or tuple of one number
+    per term order 1..n (at least that many unless ``exact``), each passing
+    :func:`_number` with the bounds."""
+    if not isinstance(values, (list, tuple)) or len(values) < n or \
+            (exact and len(values) != n):
+        raise ConfigError(f"{where} must list one number per term order 1..{n}, "
+                          f"got {values!r}")
+    for j, v in enumerate(values):
+        _number(v, f"{where}[{j}]", low, high)
 
 
 def _check_keys(spec, where: str, allowed) -> None:
@@ -68,20 +90,9 @@ def _check_keys(spec, where: str, allowed) -> None:
                           f"(allowed: {', '.join(allowed)})")
 
 
-def _check_at_least(value, where: str, low: int) -> None:
-    if not (_is_int(value) and value >= low):
-        raise ConfigError(f"{where} must be an integer >= {low}, got {value!r}")
-
-
-def _check_seed(seed, where: str) -> None:
-    """A seed of nodes or of a CBC search is an integer >= 0, as numpy's
-    generators need; ``where`` names it in the error."""
-    _check_at_least(seed, where, 0)
-
-
 def _check_dims(d, d_s) -> None:
-    if not (_is_int(d) and _is_int(d_s) and 1 <= d_s <= d):
-        raise ConfigError(f"need integers 1 <= d_s <= d, got d_s={d_s!r}, d={d!r}")
+    _number(d, "d", 1, integer=True)
+    _number(d_s, "d_s", 1, d, integer=True)
 
 
 def _check_search(search, max_order: int, exact: bool = False) -> None:
@@ -93,20 +104,11 @@ def _check_search(search, max_order: int, exact: bool = False) -> None:
     if search.get("type") not in _SEARCH_TYPES:
         raise ConfigError(f"search.type must be one of {', '.join(_SEARCH_TYPES)}, "
                           f"got {search.get('type')!r}")
-    N = search.get("N")
-    if not isinstance(N, (list, tuple)) or len(N) < max_order or \
-            (exact and len(N) != max_order):
-        raise ConfigError(f"search.N must list one cutoff per term order "
-                          f"1..{max_order}, got {N!r}")
-    for j, n in enumerate(N):
-        if not _is_real(n):
-            raise ConfigError(f"search.N[{j}] must be a number, got {n!r}")
+    _per_order(search.get("N"), "search.N", max_order, exact)
     spec = search.get("weight")
-    if spec is None:
-        if search["type"] == "weighted":
-            raise ConfigError("search.type 'weighted' needs search.weight")
-        return
-    if callable(spec):
+    if spec is None and search["type"] == "weighted":
+        raise ConfigError("search.type 'weighted' needs search.weight")
+    if spec is None or callable(spec):
         return
     _check_keys(spec, "search.weight", _WEIGHT_KEYS)
     missing = [k for k in _WEIGHT_KEYS if k not in spec]
@@ -130,10 +132,11 @@ def _check_sampling(sampling, target=None) -> dict:
     if sampling["kind"] not in _SAMPLING_KINDS:
         raise ConfigError(f"sampling.kind must be one of {', '.join(_SAMPLING_KINDS)}, "
                           f"got {sampling['kind']!r}")
-    if "seed" in sampling:
-        _check_seed(sampling["seed"], "sampling.seed")
-    if "count" in sampling:
-        _check_at_least(sampling["count"], "sampling.count", 1)
+    # a seed of nodes or of a CBC search is an integer >= 0, as numpy's
+    # generators need
+    for key, low in (("seed", 0), ("count", 1)):
+        if key in sampling:
+            _number(sampling[key], f"sampling.{key}", low, integer=True)
     if callable(target) and sampling["kind"] == "scattered" and "count" not in sampling:
         raise ConfigError("sampling.count is needed to sample a callable target "
                           "at scattered nodes")
@@ -145,15 +148,11 @@ def _check_sampling(sampling, target=None) -> dict:
 
 def _check_solver(solver) -> None:
     _check_keys(solver, "solver", ("atol", "btol", "max_iter"))
-    for key in ("atol", "btol"):
-        if key in solver and not (_is_real(solver[key]) and math.isfinite(solver[key])
-                                  and solver[key] >= 0):
-            raise ConfigError(f"solver.{key} must be a finite number >= 0, "
-                              f"got {solver[key]!r}")
-    if "max_iter" in solver and not (_is_int(solver["max_iter"])
-                                     and solver["max_iter"] >= 1):
-        raise ConfigError(f"solver.max_iter must be an integer >= 1, "
-                          f"got {solver['max_iter']!r}")
+    for key, value in solver.items():
+        if key == "max_iter":
+            _number(value, "solver.max_iter", 1, integer=True)
+        else:
+            _number(value, f"solver.{key}", 0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -165,15 +164,16 @@ class DetectionConfig:
     additionally takes under "weight" POD parameters or a callable from an
     (n, d) array of rows |k| to n weights, and builds each term's set on
     its own axes (see :func:`build_search_sets`).
-    ``thresholds`` is the order-dependent epsilon vector.  ``sampling`` is
+    ``thresholds`` is the order-dependent epsilon vector, a list or tuple
+    of one number in [0, 1] per term order.  ``sampling`` is
     {"kind": "scattered" | "lattice", "count", "seed"} and ``solver``
-    {"atol", "btol", "max_iter"}: a missing key takes its value from
-    ``SOLVER_DEFAULTS``.  LSQR's residual test reads atol and btol; its
-    normal-equations test reads the stage's ``_NTOL``, 1e-2 for this pilot
+    {"atol", "btol", "max_iter"}: a missing key takes its value from the
+    stage's ``SOLVER_DEFAULTS``.  LSQR's residual test reads atol and btol;
+    its normal-equations test reads the stage's ntol, 1e-2 for this pilot
     fit, which only ranks terms, and 1e-4 for ``approximate``'s refit, or
     atol in both stages when the config sets atol (see
-    :func:`~anovafourier.operator.lsqr`).  A bad value raises
-    :class:`ConfigError`.
+    :func:`~anovafourier.operator.lsqr`).  Every number must be finite, and
+    a bool is not a number; a bad value raises :class:`ConfigError`.
     """
 
     d: int
@@ -185,18 +185,10 @@ class DetectionConfig:
 
     def __post_init__(self):
         _check_dims(self.d, self.d_s)
-        try:
-            eps = tuple(float(e) for e in self.thresholds)
-        except (TypeError, ValueError):
-            raise ConfigError(f"thresholds must be a list of numbers, "
-                              f"got {self.thresholds!r}") from None
-        if len(eps) != self.d_s:
-            raise ConfigError("thresholds: need one threshold per term order 1..d_s")
-        if any(not 0.0 <= e <= 1.0 for e in eps):
-            raise ConfigError("thresholds must lie in [0, 1]")
+        _per_order(self.thresholds, "thresholds", self.d_s, low=0, high=1)
         _check_search(self.search, self.d_s, exact=True)
         _check_solver(self.solver)
-        object.__setattr__(self, "thresholds", eps)
+        object.__setattr__(self, "thresholds", tuple(float(e) for e in self.thresholds))
         object.__setattr__(self, "sampling", _check_sampling(self.sampling))
 
 
@@ -254,14 +246,12 @@ def _term_set(kind: str, term, N, weight, d: int) -> LowDimIndexSet:
 
 
 def _weight_fn(search: dict):
+    """The weight of a checked search spec: its callable, or the POD weight
+    of its parameters (one per field of ``WeightParams``); None if none."""
     spec = search.get("weight")
-    if spec is None:
-        return None
-    if callable(spec):
+    if spec is None or callable(spec):
         return spec
-    p = WeightParams(spec["alpha"], spec["beta"],
-                     np.asarray(spec["gamma"], dtype=float),
-                     np.asarray(spec["Gamma"], dtype=float))
+    p = WeightParams(**spec)
     return lambda k: pod_weight(k, p)
 
 
@@ -317,11 +307,9 @@ class ApproxModel:
         out = ScatteredDesign(NodeSet(pts - np.floor(pts))).evaluate(self.coefficients)
         return out[0] if x.ndim == 1 else out
 
-    def evaluate_on(self, nodes) -> np.ndarray:
-        """Evaluate at points, a NodeSet, or a design's nodes by its transform."""
-        if isinstance(nodes, tuple(_SAMPLING_KINDS.values())):
-            return nodes.evaluate(self.coefficients)
-        return self.evaluate(nodes.points if isinstance(nodes, NodeSet) else nodes)
+    def evaluate_on(self, design) -> np.ndarray:
+        """The model at a design's nodes, by the design's own transform."""
+        return design.evaluate(self.coefficients)
 
     def to_json_dict(self) -> dict:
         slices = self.index_set.block_slices()
@@ -336,10 +324,22 @@ class ApproxModel:
 
     @staticmethod
     def from_json_dict(doc) -> "ApproxModel":
+        """The model of a document; each coefficient block is taken by its
+        term ``u``, and a missing, extra or repeated term or a block of the
+        wrong length raises ValueError."""
         idx = GroupedIndexSet.from_json_dict(doc["index_set"])
-        parts = [np.frombuffer(bytes.fromhex(blk["data"]), "<c16")
-                 for blk in doc["coefficients"]["blocks"]]
-        values = np.concatenate(parts) if parts else np.zeros(0, complex)
+        slices = idx.block_slices()
+        values = np.empty(len(idx), np.complex128)
+        for blk in doc["coefficients"]["blocks"]:
+            u, part = tuple(blk["u"]), np.frombuffer(bytes.fromhex(blk["data"]), "<c16")
+            sl = slices.pop(u, None)
+            if sl is None or len(part) != sl.stop - sl.start:
+                raise ValueError(f"coefficient block of term {u}: " + (
+                    "repeated or not a term of the index set" if sl is None
+                    else f"need {sl.stop - sl.start} values, got {len(part)}"))
+            values[sl] = part
+        if slices:
+            raise ValueError(f"no coefficient block of term {next(iter(slices))}")
         return ApproxModel(CoefficientMap(idx, values),
                            dict(doc.get("provenance", {})))
 
@@ -353,9 +353,13 @@ class ApproxModel:
             return ApproxModel.from_json_dict(json.load(fh))
 
     def digest(self) -> str:
-        doc = json.dumps(self.to_json_dict(), separators=(",", ":"),
-                         sort_keys=True)
-        return hashlib.sha256(doc.encode()).hexdigest()
+        return _digest(self.to_json_dict())
+
+
+def _digest(doc) -> str:
+    """SHA-256 of a JSON document in canonical form: sorted keys, no spaces."""
+    return hashlib.sha256(json.dumps(doc, sort_keys=True,
+                                     separators=(",", ":")).encode()).hexdigest()
 
 
 @dataclass(frozen=True, eq=False)
@@ -394,35 +398,6 @@ def _check_memory(need: int, what: str) -> None:
                           f"{have} bytes of physical memory")
 
 
-#: bytes per node that a scattered stage holds at its peak besides the nodes
-#: and the operator's unit phases: the values, LSQR's vector u, a product's
-#: result and the residual.  From 20k to 80k nodes (d = 9), traced peaks of
-#: `detect` and `approximate` grew by 35 to 63.8 bytes per node beyond
-#: 8 d + 16 d_used on five index sets; rounded up to 4 complex values.
-_SCATTERED_BYTES_PER_NODE = 64
-
-
-def _check_scattered_memory(index_set: GroupedIndexSet, m: int) -> None:
-    """Raise ConfigError when a scattered stage on m nodes cannot fit.
-
-    The estimate: per node the coordinates (8 d bytes), the unit phases
-    (16 bytes per used axis) and ``_SCATTERED_BYTES_PER_NODE``; the phase
-    table of one node chunk; four length-|I| LSQR vectors.  When LSQR's
-    products get a helper process, also its own chunk table and the shared
-    vectors: two of length |I| and half B's floor(m/2) values.
-    """
-    vmax, _, rows = _kernels.bandwidths(
-        index_set.d, [(b.term, b.freqs) for b in index_set.blocks])
-    per_node = 8 * index_set.d + 16 * int(np.count_nonzero(vmax)) \
-        + _SCATTERED_BYTES_PER_NODE
-    table = 16 * rows * min(m, _kernels._NODES)
-    n = len(index_set)
-    need = m * per_node + table + 4 * 16 * n
-    if _helper_runs(m):
-        need += table + 16 * (2 * n + m // 2)
-    _check_memory(need, f"scattered fit on m = {m} nodes")
-
-
 def _sample(target, n: int, rows, dtype) -> np.ndarray:
     """The target's values at n nodes, ``rows(lo, hi)`` giving nodes lo..hi-1,
     evaluated ``BLOCK_ROWS`` nodes at a time straight into the value vector.
@@ -445,20 +420,22 @@ class ScatteredDesign:
 
     @classmethod
     def acquire(cls, index_set: GroupedIndexSet, target, sampling: dict):
-        """Fixed data (X, y), or the target at ``count`` nodes from ``seed``."""
-        if isinstance(target, tuple):
+        """Fixed data (X, y), or the target at ``count`` nodes from ``seed``;
+        the fit's memory is checked before any node is drawn."""
+        fixed = isinstance(target, tuple)
+        if fixed:
             X, y = target
             nodes = X if isinstance(X, NodeSet) else NodeSet(np.asarray(X))
             y = np.asarray(y, dtype=np.complex128)
             if y.shape != (len(nodes),):
                 raise ValueError(f"fixed data: y of shape {y.shape} does not "
                                  f"match X of shape {nodes.points.shape}")
-            _check_scattered_memory(index_set, len(nodes))
-            return cls(nodes), y, {}
-        m = int(sampling["count"])
-        _check_scattered_memory(index_set, m)
-        nodes = uniform_nodes(index_set.d, m, int(sampling.get("seed", 0)))
-        y = _sample(target, m, lambda lo, hi: nodes.points[lo:hi], np.complex128)
+        m = len(nodes) if fixed else int(sampling["count"])
+        _check_memory(scattered_fit_bytes(index_set, m),
+                      f"scattered fit on m = {m} nodes")
+        if not fixed:
+            nodes = uniform_nodes(index_set.d, m, int(sampling.get("seed", 0)))
+            y = _sample(target, m, lambda lo, hi: nodes.points[lo:hi], np.complex128)
         return cls(nodes), y, {}
 
     def solve(self, index_set, y, solver: dict, stage: str) -> SolveReport:
@@ -466,12 +443,11 @@ class ScatteredDesign:
         if stage == "detect" and m / 10 < len(index_set) <= m:
             warnings.warn("pilot system has fewer than 10 samples per unknown; "
                           "overfitting may distort the ranking")
-        opts = {**SOLVER_DEFAULTS, "max_iter": SOLVER_DEFAULTS[f"max_iter_{stage}"],
-                **solver}
+        opts = {**SOLVER_DEFAULTS[stage], **solver}
         return lsqr(BlockFourierOperator(self.nodes, index_set), y,
                     atol=float(opts["atol"]), btol=float(opts["btol"]),
                     max_iter=int(opts["max_iter"]),
-                    ntol=None if "atol" in solver else _NTOL[stage])
+                    ntol=None if "atol" in solver else opts["ntol"])
 
     def evaluate(self, coeffs: CoefficientMap) -> np.ndarray:
         return BlockFourierOperator(self.nodes, coeffs.index_set).forward(coeffs)
@@ -518,6 +494,23 @@ def _acquire_data(index_set: GroupedIndexSet, target, sampling: dict):
     return design, y, {"sampling": dict(sampling), "sample_count": len(y), **prov}
 
 
+def _fit(family: TermFamily, build_sets, target, sampling: dict, solver: dict,
+         stage: str, **prov):
+    """One stage's least-squares fit on ``family``, and its SolveReport.
+
+    The sampling and solver specs are checked before ``build_sets()`` makes
+    the per-term index sets; the model's provenance holds the sampling, the
+    stage, ``prov`` and the solve's report.
+    """
+    sampling = _check_sampling(sampling, target)
+    _check_solver(solver)
+    index_set = grouped(family, build_sets())
+    design, y, data = _acquire_data(index_set, target, sampling)
+    report = design.solve(index_set, y, solver, stage)
+    data.update({"stage": stage, **prov, "solver_report": report.to_json_dict()})
+    return ApproxModel(report.coefficients, data, design, y), report
+
+
 def detect(cfg: DetectionConfig, target) -> ActiveSetResult:
     """Stage one: pilot fit on U_{d_s}, sensitivity ranking, thresholding.
 
@@ -526,23 +519,17 @@ def detect(cfg: DetectionConfig, target) -> ActiveSetResult:
     closure of the terms whose pilot sensitivity index strictly exceeds the
     threshold for their order.
     """
-    sampling = _check_sampling(cfg.sampling, target)
     fam = term_family_ds(cfg.d, cfg.d_s)
-    sets = build_search_sets(cfg.d, cfg.d_s, cfg.search)
-    index_set = grouped(fam, sets)
-    design, y, prov = _acquire_data(index_set, target, sampling)
-    report_solve = design.solve(index_set, y, cfg.solver, "detect")
-    pilot_report = sensitivity(report_solve.coefficients)
-    if not pilot_report.defined:
+    pilot, _ = _fit(fam, lambda: build_search_sets(cfg.d, cfg.d_s, cfg.search),
+                    target, cfg.sampling, cfg.solver, "detect", d_s=cfg.d_s,
+                    search=cfg.search, thresholds=list(cfg.thresholds))
+    report = sensitivity(pilot.coefficients)
+    if not report.defined:
         raise ValueError("pilot fit has zero variance; ranking undefined")
     keep = [u for u in fam.sorted_terms()
-            if u and pilot_report.gsi(u) > cfg.thresholds[len(u) - 1]]
-    active = TermFamily.downward_closure(cfg.d, [()] + keep)
-    prov.update({"stage": "detect", "d_s": cfg.d_s, "search": cfg.search,
-                 "thresholds": list(cfg.thresholds),
-                 "solver_report": report_solve.to_json_dict()})
-    pilot = ApproxModel(report_solve.coefficients, prov, design, y)
-    return ActiveSetResult(pilot_report, active, pilot)
+            if u and report.gsi(u) > cfg.thresholds[len(u) - 1]]
+    return ActiveSetResult(report, TermFamily.downward_closure(cfg.d, [()] + keep),
+                           pilot)
 
 
 def gap_intervals(report: SensitivityReport, truth: TermFamily, d_s: int):
@@ -576,20 +563,16 @@ def approximate(active: TermFamily, sets: dict, target, sampling: dict,
     the refined grouped set.  ``sampling`` and ``solver`` are checked as
     in :class:`DetectionConfig`.
     """
-    sampling = _check_sampling(sampling, target)
-    solver = solver or {}
-    _check_solver(solver)
-    index_set = grouped(active, sets)
-    design, y, prov = _acquire_data(index_set, target, sampling)
-    report = design.solve(index_set, y, solver, "final")
+    model, report = _fit(active, lambda: sets, target, sampling, solver or {},
+                         "approximate")
+    design, _ = model.fit_data()
     imag = report.imag_residual
     if isinstance(design, LatticeDesign):
         # report.imag_residual holds the same value (to roundoff for complex
         # samples); this second evaluation stays while perfbench's tracer
         # requires it (ROADMAP item 7)
         imag = _max_abs(lattice_evaluate(
-            (index_set, -1j * report.coefficients.values), design.lattice, real=True))
-    prov.update({"stage": "approximate",
-                 "solver_report": report.to_json_dict(),
-                 "imag_residual": imag})
-    return ApproxModel(report.coefficients, prov, design, y)
+            (model.index_set, -1j * report.coefficients.values), design.lattice,
+            real=True))
+    model.provenance["imag_residual"] = imag
+    return model

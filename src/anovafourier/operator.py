@@ -199,6 +199,35 @@ def _helper_runs(m: int) -> bool:
     return cpus >= 2 and _blas_threads(cpus) == 1
 
 
+#: bytes per node that a scattered stage holds at its peak besides the nodes
+#: and the operator's unit phases: the values, LSQR's vector u, a product's
+#: result and the residual.  From 20k to 80k nodes (d = 9), traced peaks of
+#: `detect` and `approximate` grew by 35 to 63.8 bytes per node beyond
+#: 8 d + 16 d_used on five index sets; rounded up to 4 complex values.
+_SCATTERED_BYTES_PER_NODE = 64
+
+
+def scattered_fit_bytes(index_set: GroupedIndexSet, m: int) -> int:
+    """Bytes that an LSQR fit on m nodes holds at its peak, estimated.
+
+    Per node the coordinates (8 d bytes), the operator's unit phases (16
+    bytes per used axis) and ``_SCATTERED_BYTES_PER_NODE``; the phase table
+    of one node chunk; four length-|I| LSQR vectors.  When LSQR's products
+    get a helper process, also its own chunk table and the shared vectors:
+    two of length |I| and half B's floor(m/2) values.
+    """
+    vmax, _, rows = _kernels.bandwidths(
+        index_set.d, [(b.term, b.freqs) for b in index_set.blocks])
+    per_node = 8 * index_set.d + 16 * int(np.count_nonzero(vmax)) \
+        + _SCATTERED_BYTES_PER_NODE
+    table = 16 * rows * min(m, _kernels._NODES)
+    n = len(index_set)
+    need = m * per_node + table + 4 * 16 * n
+    if _helper_runs(m):
+        need += table + 16 * (2 * n + m // 2)
+    return need
+
+
 #: seconds that closing a helper waits for it to exit before terminating it
 _JOIN_S = 10.0
 

@@ -36,6 +36,10 @@ class WeightParams:
         G = np.asarray(self.Gamma, dtype=float)
         if g.ndim != 1 or G.ndim != 1 or g.shape != G.shape:
             raise ValueError("gamma and Gamma must be 1-d arrays of equal length")
+        for name, v in (("alpha", self.alpha), ("beta", self.beta),
+                        ("gamma", g), ("Gamma", G)):
+            if not np.all(np.isfinite(v)):
+                raise ValueError(f"{name} must be finite")
         if self.beta < 0:
             raise ValueError("beta must be >= 0")
         if self.alpha < -self.beta:
@@ -173,7 +177,10 @@ def parse_weight_sequence(expr: str, d: int) -> np.ndarray:
         text = text.strip("()")
         if "/" in text:
             num, den = text.split("/")
-            return token_value(num) / token_value(den)
+            den = token_value(den)
+            if den == 0:
+                raise ValueError(f"zero denominator in {text!r}")
+            return token_value(num) / den
         if text in _SQRT_TOKENS:
             return _SQRT_TOKENS[text]
         return float(text)

@@ -1,5 +1,6 @@
 import copy
 import json
+import math
 import os
 import subprocess
 import sys
@@ -516,9 +517,15 @@ def input_files(tmp_path, model_file):
     """A good model and index set and the bad input files, by placeholder."""
     files = {"MODEL": model_file}
     doc = json.loads(Path(model_file).read_text())
+    relabelled, short = copy.deepcopy(doc), copy.deepcopy(doc)
+    relabelled["coefficients"]["blocks"][1]["u"] = [7]
+    short["coefficients"]["blocks"][1]["data"] = \
+        doc["coefficients"]["blocks"][1]["data"][:-32]
     index_set = doc.pop("index_set")
     texts = {**_BAD_FILES, "NO_INDEX_SET": json.dumps(doc),
-             "INDEX_SET": json.dumps(index_set)}
+             "INDEX_SET": json.dumps(index_set),
+             "RELABELLED_MODEL": json.dumps(relabelled),
+             "SHORT_MODEL": json.dumps(short)}
     for name, text in texts.items():
         path = tmp_path / f"{name.lower()}.txt"
         path.write_text(text)
@@ -562,6 +569,14 @@ def input_files(tmp_path, model_file):
      "empty term must carry exactly the empty vector"),
     (["lattice", "--index-set", "INDEX_SET", "--seed", "-1"],
      "--seed must be an integer >= 0, got -1"),
+    (["bound", "--alpha", "0", "--beta", "1", "--ds", "3", "--gammas", "1/0"],
+     "--gammas '1/0': zero denominator"),
+    (["bound", "--alpha", "0", "--beta", "1", "--ds", "3", "--Gammas", "(1/0)^s"],
+     "--Gammas '(1/0)^s': zero denominator"),
+    (["eval", "--model", "RELABELLED_MODEL", "--x", "0,0,0"],
+     "coefficient block of term (7,): repeated or not a term"),
+    (["eval", "--model", "SHORT_MODEL", "--x", "0,0,0"],
+     "coefficient block of term (1,): need 3 values, got 2"),
 ])
 def test_bad_arguments_exit_2(tmp_path, capsys, input_files, argv, key):
     """Exit 2 with the fault and its flag on stderr, a bad file named after
@@ -587,6 +602,88 @@ def test_eval_x_prints_plain_floats(tmp_path, capsys, model_file):
     v = ApproxModel.load(model_file).evaluate(np.array([[0.1, 0.2, 0.3]]))[0]
     assert capsys.readouterr().out.splitlines() == [
         f"value = {float(v.real)!r} + {float(v.imag)!r}i"]
+
+
+def test_eval_reads_coefficient_blocks_by_term(tmp_path):
+    """A model document with its coefficient blocks in another order
+    evaluates like the one this tool writes."""
+    from anovafourier.anova import CoefficientMap, term_family_ds
+    from anovafourier.index_sets import grouped
+    from anovafourier.method import ApproxModel, build_search_sets
+    g = grouped(term_family_ds(3, 2),
+                build_search_sets(3, 2, {"type": "full_grid", "N": [4, 4]}))
+    doc = ApproxModel(CoefficientMap(g, np.arange(len(g)) * (1 + 0.5j))).to_json_dict()
+    written = write_config(tmp_path, doc, "model.json")
+    doc["coefficients"]["blocks"].reverse()
+    reordered = write_config(tmp_path, doc, "reordered.json")
+    csv = []
+    for path in (written, reordered):
+        out = tmp_path / Path(path).stem
+        assert run_cli(["eval", "--model", path, "--x", "0.1,0.7,0.3",
+                        "--out", str(out)]) == 0
+        csv.append((out / "evaluations.csv").read_text())
+    assert csv[0] == csv[1]
+
+
+_CROSS = {"type": "hyperbolic_cross", "N": [4, 4]}
+_WEIGHTED = {"type": "weighted", "N": [4, 4],
+             "weight": {"alpha": 0.0, "beta": 1.0, "gamma": [1.0] * 9,
+                        "Gamma": [1.0] * 9}}
+_BOUND = ["bound", "--alpha", "0", "--beta", "1", "--ds", "3"]
+
+
+def _non_finite_cases():
+    """(config or argv, the key its error names): every numeric field of a
+    detection config at NaN, +inf and -inf, one at a time, and the weight
+    parameters of ``bound``."""
+    fields = [(BUILTIN_DETECT, ("d",), "d"), (BUILTIN_DETECT, ("d_s",), "d_s"),
+              (BUILTIN_DETECT, ("sampling", "count"), "sampling.count"),
+              (BUILTIN_DETECT, ("sampling", "seed"), "sampling.seed")]
+    fields += [(BUILTIN_DETECT, ("solver", key), f"solver.{key}")
+               for key in ("atol", "btol", "max_iter")]
+    for j in range(2):
+        fields.append((BUILTIN_DETECT, ("thresholds", j), f"thresholds[{j}]"))
+        fields += [({**BUILTIN_DETECT, "search": search}, ("search", "N", j),
+                    f"search.N[{j}]")
+                   for search in (BUILTIN_DETECT["search"], _CROSS, _WEIGHTED)]
+    fields += [({**BUILTIN_DETECT, "search": _WEIGHTED}, ("search", "weight") + path,
+                f"search.weight: {path[0]}")
+               for path in (("alpha",), ("beta",), ("gamma", 0), ("Gamma", 0))]
+    cases = []
+    for base, path, key in fields:
+        for value in (math.nan, math.inf, -math.inf):
+            cfg = copy.deepcopy(base)
+            parent = cfg
+            for step in path[:-1]:
+                parent = parent.setdefault(step, {})
+            parent[path[-1]] = value
+            where = ".".join(map(str, path))
+            cases.append(pytest.param(cfg, key,
+                                      id=f"{base['search']['type']}:{where}={value}"))
+    for flag, value, key in [("--alpha", "nan", "alpha"), ("--alpha", "inf", "alpha"),
+                             ("--beta", "nan", "beta"), ("--beta", "inf", "beta"),
+                             ("--gammas", "nan", "gamma"), ("--gammas", "1/0", "--gammas"),
+                             ("--Gammas", "nan", "Gamma"), ("--Gammas", "1/0", "--Gammas")]:
+        cases.append(pytest.param(_BOUND + [flag, value], key, id=f"bound{flag}={value}"))
+    return cases
+
+
+@pytest.mark.parametrize("case,key", _non_finite_cases())
+def test_non_finite_number_exits_2(tmp_path, capsys, monkeypatch, case, key):
+    """A NaN or infinite number exits 2 naming its key, before the target is
+    sampled and before any output is written."""
+    from anovafourier import bench
+
+    def never(_X):
+        raise AssertionError("target sampled")
+    monkeypatch.setattr(bench, "testfun_value", never)
+    argv = case if isinstance(case, list) else \
+        ["detect", "--config", write_config(tmp_path, case)]
+    code = run_cli(argv + ["--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert f"config error: {key} " in err, err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("command", ["detect", "approximate"])

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from anovafourier import bench, method
+from anovafourier import bench, method, operator
 from anovafourier.anova import CoefficientMap, sensitivity, term_family_ds
 from anovafourier.bench import u_star
 from anovafourier.index_sets import TermFamily, grouped, weighted_index_set
@@ -257,7 +257,7 @@ def test_oversized_scattered_fit_fails_before_allocating(monkeypatch):
     estimated before the nodes are drawn or the operator is built, for a
     callable target and for fixed data alike."""
     monkeypatch.setattr(method, "_physical_memory", lambda: 10_000)
-    monkeypatch.setattr(method, "_helper_runs", lambda m: False)
+    monkeypatch.setattr(operator, "_helper_runs", lambda m: False)
 
     def never(*_args):
         raise AssertionError("allocated before the memory check")
@@ -266,7 +266,7 @@ def test_oversized_scattered_fit_fails_before_allocating(monkeypatch):
     monkeypatch.setattr(method, "BlockFourierOperator", never)
     cfg = tiny_config()
     g = grouped(term_family_ds(3, 2), build_search_sets(3, 2, cfg.search))
-    need = (3000 * (8 * 3 + 16 * 3 + method._SCATTERED_BYTES_PER_NODE)
+    need = (3000 * (8 * 3 + 16 * 3 + operator._SCATTERED_BYTES_PER_NODE)
             + 16 * _table_rows(g) * 2048 + 4 * 16 * len(g))
     for target in (never, (X, tiny_target(X))):
         with pytest.raises(ConfigError,
@@ -277,15 +277,12 @@ def test_oversized_scattered_fit_fails_before_allocating(monkeypatch):
 def test_scattered_memory_estimate_counts_the_product_helper(monkeypatch):
     """With a product helper, the estimate adds its chunk table and the
     shared vectors: two of length |I| and one of m/2."""
-    monkeypatch.setattr(method, "_physical_memory", lambda: 0)
     cfg = tiny_config()
     g = grouped(term_family_ds(3, 2), build_search_sets(3, 2, cfg.search))
 
     def need(helper):
-        monkeypatch.setattr(method, "_helper_runs", lambda m: helper)
-        with pytest.raises(ConfigError, match="needs about") as err:
-            method._check_scattered_memory(g, 5001)
-        return int(str(err.value).split("needs about ")[1].split()[0])
+        monkeypatch.setattr(operator, "_helper_runs", lambda m: helper)
+        return operator.scattered_fit_bytes(g, 5001)
     extra = 16 * _table_rows(g) * 2048 + 16 * (2 * len(g) + 2500)
     assert need(True) == need(False) + extra
 
@@ -383,6 +380,11 @@ def test_weighted_search_sets_are_built_on_each_terms_axes():
     ("solver", {"atol": -1}),
     ("solver", {"btol": float("nan")}),
     ("solver", {"max_iters": 5}),
+    ("thresholds", ["0.5", 0.0]),
+    ("thresholds", [True, 0.0]),
+    ("thresholds", [0.0, 1.5]),
+    ("thresholds", 0.5),
+    ("search", {"type": "hyperbolic_cross", "N": [float("nan"), 10]}),
 ])
 def test_config_rejects_bad_keys(field, value):
     kwargs = dict(d=3, d_s=2, search={"type": "full_grid", "N": [4, 4]},
@@ -529,7 +531,7 @@ def test_pilot_tolerance_keeps_the_ranking(monkeypatch):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # fewer than 10 samples per unknown
         loose = detect(cfg, data)
-        monkeypatch.setitem(method._NTOL, "detect", 1e-4)
+        monkeypatch.setitem(method.SOLVER_DEFAULTS["detect"], "ntol", 1e-4)
         tight = detect(cfg, data)
     iters = [r.pilot.provenance["solver_report"]["iterations"] for r in (loose, tight)]
     assert iters[0] < iters[1]
@@ -600,6 +602,32 @@ def test_model_json_round_trip_exact(tmp_path):
     assert np.array_equal(loaded.coefficients.values.view(np.uint64),
                           values.view(np.uint64))
     assert loaded.digest() == signed.digest()
+
+
+def test_model_document_blocks_are_taken_by_term():
+    """Coefficient blocks load by their term, in any order; a block of a
+    term outside the index set, a repeated or missing one, or one of the
+    wrong length is refused."""
+    g = grouped(term_family_ds(2, 1), build_search_sets(2, 1, {"type": "full_grid",
+                                                               "N": [4]}))
+    model = ApproxModel(CoefficientMap(g, np.arange(len(g)) + 1j))
+    doc = model.to_json_dict()
+    blocks = doc["coefficients"]["blocks"]
+    assert [b["u"] for b in blocks] == [[], [1], [2]]
+
+    def load(new_blocks):
+        return ApproxModel.from_json_dict(
+            {**doc, "coefficients": {**doc["coefficients"], "blocks": new_blocks}})
+    assert np.array_equal(load(blocks[::-1]).coefficients.values,
+                          model.coefficients.values)
+    for bad, match in [
+            ([blocks[0], {**blocks[1], "u": [3]}, blocks[2]], r"term \(3,\)"),
+            ([blocks[0], blocks[1], blocks[1], blocks[2]], r"term \(1,\): repeated"),
+            (blocks[:2], r"no coefficient block of term \(2,\)"),
+            ([blocks[0], blocks[1], {**blocks[2], "data": blocks[2]["data"][:64]}],
+             r"term \(2,\): need 3 values, got 2")]:
+        with pytest.raises(ValueError, match=match):
+            load(bad)
 
 
 def test_evaluate_model_mean_only():

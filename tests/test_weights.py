@@ -47,6 +47,21 @@ def test_param_validation():
         WeightParams(0.0, 1.0, np.array([1.0, 1.5]), np.ones(2))  # gamma > 1
 
 
+_ONES = np.ones(2)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name,make", [
+    ("alpha", lambda v: WeightParams(v, 1.0, _ONES, _ONES)),
+    ("beta", lambda v: WeightParams(0.0, v, _ONES, _ONES)),
+    ("gamma", lambda v: WeightParams(0.0, 1.0, np.array([1.0, v]), _ONES)),
+    ("Gamma", lambda v: WeightParams(0.0, 1.0, _ONES, np.array([v, 1.0]))),
+])
+def test_param_validation_rejects_non_finite(name, make, bad):
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        make(bad)
+
+
 def test_wiener_bound_trivial_params():
     p = WeightParams(0.0, 0.0, np.ones(4), np.ones(4))
     for d_s in (1, 2, 3):
@@ -194,3 +209,9 @@ def test_parse_weight_sequence():
                        [math.sqrt(3) / math.pi, 3 / math.pi ** 2])
     assert np.allclose(parse_weight_sequence("0.5^s", 3), [0.5, 0.25, 0.125])
     assert np.allclose(parse_weight_sequence("1/s^2", 3), [1, 0.25, 1 / 9])
+
+
+@pytest.mark.parametrize("expr", ["1/0", "(1/0)^s", "2/0.0", "(pi/0)^s"])
+def test_parse_weight_sequence_rejects_zero_denominator(expr):
+    with pytest.raises(ValueError, match="zero denominator"):
+        parse_weight_sequence(expr, 3)
