@@ -30,9 +30,12 @@ result (length m for F c, |I| for F* y) nothing in a product grows with the
 number of nodes.  At 2048 nodes a table row takes 32 KB.
 
 Determinism: chunk sizes depend only on the inputs, every reduction runs in
-a fixed order, and every BLAS call is a matrix product with a short inner
-dimension (``_matmul``), so results do not depend on the number of BLAS
-threads.
+a fixed order, and both products run the OpenBLAS that numpy ships at one
+thread (``_one_blas_thread``), restoring the process's thread count when
+they return or raise.  Where that library is found (``_OPENBLAS``),
+results do not depend on the number of BLAS threads.  Under another BLAS
+(MKL, Accelerate) the products run at its thread count, and their last bits
+may depend on it.
 
 Lattices: ``residues`` computes k.z mod M for a frequency array, and
 ``first_injective`` is the CBC search's test of candidates z_s.  Entries
@@ -53,7 +56,11 @@ vector takes 8 bytes per sample instead of 16.
 
 from __future__ import annotations
 
+import ctypes
 import math
+import os
+import threading
+from contextlib import contextmanager
 from typing import NamedTuple
 
 import numpy as np
@@ -61,10 +68,9 @@ import numpy as np
 #: the only backend; kept as a constant for tools that record it
 BACKEND = "numpy"
 
-#: nodes per chunk, a multiple of _KB; 1024 and 8192 timed slower, 4096 as
-#: fast with twice the table
+#: nodes per chunk; 1024 and 8192 timed slower, 4096 as fast with twice the
+#: table
 _NODES = 2048
-_KB = 128  # inner length of one BLAS matrix product
 _TWIDDLE_BLOCK = 1 << 16  # entries per block of rows that one twiddle step scales
 _PREFIX = 1024  # moving representatives in a CBC candidate's first test
 _SCREEN = 128  # moving residues per candidate in the CBC screen
@@ -239,40 +245,48 @@ def fourier_layout(d: int, blocks) -> FourierLayout:
                          *map(np.concatenate, (coef, fwd, adj)))
 
 
-def _matmul(A, B):
-    """A @ B with every BLAS call of inner length <= _KB and at least 2 x 2.
+def _find_openblas():
+    """(get, set) of the thread count of the OpenBLAS that numpy ships, or
+    None where numpy runs another BLAS.
 
-    With more threads, BLAS re-blocks a long inner dimension and splits
-    matrix-vector products at other rows, which changes the rounding.  Fixed
-    inner blocks summed in a fixed order, and a zero row or column that turns
-    a matrix-vector product into a matrix product, keep the result the same
-    for every thread count.  An outer product (inner length 1) and a dot
-    product (a 1 x 1 result) need no BLAS call: a broadcast product and a
-    fixed-order ``einsum`` sum.
+    The symbols are looked up through numpy's own extension module, whose
+    dependencies hold the BLAS it runs; ``RTLD_NOLOAD`` opens only what is
+    already loaded, so this loads nothing.
     """
-    m, k = A.shape
-    n = B.shape[1]
-    if k == 1:
-        return A * B
-    if m == 1 and n == 1:
-        return np.einsum("ij,jk->ik", A, B)
-    if m == 1:
-        return _matmul(np.concatenate([A, np.zeros_like(A)]), B)[:1]
-    if n == 1:
-        return _matmul(A, np.concatenate([B, np.zeros_like(B)], axis=1))[:, :1]
-    if k <= _KB:
-        return A @ B
-    kb = k - k % _KB
-    if m * n <= _KB * _KB:  # small result: one stacked product over the blocks
-        out = np.matmul(A[:, :kb].reshape(m, -1, _KB).transpose(1, 0, 2),
-                        B[:kb].reshape(-1, _KB, n)).sum(axis=0)
-    else:
-        out = A[:, :_KB] @ B[:_KB]
-        for lo in range(_KB, kb, _KB):
-            out += A[:, lo:lo + _KB] @ B[lo:lo + _KB]
-    if kb < k:
-        out += A[:, kb:] @ B[kb:]
-    return out
+    try:
+        lib = ctypes.CDLL(np._core._multiarray_umath.__file__, mode=os.RTLD_NOLOAD)
+        get = lib.scipy_openblas_get_num_threads64_
+        put = lib.scipy_openblas_set_num_threads64_
+    except (AttributeError, OSError):  # another BLAS, or no dlopen
+        return None
+    get.argtypes, get.restype = [], ctypes.c_int
+    put.argtypes, put.restype = [ctypes.c_int], None
+    return get, put
+
+
+_OPENBLAS = _find_openblas()
+
+#: held by the product that has pinned OpenBLAS; products of other threads wait
+_pin_lock = threading.Lock()
+
+
+@contextmanager
+def _one_blas_thread():
+    """Run the block with numpy's OpenBLAS at one thread, and restore the
+    count however the block ends; products of different threads take turns.
+
+    With more threads, OpenBLAS re-blocks a long inner dimension and splits
+    matrix-vector products at other rows, which changes the rounding.  Under
+    another BLAS (``_OPENBLAS`` None) nothing is pinned.
+    """
+    get, put = _OPENBLAS or (lambda: 1, lambda n: None)
+    with _pin_lock:
+        threads = get()
+        put(1)
+        try:
+            yield
+        finally:
+            put(threads)
 
 
 def unit_phases(X, vmax) -> np.ndarray:
@@ -325,6 +339,7 @@ def _chunks(U, layout: FourierLayout):
         yield lo, hi, _phase_table(U[:, lo:hi], layout, E[:, :hi - lo])
 
 
+@_one_blas_thread()
 def fourier_forward(U, layout: FourierLayout, coeffs, out=None) -> np.ndarray:
     """F c at the nodes whose unit phases (``unit_phases``) are U, written
     into ``out`` (complex, one entry per node) when given.
@@ -351,9 +366,9 @@ def fourier_forward(U, layout: FourierLayout, coeffs, out=None) -> np.ndarray:
     for lo, hi, E in _chunks(U, layout):
         acc = out[lo:hi]
         for g, Cs in zip(layout.groups, mats):
-            T = _matmul(Cs[0], E[g.terms[0].rows_a])
+            T = Cs[0] @ E[g.terms[0].rows_a]
             for t, C in zip(g.terms[1:], Cs[1:]):
-                T += _matmul(C, E[t.rows_a])
+                T += C @ E[t.rows_a]
             for r in g.rows_rest:
                 T *= E[r]
             if not g.rows_rest:
@@ -362,6 +377,7 @@ def fourier_forward(U, layout: FourierLayout, coeffs, out=None) -> np.ndarray:
     return out
 
 
+@_one_blas_thread()
 def fourier_adjoint(U, layout: FourierLayout, y, out=None) -> np.ndarray:
     """F* y, written into ``out`` (complex, length |I|) when given: the
     forward contraction mirrored on conjugated table rows.
@@ -391,7 +407,7 @@ def fourier_adjoint(U, layout: FourierLayout, y, out=None) -> np.ndarray:
             for r in g.rows_rest_adj:
                 W = W * E[r]
             for t, G in zip(g.terms, Gs):
-                G += _matmul(E[t.rows_a_adj], W.T)
+                G += E[t.rows_a_adj] @ W.T
     for g, Gs in zip(layout.groups, mats):
         if not g.rows_rest:
             for G in Gs:

@@ -22,9 +22,9 @@ import numpy as np
 from . import __version__
 from .index_sets import GroupedIndexSet
 from .lattice import cbc_construct, save_lattice
-from .method import (_SAMPLING_KINDS, ApproxModel, ConfigError, _check_sampling,
-                     _digest, _number, approximate, build_search_sets, detect,
-                     gap_intervals, read_run_config)
+from .method import (_SAMPLING_KINDS, ApproxModel, ConfigError, _check_keys,
+                     _check_sampling, _digest, _number, approximate,
+                     build_search_sets, detect, gap_intervals, read_run_config)
 from .weights import BOUNDS, WeightParams, bound_curve, parse_weight_sequence
 
 
@@ -107,6 +107,9 @@ def _exit_code(stage: str, stop: str) -> int:
 
 def _target_from_config(cfg, d):
     target = cfg.get("target", {"builtin": "bench"})
+    _check_keys(target, "target", ("builtin", "csv"))
+    if len(target) != 1:
+        raise ConfigError("target must specify exactly one of 'builtin' or 'csv'")
     if "builtin" in target:
         from .bench import D, testfun_value
         if target["builtin"] != "bench":
@@ -114,19 +117,17 @@ def _target_from_config(cfg, d):
         if d != D:
             raise ConfigError(f"target.builtin 'bench' needs d = {D}, got d = {d}")
         return testfun_value
-    if "csv" in target:
-        try:
-            data = np.loadtxt(target["csv"], delimiter=";", ndmin=2)
-        except (OSError, ValueError) as exc:
-            raise ConfigError(f"target.csv: cannot read {target['csv']!r}: {exc}")
-        _check_table(data, "target.csv", d + 1, "columns")
-        X = data[:, :d]
-        wrapped = int(np.sum((X < 0) | (X >= 1)))
-        if wrapped:
-            print(f"warning: {wrapped} coordinates reduced mod 1", file=sys.stderr)
-            X = X - np.floor(X)
-        return X, data[:, d]
-    raise ConfigError("target must specify 'builtin' or 'csv'")
+    try:
+        data = np.loadtxt(target["csv"], delimiter=";", ndmin=2)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"target.csv: cannot read {target['csv']!r}: {exc}")
+    _check_table(data, "target.csv", d + 1, "columns")
+    X = data[:, :d]
+    wrapped = int(np.sum((X < 0) | (X >= 1)))
+    if wrapped:
+        print(f"warning: {wrapped} coordinates reduced mod 1", file=sys.stderr)
+        X = X - np.floor(X)
+    return X, data[:, d]
 
 
 def _overridden(cfg, args):

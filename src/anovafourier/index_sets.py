@@ -30,7 +30,10 @@ _AXIS_CAP = 2_000_000
 
 
 def validate_term(term, d) -> Term:
-    """Normalize and check a coordinate subset (1-based, strictly increasing)."""
+    """Normalize and check a coordinate subset (1-based, strictly increasing
+    integers; a bool or a float is not one)."""
+    if not all(isinstance(c, (int, np.integer)) and not isinstance(c, bool) for c in term):
+        raise ValueError(f"term {tuple(term)} has a coordinate that is not an integer")
     t = tuple(int(c) for c in term)
     if any(t[i] >= t[i + 1] for i in range(len(t) - 1)):
         raise ValueError(f"term {t} is not strictly increasing")

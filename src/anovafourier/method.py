@@ -17,9 +17,9 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 import numbers
 import os
+import sys
 import warnings
 from dataclasses import dataclass, field, fields
 
@@ -58,10 +58,11 @@ class ConfigError(ValueError):
 def _number(value, where: str, low=None, high=None, integer: bool = False):
     """Raise ConfigError naming ``where`` unless ``value`` is a finite real
     number in [low, high] (either end may be None), and an integer if
-    ``integer``.  A bool is not a number."""
+    ``integer``.  A bool is not a number, and an integer beyond the float
+    range is not finite."""
     if not (isinstance(value, numbers.Integral if integer else numbers.Real)
             and not isinstance(value, bool)
-            and (isinstance(value, numbers.Integral) or math.isfinite(value))
+            and (integer or abs(value) <= sys.float_info.max)
             and (low is None or value >= low) and (high is None or value <= high)):
         bounds = f" in [{low}, {high}]" if high is not None else \
             f" >= {low}" if low is not None else ""
@@ -325,8 +326,8 @@ class ApproxModel:
     @staticmethod
     def from_json_dict(doc) -> "ApproxModel":
         """The model of a document; each coefficient block is taken by its
-        term ``u``, and a missing, extra or repeated term or a block of the
-        wrong length raises ValueError."""
+        term ``u``, and a missing, extra or repeated term, or a block of the
+        wrong length or holding a non-finite value, raises ValueError."""
         idx = GroupedIndexSet.from_json_dict(doc["index_set"])
         slices = idx.block_slices()
         values = np.empty(len(idx), np.complex128)
@@ -337,6 +338,8 @@ class ApproxModel:
                 raise ValueError(f"coefficient block of term {u}: " + (
                     "repeated or not a term of the index set" if sl is None
                     else f"need {sl.stop - sl.start} values, got {len(part)}"))
+            if not np.isfinite(part).all():
+                raise ValueError(f"coefficient block of term {u}: non-finite value")
             values[sl] = part
         if slices:
             raise ValueError(f"no coefficient block of term {next(iter(slices))}")

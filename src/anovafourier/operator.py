@@ -110,9 +110,9 @@ class BlockFourierOperator:
     @contextmanager
     def helped(self):
         """Within the block, a forked helper process computes half B of
-        every product while this process computes half A, when
-        ``_helper_runs`` allows it and a process can be started; otherwise
-        the products run as always, with the same bits."""
+        every product while this process computes half A, both at one BLAS
+        thread, when ``_helper_runs`` allows it and a process can be
+        started; otherwise the products run as always, with the same bits."""
         helper = None
         if self._helper is None and _helper_runs(len(self.nodes)):
             try:
@@ -168,24 +168,12 @@ class BlockFourierOperator:
         return out
 
 
-def _blas_threads(cpus: int) -> int:
-    """OpenBLAS's thread count: the first of ``OPENBLAS_NUM_THREADS`` and
-    ``OMP_NUM_THREADS`` that holds a positive integer, else one per CPU."""
-    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
-        try:
-            n = int(os.environ.get(var, ""))
-        except ValueError:
-            continue
-        if n > 0:
-            return n
-    return cpus
-
-
 def _helper_runs(m: int) -> bool:
     """Whether the products on m nodes get a helper inside ``lsqr``: fork
     exists, there are two chunks or more, this process may run on two CPUs
-    or more, and BLAS runs one thread (two BLAS thread pools spinning on
-    two CPUs made a fit more than twice as slow).  A process with a second
+    or more, and the products can pin numpy's OpenBLAS to one thread
+    (``_kernels._OPENBLAS``; two BLAS thread pools spinning on two CPUs
+    made a fit more than twice as slow).  A process with a second
     thread, where a fork is unsafe, and a daemonic ``multiprocessing``
     worker, which may not start a process, get none."""
     if not hasattr(os, "fork") or m <= _kernels._NODES \
@@ -196,7 +184,7 @@ def _helper_runs(m: int) -> bool:
         return False
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") \
         else os.cpu_count() or 1
-    return cpus >= 2 and _blas_threads(cpus) == 1
+    return cpus >= 2 and _kernels._OPENBLAS is not None
 
 
 #: bytes per node that a scattered stage holds at its peak besides the nodes

@@ -440,6 +440,16 @@ _WEIGHT_NO_GAMMA = {"alpha": 0.0, "beta": 1.0, "gamma": [1.0] * 9}
     ("bench", {"family": "ustar"}, "config.family"),
     ("bench", {"target": {"csv": "data.csv"}}, "target"),
     ("bench", {"d": 3}, "d = 9"),
+    ("detect", {"target": "builtin"}, "target must be an object, got str"),
+    ("detect", {"target": 5}, "target must be an object, got int"),
+    ("detect", {"target": ["csv"]}, "target must be an object, got list"),
+    ("detect", {"target": {"builtin": "bench", "csv": "x.csv"}},
+     "target must specify exactly one of"),
+    ("approximate", {"active_set": [[True], [2]]},
+     "active_set: term (True,) has a coordinate that is not an integer"),
+    ("approximate", {"active_set": [[1.0], [2]]},
+     "active_set: term (1.0,) has a coordinate that is not an integer"),
+    ("approximate", {"active_set": [1, [2]]}, "active_set: 'int' object is not iterable"),
 ])
 def test_malformed_config_exit_2(tmp_path, capsys, command, change, key):
     base = BUILTIN_APPROXIMATE if command == "approximate" else BUILTIN_DETECT
@@ -509,6 +519,8 @@ _BAD_FILES = {
         {"u": [2], "freqs": [[1]]}, {"u": [2, 1], "freqs": [[1, 1]]}]}),
     "EMPTY_TERM_FREQS": json.dumps({"d": 2, "blocks": [
         {"u": [], "freqs": [[1, 2], [3, 4]]}, {"u": [1], "freqs": [[1]]}]}),
+    "TERM_NOT_INTEGER": json.dumps({"d": 2, "blocks": [{"u": [], "freqs": [[]]},
+                                                       {"u": [True], "freqs": [[1]]}]}),
 }
 
 
@@ -517,15 +529,18 @@ def input_files(tmp_path, model_file):
     """A good model and index set and the bad input files, by placeholder."""
     files = {"MODEL": model_file}
     doc = json.loads(Path(model_file).read_text())
-    relabelled, short = copy.deepcopy(doc), copy.deepcopy(doc)
+    relabelled, short, non_finite = (copy.deepcopy(doc) for _ in range(3))
     relabelled["coefficients"]["blocks"][1]["u"] = [7]
     short["coefficients"]["blocks"][1]["data"] = \
         doc["coefficients"]["blocks"][1]["data"][:-32]
+    non_finite["coefficients"]["blocks"][1]["data"] = \
+        np.array([math.nan, math.inf, -math.inf], "<c16").tobytes().hex()
     index_set = doc.pop("index_set")
     texts = {**_BAD_FILES, "NO_INDEX_SET": json.dumps(doc),
              "INDEX_SET": json.dumps(index_set),
              "RELABELLED_MODEL": json.dumps(relabelled),
-             "SHORT_MODEL": json.dumps(short)}
+             "SHORT_MODEL": json.dumps(short),
+             "NON_FINITE_MODEL": json.dumps(non_finite)}
     for name, text in texts.items():
         path = tmp_path / f"{name.lower()}.txt"
         path.write_text(text)
@@ -577,6 +592,10 @@ def input_files(tmp_path, model_file):
      "coefficient block of term (7,): repeated or not a term"),
     (["eval", "--model", "SHORT_MODEL", "--x", "0,0,0"],
      "coefficient block of term (1,): need 3 values, got 2"),
+    (["eval", "--model", "NON_FINITE_MODEL", "--x", "0,0,0"],
+     "coefficient block of term (1,): non-finite value"),
+    (["lattice", "--index-set", "TERM_NOT_INTEGER"],
+     "term (True,) has a coordinate that is not an integer"),
 ])
 def test_bad_arguments_exit_2(tmp_path, capsys, input_files, argv, key):
     """Exit 2 with the fault and its flag on stderr, a bad file named after
@@ -660,6 +679,9 @@ def _non_finite_cases():
             where = ".".join(map(str, path))
             cases.append(pytest.param(cfg, key,
                                       id=f"{base['search']['type']}:{where}={value}"))
+    cases.append(pytest.param({**BUILTIN_DETECT, "search": {"type": "hyperbolic_cross",
+                                                            "N": [10 ** 400, 4]}},
+                              "search.N[0]", id="hyperbolic_cross:search.N.0=10**400"))
     for flag, value, key in [("--alpha", "nan", "alpha"), ("--alpha", "inf", "alpha"),
                              ("--beta", "nan", "beta"), ("--beta", "inf", "beta"),
                              ("--gammas", "nan", "gamma"), ("--gammas", "1/0", "--gammas"),

@@ -1,6 +1,8 @@
 """Kernel checks: the grouped Fourier contraction against a dense matrix,
 its adjoint identity, and the lattice residue kernels."""
 
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -63,7 +65,6 @@ def test_contraction_matches_dense(name, search):
                          ids=[s[0] for s in SEARCHES + [ORDER1_ONLY]])
 def test_contraction_partial_last_chunk(name, search):
     """Three node chunks with a short last one, and fewer nodes than a chunk."""
-    assert _kernels._NODES % _kernels._KB == 0
     d_s = len(search["N"])
     g = grouped(term_family_ds(4, d_s), build_search_sets(4, d_s, search))
     V, R, _ = _kernels.bandwidths(4, [(b.term, b.freqs) for b in g.blocks])
@@ -179,18 +180,99 @@ def test_layout_rejects_zero_frequency_entry():
         _kernels.fourier_layout(2, [((1, 2), [[1, 0]])])
 
 
-@pytest.mark.parametrize("shape", [(1, 40, 300), (40, 300, 1), (3, 1000, 5),
-                                   (200, 300, 150), (5, 3, 7), (2, 129, 2),
-                                   (1, 2048, 1), (3, 1, 300)])
-def test_matmul_blocks_agree_with_plain_product(shape):
-    m, k, n = shape
-    rng = np.random.default_rng(k)
-    A = rng.normal(size=(m, k)) + 1j * rng.normal(size=(m, k))
-    B = rng.normal(size=(k, n)) + 1j * rng.normal(size=(k, n))
-    ref = A @ B
-    got = _kernels._matmul(A, B)
-    assert got.shape == ref.shape
-    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+def _pin_system(m=100):
+    """The two products of a small operator on m nodes, each with its
+    arguments."""
+    g = grouped(term_family_ds(3, 2), build_search_sets(3, 2, {"type": "full_grid",
+                                                                "N": [4, 4]}))
+    op = BlockFourierOperator(uniform_nodes(3, m, seed=1), g)
+    return [(_kernels.fourier_forward, (op._phases, op._layout, np.ones(len(g), complex))),
+            (_kernels.fourier_adjoint, (op._phases, op._layout, np.ones(m, complex)))]
+
+
+def _openblas():
+    if _kernels._OPENBLAS is None:
+        pytest.skip("numpy runs a BLAS other than its bundled OpenBLAS")
+    return _kernels._OPENBLAS
+
+
+def test_products_run_at_one_blas_thread_and_restore_the_count(monkeypatch):
+    """Both products fill their tables at one BLAS thread and leave the
+    process's thread count as they found it, whether they return or raise."""
+    get, put = _openblas()
+    seen, table = [], _kernels._phase_table
+
+    def counted(*a):
+        seen.append(get())
+        return table(*a)
+
+    def failing(*a):
+        seen.append(get())
+        raise KeyError("table failed")
+
+    before = get()
+    put(2)
+    try:
+        monkeypatch.setattr(_kernels, "_phase_table", counted)
+        for product, args in _pin_system():
+            product(*args)
+            assert get() == 2
+        monkeypatch.setattr(_kernels, "_phase_table", failing)
+        for product, args in _pin_system():
+            with pytest.raises(KeyError, match="table failed"):
+                product(*args)
+            assert get() == 2
+    finally:
+        put(before)
+    assert seen == [1, 1, 1, 1]
+
+
+def test_products_of_several_threads_each_run_at_one_blas_thread(monkeypatch):
+    """Products of three node chunks started from more threads than CPUs,
+    switching often, fill every table at one BLAS thread and give the bytes
+    of a product run alone, and the thread count is restored after the last
+    one."""
+    get, put = _openblas()
+    seen, table = [], _kernels._phase_table
+
+    def counted(*a):
+        seen.append(get())
+        return table(*a)
+
+    system = _pin_system(3 * _kernels._NODES)
+    alone = [product(*args).tobytes() for product, args in system]
+    monkeypatch.setattr(_kernels, "_phase_table", counted)
+    results = []
+
+    def work():
+        for _ in range(5):
+            results.append([product(*args).tobytes() for product, args in system])
+
+    before, interval = get(), sys.getswitchinterval()
+    put(2)
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work) for _ in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(60)
+        assert not any(t.is_alive() for t in threads)
+        assert get() == 2
+    finally:
+        sys.setswitchinterval(interval)
+        put(before)
+    assert results == [alone] * 40
+    assert seen == [1] * 240
+
+
+def test_pin_found_where_numpy_ships_openblas():
+    """Where numpy names its bundled OpenBLAS, the products find the library
+    to pin, so a failed lookup cannot pass for a BLAS that needs no pin."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    if not blas["name"].startswith("scipy-openblas"):
+        pytest.skip(f"numpy runs {blas['name']}")
+    assert _kernels._OPENBLAS is not None
 
 
 @st.composite
