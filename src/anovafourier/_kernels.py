@@ -19,23 +19,34 @@ second row of coefficients in the forward and a second column, conj y, in
 the adjoint.  The same path serves every block, box-shaped (full grid) or
 not (hyperbolic cross, weighted).
 
-Memory: the unit phases take 16 bytes per node and used axis (V_s > 0) and
-are kept by the operator.  A product allocates one table of R x ``_NODES``
-complex entries, R = sum_s (V_s + R_s) (``bandwidths``; 99 to 198 rows on
-the sets of ``perfbench``), and refills it for every chunk; per group
-it adds work arrays of at most (P, ``_NODES``) entries, freed before the
-next group, and once a flat buffer of the terms' zero-filled (P, n_a)
-matrices (1 to 7.2 |I| entries on the sets of ``perfbench``).  Besides its
-result (length m for F c, |I| for F* y) nothing in a product grows with the
-number of nodes.  At 2048 nodes a table row takes 32 KB.
+Precision: the products run at the dtype of the unit phases, complex128 or
+complex64 (``unit_phases``): the table, the coefficient buffer and the work
+arrays take it, while coefficients, values and results stay complex128.  A
+complex64 product agrees with complex128 to a few 1e-7 relative, which is
+what a pilot that only ranks terms needs; a fit whose coefficients are the
+answer runs at complex128.
+
+Memory: the unit phases take 16 bytes per node and used axis (V_s > 0) at
+complex128 and 8 at complex64, and are kept by the operator.  A product
+allocates one table of R x ``_NODES`` entries of that dtype, R = sum_s
+(V_s + R_s) (``bandwidths``; 99 to 198 rows on the sets of ``perfbench``),
+and refills it for every chunk; per group it adds work arrays of at most
+(P, ``_NODES``) entries, freed before the next group, and once a flat
+buffer of the terms' zero-filled (P, n_a) matrices (1 to 7.2 |I| entries on
+the sets of ``perfbench``), each entry 16 or 8 bytes.  Besides its
+complex128 result (length m for F c, |I| for F* y) nothing in a product
+grows with the number of nodes.  At 2048 nodes a table row takes 32 KB at
+complex128 and 16 KB at complex64.
 
 Determinism: chunk sizes depend only on the inputs, every reduction runs in
 a fixed order, and both products run the OpenBLAS that numpy ships at one
 thread (``_one_blas_thread``), restoring the process's thread count when
 they return or raise.  Where that library is found (``_OPENBLAS``),
-results do not depend on the number of BLAS threads.  Under another BLAS
-(MKL, Accelerate) the products run at its thread count, and their last bits
-may depend on it.
+results do not depend on the number of BLAS threads, at either dtype.  The
+phases are float64 sines and cosines, elementwise and so independent of
+the chunking, and complex64 phases are the complex128 ones rounded once.
+Under another BLAS (MKL, Accelerate) the products run at its thread count,
+and their last bits may depend on it.
 
 Lattices: ``residues`` computes k.z mod M for a frequency array, and
 ``first_injective`` is the CBC search's test of candidates z_s.  Entries
@@ -289,21 +300,27 @@ def _one_blas_thread():
             put(threads)
 
 
-def unit_phases(X, vmax) -> np.ndarray:
+def unit_phases(X, vmax, dtype=np.complex128) -> np.ndarray:
     """exp(2 pi i x_s) for every node, one row per used axis (V_s > 0).
 
-    One cosine and sine per node and used axis, (n_used, m) complex, with
-    no temporary beyond the result; the products copy a chunk of it into
-    their table's v = 1 rows.
+    One cosine and sine per node and used axis, (n_used, m) of the complex
+    ``dtype``; the products copy a chunk of it into their table's v = 1
+    rows, and run at its precision.  The angle, its sine and its cosine are
+    computed in float64, ``_NODES`` nodes at a time in one scratch block,
+    and rounded once to the output, so the only temporary is that block.
     """
     X = np.asarray(X, dtype=np.float64)
     axes = np.flatnonzero(vmax)
-    U = np.empty((axes.size, X.shape[0]), dtype=np.complex128)
+    m = X.shape[0]
+    U = np.empty((axes.size, m), dtype=dtype)
+    scratch = np.empty(min(m, _NODES))
     for j, s in enumerate(axes):
-        phase = U[j].real  # 2 pi x_s, overwritten by its cosine
-        np.multiply(X[:, s], 2.0 * np.pi, out=phase)
-        np.sin(phase, out=U[j].imag)
-        np.cos(phase, out=phase)
+        for lo in range(0, m, _NODES):
+            hi = min(m, lo + _NODES)
+            phase = scratch[:hi - lo]
+            np.multiply(X[lo:hi, s], 2.0 * np.pi, out=phase)
+            np.sin(phase, out=U[j, lo:hi].imag)
+            np.cos(phase, out=U[j, lo:hi].real)
     return U
 
 
@@ -333,7 +350,7 @@ def _phase_table(U: np.ndarray, layout: FourierLayout, out: np.ndarray) -> np.nd
 def _chunks(U, layout: FourierLayout):
     """Yield (lo, hi, table) per chunk of _NODES nodes, one table refilled."""
     m = U.shape[1]
-    E = np.empty((layout.rows, min(m, _NODES)), dtype=np.complex128)
+    E = np.empty((layout.rows, min(m, _NODES)), dtype=U.dtype)
     for lo in range(0, m, _NODES):
         hi = min(m, lo + _NODES)
         yield lo, hi, _phase_table(U[:, lo:hi], layout, E[:, :hi - lo])
@@ -342,17 +359,18 @@ def _chunks(U, layout: FourierLayout):
 @_one_blas_thread()
 def fourier_forward(U, layout: FourierLayout, coeffs, out=None) -> np.ndarray:
     """F c at the nodes whose unit phases (``unit_phases``) are U, written
-    into ``out`` (complex, one entry per node) when given.
+    into ``out`` (complex128, one entry per node) when given.
 
     Per group and chunk, T = sum over its terms of C @ E_a[A] (P, chunk),
     C the term's (P, n_a) coefficient matrix; T is multiplied by the
     group's table rows E_j[rest_j] and summed over P.  The order-1 terms'
     C is (2, n_a) over |v|: c_v for v > 0 and conj c_-v for v < 0; their
-    T's second row is conjugated before the sum.
+    T's second row is conjugated before the sum.  The matrices C, the
+    table and T take the dtype of U; each chunk's sum is added to ``out``.
     """
     coeffs = np.asarray(coeffs, dtype=np.complex128)
     const = sum(complex(coeffs[b].sum()) for b in layout.const)
-    buf = np.zeros(layout.size, dtype=np.complex128)
+    buf = np.zeros(layout.size, dtype=U.dtype)
     buf[layout.fwd] = coeffs[layout.coef]
     mats = [[buf[t.mat].reshape(-1, t.n_a) for t in g.terms]
             for g in layout.groups]
@@ -379,7 +397,7 @@ def fourier_forward(U, layout: FourierLayout, coeffs, out=None) -> np.ndarray:
 
 @_one_blas_thread()
 def fourier_adjoint(U, layout: FourierLayout, y, out=None) -> np.ndarray:
-    """F* y, written into ``out`` (complex, length |I|) when given: the
+    """F* y, written into ``out`` (complex128, length |I|) when given: the
     forward contraction mirrored on conjugated table rows.
 
     Conjugation is a row lookup, E[-v] = conj(E[v]).  Per group and chunk,
@@ -389,19 +407,20 @@ def fourier_adjoint(U, layout: FourierLayout, y, out=None) -> np.ndarray:
     (first value, rest) positions there.  The order-1 terms take
     W = [y; conj y] on the rows of their |v| instead: G's first column is
     F* y at -v, and its second the conjugate of F* y at v, conjugated before
-    the read-out.
+    the read-out.  Each chunk of y is cast to the dtype of U, which W, the
+    table and the G sums take; the constant term sums y as given.
     """
     y = np.asarray(y, dtype=np.complex128)
     if out is None:
         out = np.empty(layout.n, dtype=np.complex128)
     out[:] = 0
-    buf = np.zeros(layout.size, dtype=np.complex128)
+    buf = np.zeros(layout.size, dtype=U.dtype)
     mats = [[buf[t.mat].reshape(t.n_a, -1) for t in g.terms]
             for g in layout.groups]
     for lo, hi, E in _chunks(U, layout):
-        yc = y[lo:hi]
         for b in layout.const:
-            out[b] += yc.sum()
+            out[b] += y[lo:hi].sum()
+        yc = y[lo:hi].astype(U.dtype, copy=False)
         for g, Gs in zip(layout.groups, mats):
             W = yc[None, :] if g.rows_rest else np.stack((yc, yc.conj()))
             for r in g.rows_rest_adj:

@@ -117,6 +117,8 @@ def _target_from_config(cfg, d):
         if d != D:
             raise ConfigError(f"target.builtin 'bench' needs d = {D}, got d = {d}")
         return testfun_value
+    if not isinstance(target["csv"], str):  # np.loadtxt reads a list as lines
+        raise ConfigError("target.csv must be a file name")
     try:
         data = np.loadtxt(target["csv"], delimiter=";", ndmin=2)
     except (OSError, ValueError) as exc:

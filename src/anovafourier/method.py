@@ -442,12 +442,17 @@ class ScatteredDesign:
         return cls(nodes), y, {}
 
     def solve(self, index_set, y, solver: dict, stage: str) -> SolveReport:
+        """LSQR at the stage's settings.  The pilot only ranks terms, so its
+        products run in complex64 (a few 1e-7 relative, far below its
+        ntol); the refit, whose coefficients are the answer, and every
+        evaluation run in complex128."""
         m = len(self.nodes)
         if stage == "detect" and m / 10 < len(index_set) <= m:
             warnings.warn("pilot system has fewer than 10 samples per unknown; "
                           "overfitting may distort the ranking")
         opts = {**SOLVER_DEFAULTS[stage], **solver}
-        return lsqr(BlockFourierOperator(self.nodes, index_set), y,
+        dtype = np.complex64 if stage == "detect" else np.complex128
+        return lsqr(BlockFourierOperator(self.nodes, index_set, dtype), y,
                     atol=float(opts["atol"]), btol=float(opts["btol"]),
                     max_iter=int(opts["max_iter"]),
                     ntol=None if "atol" in solver else opts["ntol"])

@@ -11,8 +11,8 @@ nodes the Moore-Penrose solve collapses to one adjoint multiplication and is
 handled by :func:`lattice_solve`.
 
 Replacing the contraction by a fast transform (a grouped NFFT) only
-requires another object with the same ``forward``/``adjoint``/``shape``
-surface.
+requires another object with the same ``forward``/``adjoint``/``shape``/
+``dtype`` surface (``dtype`` names the precision of the products).
 """
 
 from __future__ import annotations
@@ -69,18 +69,25 @@ class BlockFourierOperator:
 
     Each term's block only reads the coordinates x_u.  The operator computes
     the unit phases exp(2 pi i x_s) once, one cosine and sine per node and
-    used axis (V_s > 0), and keeps them: 16 bytes per node and used axis.
-    Per chunk of 2048 nodes, a product fills one table of phase powers
-    exp(2 pi i v x_s) per axis from those phases: v = 1..V_s, V_s the
-    largest |k_s|, and v = -R_s..-1, R_s the largest |k_s| of the terms of
-    order >= 2 (the order-1 terms read their negative values as
-    conjugates).  A block's product is a matrix product on its first axis
-    and elementwise products of table rows on its other axes, done once per
-    group of terms that share those axes and their tuples.  A product
-    allocates that table once (sum_s (V_s + R_s) rows of 2048 complex
-    entries, 32 KB a row), per group work arrays of the same width, the
-    terms' zero-filled coefficient matrices and its result, so beyond the
-    result its memory does not grow with the node count.
+    used axis (V_s > 0), and keeps them at ``dtype``: 16 bytes per node and
+    used axis at complex128, 8 at complex64.  Per chunk of 2048 nodes, a
+    product fills one table of phase powers exp(2 pi i v x_s) per axis from
+    those phases: v = 1..V_s, V_s the largest |k_s|, and v = -R_s..-1, R_s
+    the largest |k_s| of the terms of order >= 2 (the order-1 terms read
+    their negative values as conjugates).  A block's product is a matrix
+    product on its first axis and elementwise products of table rows on its
+    other axes, done once per group of terms that share those axes and
+    their tuples.  A product allocates that table once (sum_s (V_s + R_s)
+    rows of 2048 entries, 32 KB a row at complex128), per group work arrays
+    of the same width, the terms' zero-filled coefficient matrices and its
+    result, so beyond the result its memory does not grow with the node
+    count.
+
+    The products run at the precision of the phases: the table, the
+    coefficient matrices and the work arrays take ``dtype``, which halves
+    their bytes at complex64, while inputs and results stay complex128.  A
+    complex64 product agrees with complex128 to a few 1e-7 relative, enough
+    for a pilot that only ranks terms (``method.ScatteredDesign.solve``).
 
     On more than 2048 nodes, the first ceil(m/2) nodes are half A and the
     rest half B, each taken in chunks from its own start; the split depends
@@ -90,7 +97,8 @@ class BlockFourierOperator:
     second one compute half B.
     """
 
-    def __init__(self, nodes: NodeSet, index_set: GroupedIndexSet):
+    def __init__(self, nodes: NodeSet, index_set: GroupedIndexSet,
+                 dtype=np.complex128):
         if nodes.d != index_set.d:
             raise ValueError(
                 f"node dimension {nodes.d} != index set dimension {index_set.d}")
@@ -98,7 +106,7 @@ class BlockFourierOperator:
         self.index_set = index_set
         self._layout = _kernels.fourier_layout(
             index_set.d, [(b.term, b.freqs) for b in index_set.blocks])
-        self._phases = _kernels.unit_phases(nodes.points, self._layout.vmax)
+        self._phases = _kernels.unit_phases(nodes.points, self._layout.vmax, dtype)
         m = len(nodes)
         self._half = (m + 1) // 2 if m > _kernels._NODES else m
         self._helper = None
@@ -106,6 +114,11 @@ class BlockFourierOperator:
     @property
     def shape(self):
         return (len(self.nodes), self._layout.n)
+
+    @property
+    def dtype(self) -> np.dtype:
+        """The precision the products run at: that of the unit phases."""
+        return self._phases.dtype
 
     @contextmanager
     def helped(self):
@@ -202,7 +215,9 @@ def scattered_fit_bytes(index_set: GroupedIndexSet, m: int) -> int:
     bytes per used axis) and ``_SCATTERED_BYTES_PER_NODE``; the phase table
     of one node chunk; four length-|I| LSQR vectors.  When LSQR's products
     get a helper process, also its own chunk table and the shared vectors:
-    two of length |I| and half B's floor(m/2) values.
+    two of length |I| and half B's floor(m/2) values.  Phases and tables
+    are counted at complex128, so for a pilot, whose products run in
+    complex64 (8 bytes an entry), this is an upper bound.
     """
     vmax, _, rows = _kernels.bandwidths(
         index_set.d, [(b.term, b.freqs) for b in index_set.blocks])
@@ -223,11 +238,12 @@ _JOIN_S = 10.0
 class _Helper:
     """A forked process that computes one half of an operator's products.
 
-    It inherits the half's unit phases ``U`` and the layout from the fork.
-    ``coeffs`` (a forward's input), ``values`` (half B of a forward's output
-    or of an adjoint's input) and ``adjoint`` (half B's adjoint) are views
-    of one shared anonymous ``mmap``; a request names the product, and the
-    reply says that its output is written.
+    It inherits the half's unit phases ``U`` and the layout from the fork,
+    and so computes at their dtype.  ``coeffs`` (a forward's input),
+    ``values`` (half B of a forward's output or of an adjoint's input) and
+    ``adjoint`` (half B's adjoint) are complex128 views of one shared
+    anonymous ``mmap``, like the products' inputs and results; a request
+    names the product, and the reply says that its output is written.
     """
 
     def __init__(self, U, layout):
@@ -342,11 +358,14 @@ def lsqr(op, y, atol: float = 1e-8, btol: float = 1e-8,
       ``atol``), which ends a least-squares fit once h has stopped moving
       the residual.
 
-    The report's provenance records, beside the tolerances, the last
-    normal-equations ratio (``ne_ratio``), LSQR's running estimate of ||F||,
-    sqrt of the sum of the squared bidiagonal entries (``anorm``), and its
-    condition estimate ``acond`` = ||F|| ||D_k||, where D_k = V_k R_k^-1 and
-    ||D_k||^2 sums ||w_j / rho_j||^2 (Paige and Saunders, section 5).  On
+    The report's provenance records, beside the tolerances, the dtype of
+    the operator's products (``products``: ``residual_check`` and
+    ``imag_residual`` come from its last forward, so at complex64 they hold
+    to single precision), the last normal-equations ratio (``ne_ratio``),
+    LSQR's running estimate of ||F||, sqrt of the sum of the squared
+    bidiagonal entries (``anorm``), and its condition estimate ``acond`` =
+    ||F|| ||D_k||, where D_k = V_k R_k^-1 and ||D_k||^2 sums
+    ||w_j / rho_j||^2 (Paige and Saunders, section 5).  On
     consistent data the ratio bottoms out near 1/cond(F), so a
     normal-equations stop far above 1/acond could not have ended an exact
     fit.
@@ -424,7 +443,8 @@ def _lsqr(op, y, atol, btol, ntol, max_iter) -> SolveReport:
     return SolveReport(coeffs, it, float(phibar), _norm(y - fitted), stop,
                        {"solver": "lsqr", "atol": atol, "btol": btol,
                         "ntol": ntol, "max_iter": max_iter,
-                        "ne_ratio": ratio, "anorm": math.sqrt(anorm2),
+                        "products": op.dtype.name, "ne_ratio": ratio,
+                        "anorm": math.sqrt(anorm2),
                         "acond": math.sqrt(anorm2 * ddnorm)},
                        _max_abs(fitted.imag))
 

@@ -245,9 +245,10 @@ def test_row_eps_l2_matches_a_direct_evaluation(cfg, rel, monkeypatch):
     """A row's eps_l2, read from its solve's residual, is the training error
     of its model evaluated again on its own samples: to the bit on scattered
     nodes, where LSQR's last forward runs the same node halves as a fresh
-    operator, and to roundoff on a lattice, whose solve evaluates Re and
-    Im F h apart."""
-    from anovafourier.operator import _norm
+    operator at the products' precision (complex64 for a pilot), and to
+    roundoff on a lattice, whose solve evaluates Re and Im F h apart.  A
+    pilot's eps_l2 is within 1e-6 of its complex128 evaluation."""
+    from anovafourier.operator import BlockFourierOperator, _norm
     fitted = []
     for name in ("detect", "approximate"):
         def fit(*args, _fit=getattr(bench, name)):
@@ -258,7 +259,14 @@ def test_row_eps_l2_matches_a_direct_evaluation(cfg, rel, monkeypatch):
     row = bench.run_experiment(cfg)
     (model,) = fitted
     design, y = model.fit_data()
-    direct = _norm(y - model.evaluate_on(design)) / _norm(y)
+    double = _norm(y - model.evaluate_on(design)) / _norm(y)
+    products = model.provenance["solver_report"]["provenance"].get("products")
+    if products is None:  # a lattice solve
+        direct = double
+    else:
+        op = BlockFourierOperator(design.nodes, model.index_set, np.dtype(products))
+        direct = _norm(y - op.forward(model.coefficients)) / _norm(y)
+        assert row.eps_l2 == pytest.approx(double, rel=1e-6, abs=0)
     assert 0 < row.eps_l2 < 1
     assert row.eps_l2 == pytest.approx(direct, rel=rel, abs=0)
 

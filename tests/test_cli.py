@@ -450,6 +450,9 @@ _WEIGHT_NO_GAMMA = {"alpha": 0.0, "beta": 1.0, "gamma": [1.0] * 9}
     ("approximate", {"active_set": [[1.0], [2]]},
      "active_set: term (1.0,) has a coordinate that is not an integer"),
     ("approximate", {"active_set": [1, [2]]}, "active_set: 'int' object is not iterable"),
+    ("detect", {"target": {"csv": ["a"]}}, "target.csv must be a file name"),
+    ("detect", {"target": {"csv": 5}}, "target.csv must be a file name"),
+    ("detect", {"target": {"csv": None}}, "target.csv must be a file name"),
 ])
 def test_malformed_config_exit_2(tmp_path, capsys, command, change, key):
     base = BUILTIN_APPROXIMATE if command == "approximate" else BUILTIN_DETECT

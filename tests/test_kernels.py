@@ -76,6 +76,30 @@ def test_contraction_partial_last_chunk(name, search):
         _dense_check(g, uniform_nodes(4, m, seed=4), seed=1)
 
 
+@pytest.mark.parametrize("name,search", SEARCHES + [ORDER1_ONLY],
+                         ids=[s[0] for s in SEARCHES + [ORDER1_ONLY]])
+def test_single_precision_products_match_double(name, search):
+    """At complex64 the phases, the table and the work arrays are single
+    precision, inputs and results double; forward and adjoint agree with
+    complex128 to rel 1e-5 on orders 1..3, a short last chunk included, and
+    on the order-1 terms' conjugate path."""
+    d_s = len(search["N"])
+    g = grouped(term_family_ds(4, d_s), build_search_sets(4, d_s, search))
+    X = uniform_nodes(4, 2 * _kernels._NODES + 77, seed=4)
+    rng = np.random.default_rng(8)
+    c = rng.normal(size=len(g)) + 1j * rng.normal(size=len(g))
+    y = rng.normal(size=len(X)) + 1j * rng.normal(size=len(X))
+    double = BlockFourierOperator(X, g)
+    single = BlockFourierOperator(X, g, np.complex64)
+    assert (single.dtype, double.dtype) == (np.complex64, np.complex128)
+    assert single._phases.nbytes * 2 == double._phases.nbytes
+    for got, ref in ((single.forward(c), double.forward(c)),
+                     (single.adjoint(y), double.adjoint(y))):
+        assert got.dtype == np.complex128
+        err = np.linalg.norm(got - ref) / np.linalg.norm(ref)
+        assert 0 < err <= 1e-5, err
+
+
 def _table_from_nodes(X, layout, out):
     """Reference: the phase table filled from the chunk's nodes themselves,
     one cosine and sine per node and used axis; axis s holds
@@ -305,6 +329,20 @@ def test_adjoint_identity_random_sets(g, m, seed):
     lhs, rhs = np.vdot(y, Fc), np.vdot(Fy, c)
     scale = np.linalg.norm(Fc) * np.linalg.norm(y) + np.linalg.norm(Fy) * np.linalg.norm(c)
     assert abs(lhs - rhs) <= 1e-12 * scale
+
+
+@settings(max_examples=60, deadline=None)
+@given(grouped_sets(), st.integers(1, 400), st.integers(0, 2 ** 32 - 1))
+def test_adjoint_identity_in_single_precision(g, m, seed):
+    """<F c, y> = <c, F* y> when the products run in complex64, to rel 1e-5."""
+    rng = np.random.default_rng(seed)
+    op = BlockFourierOperator(NodeSet(rng.random((m, g.d))), g, np.complex64)
+    c = rng.normal(size=len(g)) + 1j * rng.normal(size=len(g))
+    y = rng.normal(size=m) + 1j * rng.normal(size=m)
+    Fc, Fy = op.forward(c), op.adjoint(y)
+    lhs, rhs = np.vdot(y, Fc), np.vdot(Fy, c)
+    scale = np.linalg.norm(Fc) * np.linalg.norm(y) + np.linalg.norm(Fy) * np.linalg.norm(c)
+    assert abs(lhs - rhs) <= 1e-5 * scale
 
 
 @st.composite

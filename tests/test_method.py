@@ -471,26 +471,60 @@ def test_exact_polynomial_recovered_at_the_default_tolerances(per_unknown, bound
     assert tight.coefficients.values.tobytes() == model.coefficients.values.tobytes()
 
 
-@pytest.mark.parametrize("per_unknown", [20, 2])
-def test_exact_polynomial_pilot_stops_on_the_residual_test(per_unknown):
-    """The pilot's normal-equations tolerance, 1e-2, is still below the
-    ratio of a well-conditioned exact fit, so ``detect`` stops on the
-    residual test at the iterate of the tight stop.  (At 1.2 samples per
-    unknown the pilot's cap of 50 iterations ends the fit first.)"""
+@pytest.mark.parametrize("per_unknown,bound", [(20, 1e-7), (2, 1e-6)])
+def test_exact_polynomial_pilot_stops_near_the_tight_fit(per_unknown, bound):
+    """The pilot's products run in complex64, which puts a floor near 1e-7
+    relative under its residual, so it cannot stop at the iterate of a
+    complex128 fit.  It still stops on a tolerance test (the residual test,
+    or the normal-equations ratio of 1e-2 once the floor holds the residual)
+    within 3 iterations of the tight stop (measured: 13 against 12 and 45
+    against 43), its coefficients are as close to the polynomial's as the
+    refit's bounds ask (3.8e-8 and 1.5e-7), and every sensitivity index is
+    within 1e-7 of the tight fit's (1.4e-9 and 6.6e-9).  (At 1.2 samples
+    per unknown the pilot's cap of 50 iterations ends the fit first.)"""
     fam, sets, g, c, polynomial = _exact_polynomial()
     count = per_unknown * len(g)
     cfg = DetectionConfig(d=5, d_s=2, search={"type": "full_grid", "N": [16, 6]},
                           thresholds=[0.0, 0.0], sampling={"count": count, "seed": 3})
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # fewer than 10 samples per unknown
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         res = detect(cfg, polynomial)
+    assert not [w for w in caught if "iteration limit" in str(w.message)]
     assert res.pilot.index_set.digest() == g.digest()
     report = res.pilot.provenance["solver_report"]
     assert report["provenance"]["ntol"] == 1e-2
-    assert report["stop_reason"] == "residual tolerance reached"
+    assert report["provenance"]["products"] == "complex64"
+    assert report["stop_reason"] in ("residual tolerance reached",
+                                     "normal-equations tolerance reached")
     tight = _tight_fit(g, polynomial, count, 50)
-    assert tight.iterations == report["iterations"]
-    assert tight.coefficients.values.tobytes() == res.pilot.coefficients.values.tobytes()
+    assert report["iterations"] <= tight.iterations + 3
+    err = np.linalg.norm(res.pilot.coefficients.values - c) / np.linalg.norm(c)
+    assert err < bound, err
+    ref = sensitivity(tight.coefficients)
+    assert ref.terms == res.report.terms
+    assert max(abs(a - b) for a, b in zip(ref.gsis, res.report.gsis)) < 1e-7
+
+
+def test_single_precision_pilot_ranks_as_a_double_one():
+    """A reduced perfbench grid pilot: ``detect``'s complex64 products and a
+    complex128 LSQR at the same settings on the same samples detect the same
+    family, with sensitivity indices within 1e-6."""
+    cfg = DetectionConfig(d=9, d_s=3, search={"type": "full_grid", "N": [8, 4, 2]},
+                          thresholds=[0.005, 0.005, 0.001],
+                          sampling={"kind": "scattered", "count": 6000, "seed": 1})
+    res = detect(cfg, bench.testfun_value)
+    assert res.pilot.provenance["solver_report"]["provenance"]["products"] == "complex64"
+    design, y = res.pilot.fit_data()
+    double = lsqr(BlockFourierOperator(design.nodes, res.pilot.index_set), y,
+                  max_iter=50, ntol=1e-2)
+    assert double.provenance["products"] == "complex128"
+    ref = sensitivity(double.coefficients)
+    assert ref.terms == res.report.terms
+    assert max(abs(a - b) for a, b in zip(ref.gsis, res.report.gsis)) < 1e-6
+    keep = [u for u, gsi in zip(ref.terms, ref.gsis)
+            if u and gsi > cfg.thresholds[len(u) - 1]]
+    assert TermFamily.downward_closure(9, [()] + keep) == res.active
+    assert res.active == u_star()
 
 
 def test_solver_report_records_ntol():

@@ -42,10 +42,10 @@ CPUS = sorted(os.sched_getaffinity(0))
 def pin(n):
     os.sched_setaffinity(0, CPUS[:n])
 
-def system(m):
+def system(m, dtype="complex128"):
     g = grouped(term_family_ds(4, 2),
                 build_search_sets(4, 2, {"type": "full_grid", "N": [8, 4]}))
-    op = BlockFourierOperator(uniform_nodes(4, m, seed=3), g)
+    op = BlockFourierOperator(uniform_nodes(4, m, seed=3), g, dtype)
     rng = np.random.default_rng(m)
     c = rng.standard_normal(len(g)) + 1j * rng.standard_normal(len(g))
     y = rng.standard_normal(m) + 1j * rng.standard_normal(m)
@@ -77,15 +77,19 @@ _CHUNKS = {"1-chunk": _NODES - 5, "2-chunks": 2 * _NODES, "3-chunks": 3 * _NODES
            "10-chunks": 9 * _NODES + 1}
 
 
-@pytest.mark.parametrize("m,threads", [
-    pytest.param(m, threads, id=name if threads == "1" else f"{name}-{threads}-blas-threads")
-    for threads in ("1", "2") for name, m in _CHUNKS.items()])
-def test_products_identical_with_and_without_helper(m, threads):
+@pytest.mark.parametrize("m,threads,dtype", [
+    pytest.param(m, threads, dtype, id=name
+                 + ("" if threads == "1" else f"-{threads}-blas-threads")
+                 + ("" if dtype == "complex128" else f"-{dtype}"))
+    for dtype in ("complex128", "complex64") for threads in ("1", "2")
+    for name, m in _CHUNKS.items()])
+def test_products_identical_with_and_without_helper(m, threads, dtype):
     """F c and F* y have the same bytes when a helper computes half B and
     when one CPU leaves the process to compute both halves, at one and at
-    two BLAS threads."""
+    two BLAS threads, with the products in double and in single precision
+    (the helper's shared vectors stay complex128)."""
     out = run(f"""
-        op, c, y = system({m})
+        op, c, y = system({m}, "{dtype}")
         got = {{}}
         for cpus in (2, 1):
             pin(cpus)
