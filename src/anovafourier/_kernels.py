@@ -22,9 +22,13 @@ not (hyperbolic cross, weighted).
 Precision: the products run at the dtype of the unit phases, complex128 or
 complex64 (``unit_phases``): the table, the coefficient buffer and the work
 arrays take it, while coefficients, values and results stay complex128.  A
-complex64 product agrees with complex128 to a few 1e-7 relative, which is
-what a pilot that only ranks terms needs; a fit whose coefficients are the
-answer runs at complex128.
+complex64 product agrees with complex128 to a few 1e-7 relative.  A
+scattered fit picks the precision by its tolerance
+(``method.ScatteredDesign.solve``): complex64 at a normal-equations
+tolerance of 1e-4 or more, where the stop leaves far more error than
+single precision adds, so for the default pilot and refit; complex128 at a
+tighter one, for a refit of data that its index set reproduces to near
+single precision (solved again), and for every evaluation.
 
 Memory: the unit phases take 16 bytes per node and used axis (V_s > 0) at
 complex128 and 8 at complex64, and are kept by the operator.  A product

@@ -32,17 +32,37 @@ from .index_sets import (GroupedIndexSet, LowDimIndexSet, TermFamily,
 from .lattice import (BLOCK_ROWS, Rank1Lattice, cbc_construct, lattice_evaluate,
                       lattice_nodes)
 from .operator import (BlockFourierOperator, NodeSet, SolveReport, _max_abs,
-                       lattice_solve, lsqr, scattered_fit_bytes, uniform_nodes)
+                       _norm, lattice_solve, lsqr, scattered_fit_bytes,
+                       uniform_nodes)
 from .weights import WeightParams, pod_weight
 
 _SEARCH_TYPES = ("full_grid", "hyperbolic_cross", "weighted")
 #: LSQR's settings per stage.  atol and btol are shared; ntol, the
 #: normal-equations tolerance, applies when the solver config sets no atol:
 #: the pilot only ranks terms, and its truncation error (5e-2 to 1e-1 on the
-#: benchmark's data) is far above what iterations past 1e-2 change
+#: benchmark's data) is far above what iterations past 1e-2 change.  Both
+#: defaults are loose enough for single-precision products
+#: (``_SINGLE_PRECISION_NTOL``)
 SOLVER_DEFAULTS = {stage: {"atol": 1e-8, "btol": 1e-8, "max_iter": it, "ntol": ntol}
                    for stage, it, ntol in (("detect", 50, 1e-2),
                                            ("approximate", 200, 1e-4))}
+#: the smallest normal-equations tolerance at which a scattered fit's
+#: products run in complex64.  On the refit sets of both perfbench
+#: workloads (test function, one BLAS thread), at ntol 1e-4 and 2 to 20
+#: samples per unknown, complex64 and complex128 coefficients lay 2.1e-8 to
+#: 9.7e-8 apart, 60x or more below the 1.5e-6 to 1.8e-5 that the stop
+#: itself leaves against an ntol 1e-12 fit (at 1.2 samples per unknown
+#: 3.8e-5 against 3.7e-4), with iteration counts equal to within one.  At
+#: ntol 1e-5 that margin fell to 15-70x, and at 1e-6 a complex128 fit came
+#: closer to the tight one than complex64's floor of about 2e-8.
+_SINGLE_PRECISION_NTOL = 1e-4
+#: a complex64 refit whose residual_check is below this times ||y|| has
+#: data that its index set reproduces to near single precision; its
+#: residual test, not its ntol, ends the fit, and complex64's floor of
+#: about 1e-7 relative would then limit the coefficients, so it is solved
+#: again in complex128.  The test function's refits on the perfbench sets
+#: leave 1e-2 to 4e-2, far above it.
+_NEAR_EXACT_RESIDUAL = 1e-4
 _WEIGHT_KEYS = tuple(f.name for f in fields(WeightParams))
 
 
@@ -145,6 +165,16 @@ def _check_sampling(sampling, target=None) -> dict:
         raise ConfigError("sampling.kind 'lattice' needs a callable target, "
                           "not fixed data")
     return sampling
+
+
+def _products(solver: dict, stage: str) -> np.dtype:
+    """The dtype of a scattered stage's products: complex64 when its
+    normal-equations tolerance (the stage's ntol, or atol when the solver
+    config sets atol) is at least ``_SINGLE_PRECISION_NTOL``, complex128
+    otherwise."""
+    ntol = solver["atol"] if "atol" in solver else SOLVER_DEFAULTS[stage]["ntol"]
+    return np.dtype(np.complex64 if ntol >= _SINGLE_PRECISION_NTOL
+                    else np.complex128)
 
 
 def _check_solver(solver) -> None:
@@ -422,9 +452,11 @@ class ScatteredDesign:
     nodes: NodeSet
 
     @classmethod
-    def acquire(cls, index_set: GroupedIndexSet, target, sampling: dict):
+    def acquire(cls, index_set: GroupedIndexSet, target, sampling: dict,
+                products=np.complex128):
         """Fixed data (X, y), or the target at ``count`` nodes from ``seed``;
-        the fit's memory is checked before any node is drawn."""
+        the fit's memory, with its products at ``products``, is checked
+        before any node is drawn."""
         fixed = isinstance(target, tuple)
         if fixed:
             X, y = target
@@ -434,7 +466,7 @@ class ScatteredDesign:
                 raise ValueError(f"fixed data: y of shape {y.shape} does not "
                                  f"match X of shape {nodes.points.shape}")
         m = len(nodes) if fixed else int(sampling["count"])
-        _check_memory(scattered_fit_bytes(index_set, m),
+        _check_memory(scattered_fit_bytes(index_set, m, products),
                       f"scattered fit on m = {m} nodes")
         if not fixed:
             nodes = uniform_nodes(index_set.d, m, int(sampling.get("seed", 0)))
@@ -442,20 +474,41 @@ class ScatteredDesign:
         return cls(nodes), y, {}
 
     def solve(self, index_set, y, solver: dict, stage: str) -> SolveReport:
-        """LSQR at the stage's settings.  The pilot only ranks terms, so its
-        products run in complex64 (a few 1e-7 relative, far below its
-        ntol); the refit, whose coefficients are the answer, and every
-        evaluation run in complex128."""
+        """LSQR at the stage's settings, its products at the precision that
+        the stage's tolerance allows (:func:`_products`): complex64 for the
+        default pilot and refit, whose stops leave errors far above its few
+        1e-7 relative, and complex128 at a tighter tolerance.
+
+        A complex64 refit whose ``residual_check`` is below
+        ``_NEAR_EXACT_RESIDUAL`` ||y|| has near-exact data, which single
+        precision cannot fit to the residual test: it is solved again from
+        zero in complex128 at the same settings, after a memory check at
+        that precision, and the report's provenance records the discarded
+        attempt (``single_precision_attempt``: its iterations and relative
+        residual).  Every evaluation runs in complex128."""
         m = len(self.nodes)
         if stage == "detect" and m / 10 < len(index_set) <= m:
             warnings.warn("pilot system has fewer than 10 samples per unknown; "
                           "overfitting may distort the ranking")
         opts = {**SOLVER_DEFAULTS[stage], **solver}
-        dtype = np.complex64 if stage == "detect" else np.complex128
-        return lsqr(BlockFourierOperator(self.nodes, index_set, dtype), y,
-                    atol=float(opts["atol"]), btol=float(opts["btol"]),
-                    max_iter=int(opts["max_iter"]),
-                    ntol=None if "atol" in solver else opts["ntol"])
+        settings = {"atol": float(opts["atol"]), "btol": float(opts["btol"]),
+                    "max_iter": int(opts["max_iter"]),
+                    "ntol": None if "atol" in solver else opts["ntol"]}
+        dtype = _products(solver, stage)
+        # the operator is freed when lsqr returns
+        report = lsqr(BlockFourierOperator(self.nodes, index_set, dtype), y,
+                      **settings)
+        ynorm = _norm(y)
+        if stage == "detect" or dtype == np.complex128 or \
+                report.residual_check >= _NEAR_EXACT_RESIDUAL * ynorm:
+            return report
+        attempt = {"iterations": report.iterations,
+                   "relative_residual": report.residual_check / ynorm}
+        _check_memory(scattered_fit_bytes(index_set, m, np.complex128),
+                      f"complex128 re-solve of the scattered fit on m = {m} nodes")
+        report = lsqr(BlockFourierOperator(self.nodes, index_set), y, **settings)
+        report.provenance["single_precision_attempt"] = attempt
+        return report
 
     def evaluate(self, coeffs: CoefficientMap) -> np.ndarray:
         return BlockFourierOperator(self.nodes, coeffs.index_set).forward(coeffs)
@@ -468,7 +521,8 @@ class LatticeDesign:
     lattice: Rank1Lattice
 
     @classmethod
-    def acquire(cls, index_set: GroupedIndexSet, target, sampling: dict):
+    def acquire(cls, index_set: GroupedIndexSet, target, sampling: dict,
+                products=None):
         """A CBC lattice for the index set from ``seed``, and the target's
         values at its nodes, made one block at a time; real ones stay float64."""
         lat = cbc_construct(index_set, seed=int(sampling.get("seed", 0)))
@@ -489,10 +543,12 @@ class LatticeDesign:
 _SAMPLING_KINDS = {"scattered": ScatteredDesign, "lattice": LatticeDesign}
 
 
-def _acquire_data(index_set: GroupedIndexSet, target, sampling: dict):
-    """Design, values and provenance of a stage; ``sampling`` is checked."""
+def _acquire_data(index_set: GroupedIndexSet, target, sampling: dict,
+                  products=np.complex128):
+    """Design, values and provenance of a stage; ``sampling`` is checked,
+    and ``products`` is the dtype of a scattered fit's products."""
     design, y, prov = _SAMPLING_KINDS[sampling["kind"]].acquire(
-        index_set, target, sampling)
+        index_set, target, sampling, products)
     bad = np.flatnonzero(~np.isfinite(y))
     if bad.size:
         raise ValueError(f"{bad.size} non-finite target values, first at sample {bad[0]}")
@@ -513,7 +569,8 @@ def _fit(family: TermFamily, build_sets, target, sampling: dict, solver: dict,
     sampling = _check_sampling(sampling, target)
     _check_solver(solver)
     index_set = grouped(family, build_sets())
-    design, y, data = _acquire_data(index_set, target, sampling)
+    design, y, data = _acquire_data(index_set, target, sampling,
+                                    _products(solver, stage))
     report = design.solve(index_set, y, solver, stage)
     data.update({"stage": stage, **prov, "solver_report": report.to_json_dict()})
     return ApproxModel(report.coefficients, data, design, y), report

@@ -86,8 +86,10 @@ class BlockFourierOperator:
     The products run at the precision of the phases: the table, the
     coefficient matrices and the work arrays take ``dtype``, which halves
     their bytes at complex64, while inputs and results stay complex128.  A
-    complex64 product agrees with complex128 to a few 1e-7 relative, enough
-    for a pilot that only ranks terms (``method.ScatteredDesign.solve``).
+    complex64 product agrees with complex128 to a few 1e-7 relative, far
+    below the error that a fit stopped at a normal-equations tolerance of
+    1e-4 or more leaves; ``method.ScatteredDesign.solve`` picks the dtype
+    by the stage's tolerance.
 
     On more than 2048 nodes, the first ceil(m/2) nodes are half A and the
     rest half B, each taken in chunks from its own start; the split depends
@@ -208,22 +210,25 @@ def _helper_runs(m: int) -> bool:
 _SCATTERED_BYTES_PER_NODE = 64
 
 
-def scattered_fit_bytes(index_set: GroupedIndexSet, m: int) -> int:
-    """Bytes that an LSQR fit on m nodes holds at its peak, estimated.
+def scattered_fit_bytes(index_set: GroupedIndexSet, m: int,
+                        dtype=np.complex128) -> int:
+    """Bytes that an LSQR fit on m nodes, its products at ``dtype``, holds
+    at its peak, estimated.
 
-    Per node the coordinates (8 d bytes), the operator's unit phases (16
-    bytes per used axis) and ``_SCATTERED_BYTES_PER_NODE``; the phase table
+    Per node the coordinates (8 d bytes), the operator's unit phases (one
+    entry per used axis) and ``_SCATTERED_BYTES_PER_NODE``; the phase table
     of one node chunk; four length-|I| LSQR vectors.  When LSQR's products
     get a helper process, also its own chunk table and the shared vectors:
     two of length |I| and half B's floor(m/2) values.  Phases and tables
-    are counted at complex128, so for a pilot, whose products run in
-    complex64 (8 bytes an entry), this is an upper bound.
+    take 16 bytes an entry at complex128 and 8 at complex64; the vectors
+    are complex128 at either.
     """
     vmax, _, rows = _kernels.bandwidths(
         index_set.d, [(b.term, b.freqs) for b in index_set.blocks])
-    per_node = 8 * index_set.d + 16 * int(np.count_nonzero(vmax)) \
+    entry = np.dtype(dtype).itemsize
+    per_node = 8 * index_set.d + entry * int(np.count_nonzero(vmax)) \
         + _SCATTERED_BYTES_PER_NODE
-    table = 16 * rows * min(m, _kernels._NODES)
+    table = entry * rows * min(m, _kernels._NODES)
     n = len(index_set)
     need = m * per_node + table + 4 * 16 * n
     if _helper_runs(m):

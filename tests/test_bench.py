@@ -245,7 +245,8 @@ def test_row_eps_l2_matches_a_direct_evaluation(cfg, rel, monkeypatch):
     """A row's eps_l2, read from its solve's residual, is the training error
     of its model evaluated again on its own samples: to the bit on scattered
     nodes, where LSQR's last forward runs the same node halves as a fresh
-    operator at the products' precision (complex64 for a pilot), and to
+    operator at the products' precision (complex64 for a pilot or a refit at
+    the default tolerances), and to
     roundoff on a lattice, whose solve evaluates Re and Im F h apart.  A
     pilot's eps_l2 is within 1e-6 of its complex128 evaluation."""
     from anovafourier.operator import BlockFourierOperator, _norm

@@ -365,6 +365,46 @@ def test_oversized_scattered_fit_exit_2(tmp_path, capsys, monkeypatch):
     assert "m = 2000 nodes needs about" in err and "physical memory" in err
 
 
+def test_complex128_re_solve_that_does_not_fit_exits_2(tmp_path, capsys,
+                                                        monkeypatch):
+    """With physical memory between the refit's complex64 and complex128
+    estimates, a refit of noisy data runs in complex64, while one of exact
+    data, whose complex128 re-solve does not fit, exits 2 before that
+    re-solve builds its operator."""
+    from anovafourier import method, operator
+    from anovafourier.index_sets import TermFamily, grouped
+    family = TermFamily.downward_closure(3, [(1, 2)])
+    g = grouped(family, method.build_search_sets(3, 2, TINY_DETECT["search"],
+                                                 family=family))
+    single, double = (operator.scattered_fit_bytes(g, 2000, dtype)
+                      for dtype in (np.complex64, np.complex128))
+    monkeypatch.setattr(method, "_physical_memory", lambda: (single + double) // 2)
+    built = []
+
+    def operator_at(nodes, index_set, dtype=np.complex128):
+        built.append(np.dtype(dtype).name)
+        return operator.BlockFourierOperator(nodes, index_set, dtype)
+    monkeypatch.setattr(method, "BlockFourierOperator", operator_at)
+    exact = _csv_target(tmp_path)
+    data = np.loadtxt(exact, delimiter=";")
+    data[:, 3] += 0.1 * np.random.default_rng(1).standard_normal(len(data))
+    noisy = tmp_path / "noisy.csv"
+    np.savetxt(noisy, data, delimiter=";")
+    for name, path, want in (("noisy", noisy, 0), ("exact", exact, 2)):
+        built.clear()
+        cfg = {**TINY_DETECT, "target": {"csv": str(path)}, "active_set": [[1, 2]]}
+        code = run_cli(["approximate", "--config", write_config(tmp_path, cfg),
+                        "--out", str(tmp_path / name)])
+        assert code == want, name
+        assert built[0] == "complex64"
+    doc = json.loads((tmp_path / "noisy" / "model.json").read_text())
+    assert doc["provenance"]["solver_report"]["provenance"]["products"] == "complex64"
+    assert built == ["complex64"]
+    err = capsys.readouterr().err
+    assert f"complex128 re-solve of the scattered fit on m = 2000 nodes needs " \
+        f"about {double} bytes" in err
+
+
 def test_bench_table4_row1_cli(tmp_path):
     code = run_cli(["bench", "--table", "4", "--row", "1",
                     "--out", str(tmp_path)])

@@ -255,7 +255,8 @@ def _table_rows(g):
 def test_oversized_scattered_fit_fails_before_allocating(monkeypatch):
     """Nodes, unit phases, one chunk's phase table and the LSQR vectors are
     estimated before the nodes are drawn or the operator is built, for a
-    callable target and for fixed data alike."""
+    callable target and for fixed data alike; the pilot's phases and table
+    are counted at complex64, 8 bytes an entry."""
     monkeypatch.setattr(method, "_physical_memory", lambda: 10_000)
     monkeypatch.setattr(operator, "_helper_runs", lambda m: False)
 
@@ -266,8 +267,8 @@ def test_oversized_scattered_fit_fails_before_allocating(monkeypatch):
     monkeypatch.setattr(method, "BlockFourierOperator", never)
     cfg = tiny_config()
     g = grouped(term_family_ds(3, 2), build_search_sets(3, 2, cfg.search))
-    need = (3000 * (8 * 3 + 16 * 3 + operator._SCATTERED_BYTES_PER_NODE)
-            + 16 * _table_rows(g) * 2048 + 4 * 16 * len(g))
+    need = (3000 * (8 * 3 + 8 * 3 + operator._SCATTERED_BYTES_PER_NODE)
+            + 8 * _table_rows(g) * 2048 + 4 * 16 * len(g))
     for target in (never, (X, tiny_target(X))):
         with pytest.raises(ConfigError,
                            match=f"m = 3000 nodes needs about {need} bytes"):
@@ -550,6 +551,81 @@ def test_solver_report_records_ntol():
     model = approximate(fam, sets, tiny_target, cfg.sampling, {"atol": 1e-6})
     prov = model.provenance["solver_report"]["provenance"]
     assert (prov["atol"], prov["ntol"]) == (1e-6, 1e-6)
+
+
+def _products_of(model):
+    return model.provenance["solver_report"]["provenance"]["products"]
+
+
+def test_default_refit_runs_in_single_precision():
+    """At the default ntol of 1e-4 the refit's products run in complex64,
+    and data with a residual well above 1e-4 ||y|| are not solved again."""
+    cfg = tiny_config()
+    fam = TermFamily.downward_closure(3, [(1, 2)])
+    sets = build_search_sets(3, 2, cfg.search, family=fam)
+    X = uniform_nodes(3, 3000, seed=2).points
+    noise = np.random.default_rng(2).standard_normal(3000)
+    model = approximate(fam, sets, (X, tiny_target(X) + 0.1 * noise),
+                        {"kind": "scattered"})
+    assert _products_of(model) == "complex64"
+    assert "single_precision_attempt" not in model.provenance["solver_report"]["provenance"]
+
+
+def test_tight_tolerance_runs_in_double_precision():
+    """A solver config that sets atol below 1e-4 sets ntol with it, so the
+    pilot's and the refit's products run in complex128."""
+    cfg = tiny_config()
+    solver = {"atol": 1e-6, "max_iter": 120}
+    res = detect(DetectionConfig(d=3, d_s=2, search=cfg.search,
+                                 thresholds=list(cfg.thresholds),
+                                 sampling=cfg.sampling, solver=solver), tiny_target)
+    assert _products_of(res.pilot) == "complex128"
+    sets = build_search_sets(3, 2, cfg.search, family=res.active)
+    model = approximate(res.active, sets, tiny_target, cfg.sampling, solver)
+    assert _products_of(model) == "complex128"
+    assert "single_precision_attempt" not in model.provenance["solver_report"]["provenance"]
+
+
+@pytest.mark.parametrize("per_unknown", [20, 2])
+def test_exact_polynomial_refit_is_solved_again_in_double_precision(per_unknown):
+    """Data that the index set reproduces exactly leave a complex64 residual
+    near 1e-7 ||y||, below 1e-4 ||y||: the refit is solved again from zero
+    in complex128, its coefficients are the bytes of the tight complex128
+    fit, and its provenance records the discarded complex64 attempt."""
+    fam, sets, g, c, polynomial = _exact_polynomial()
+    count = per_unknown * len(g)
+    model = approximate(fam, sets, polynomial, {"count": count, "seed": 3})
+    prov = model.provenance["solver_report"]["provenance"]
+    assert prov["products"] == "complex128"
+    attempt = prov["single_precision_attempt"]
+    assert attempt["iterations"] > 0
+    assert 0 < attempt["relative_residual"] < method._NEAR_EXACT_RESIDUAL
+    tight = _tight_fit(g, polynomial, count, 200)
+    assert tight.coefficients.values.tobytes() == model.coefficients.values.tobytes()
+
+
+@pytest.mark.parametrize("per_unknown", [2, 20])
+def test_single_precision_refit_matches_double_on_the_cross_refit_set(per_unknown):
+    """The perfbench cross refit set (hyperbolic cross N = 64 on U*, |I| =
+    783) on the test function: the default complex64 refit takes the
+    iterations of a complex128 LSQR at the same settings to within one, and
+    its coefficients lie at most 0.1x as far from the complex128 ones as
+    those lie from an ntol 1e-12 fit (measured 0.005x and 0.015x)."""
+    fam = u_star()
+    sets = build_search_sets(9, 3, {"type": "hyperbolic_cross", "N": [64, 64, 64]},
+                             family=fam)
+    g = grouped(fam, sets)
+    model = approximate(fam, sets, bench.testfun_value,
+                        {"count": per_unknown * len(g), "seed": 5})
+    report = model.provenance["solver_report"]
+    assert report["provenance"]["products"] == "complex64"
+    design, y = model.fit_data()
+    double, tight = (lsqr(BlockFourierOperator(design.nodes, g), y, ntol=ntol,
+                          max_iter=1000) for ntol in (1e-4, 1e-12))
+    assert abs(report["iterations"] - double.iterations) <= 1
+    single = model.coefficients.values
+    assert np.linalg.norm(single - double.coefficients.values) <= \
+        0.1 * np.linalg.norm(double.coefficients.values - tight.coefficients.values)
 
 
 def test_pilot_tolerance_keeps_the_ranking(monkeypatch):
