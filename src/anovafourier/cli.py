@@ -155,7 +155,7 @@ def cmd_detect(args) -> int:
     out.text("sensitivity.csv", result.report.to_csv())
     out.json("active_set.json",
              {"d": dc.d, "terms": [list(u) for u in result.active.sorted_terms()]})
-    if cfg.get("truth") == "bench-ustar":
+    if "truth" in cfg:  # read_run_config admits only "bench-ustar"
         from .bench import u_star
         gaps = gap_intervals(result.report, u_star(), dc.d_s)
         out.json("gaps.json", {"gaps": [list(g) if g else None for g in gaps]})
@@ -189,22 +189,22 @@ def cmd_approximate(args) -> int:
 def cmd_bench(args) -> int:
     from .bench import DESK_CONFIGS, TABLE_CONFIGS, ExperimentRow, run_experiment
     t0 = time.time()
-    if args.config:
+    if args.row is not None and args.table is None:
+        raise ConfigError("--row needs --table")
+    if args.config is not None:
         cfg = _load_json(args.config)
     elif args.table is not None:
-        key = (args.table, args.row or 1)
+        key = (args.table, 1 if args.row is None else args.row)
         if key not in TABLE_CONFIGS:
-            raise ConfigError(f"no registered config for table {key[0]} row {key[1]}")
+            raise ConfigError(f"--table {key[0]} --row {key[1]}: no registered config")
         cfg = dict(TABLE_CONFIGS[key])
         cfg["id"] = f"table{key[0]}-row{key[1]}"
-    elif args.desk:
+    else:
         if args.desk not in DESK_CONFIGS:
             raise ConfigError(f"unknown desk scenario {args.desk!r}; "
                               f"choose from {sorted(DESK_CONFIGS)}")
         cfg = dict(DESK_CONFIGS[args.desk])
         cfg["id"] = f"desk-{args.desk}"
-    else:
-        raise ConfigError("bench needs --config, --table or --desk")
     cfg = _overridden(cfg, args)
     row = run_experiment(cfg)
     out = _Output(args.out, "bench", t0)
@@ -312,8 +312,8 @@ def build_parser() -> argparse.ArgumentParser:
                                  description="Sparse ANOVA Fourier approximation")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, config_required=True):
-        p.add_argument("--config", required=config_required)
+    def common(p, config=None):
+        (config or p).add_argument("--config", required=config is None)
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--out", default=".")
         p.add_argument("--scenario", choices=tuple(_SAMPLING_KINDS), default=None)
@@ -327,11 +327,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_approximate)
 
     p = sub.add_parser("bench", help="benchmark-function experiment rows")
-    common(p, config_required=False)
-    p.add_argument("--table", type=int, default=None)
-    p.add_argument("--row", type=int, default=None)
-    p.add_argument("--desk", default=None,
-                   help="named reduced-size scenario")
+    rows = p.add_mutually_exclusive_group(required=True)
+    common(p, rows)
+    rows.add_argument("--table", type=int, default=None)
+    p.add_argument("--row", type=int, default=None, help="row of --table (default 1)")
+    rows.add_argument("--desk", default=None,
+                      help="named reduced-size scenario")
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("lattice", help="build a reconstructing rank-1 lattice")
@@ -355,8 +356,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eval", help="evaluate a saved model")
     p.add_argument("--model", required=True)
-    p.add_argument("--x", default=None, help="comma-separated coordinates")
-    p.add_argument("--points", default=None, help="CSV of points (';'-separated)")
+    points = p.add_mutually_exclusive_group()
+    points.add_argument("--x", default=None, help="comma-separated coordinates")
+    points.add_argument("--points", default=None, help="CSV of points (';'-separated)")
     p.add_argument("--out", default=".")
     p.set_defaults(func=cmd_eval)
     return ap

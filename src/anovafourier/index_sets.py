@@ -145,13 +145,14 @@ def embed_block(term, freqs, d) -> np.ndarray:
 
 
 def full_grid(term, N) -> LowDimIndexSet:
-    """All |u|-vectors over {-N/2, ..., N/2-1} with no zero entry; N even.
+    """All |u|-vectors over {-N/2, ..., N/2-1} with no zero entry; N an
+    even integer (4.0 is one, 4.5 is not).
 
     Cardinality (N-1)^|u|.
     """
-    if N % 2 or N < 2:
-        raise ValueError(f"full grid bandwidth must be even and >= 2, got {N}")
-    term = tuple(term)
+    if not float(N).is_integer() or N % 2 or N < 2:
+        raise ValueError(f"full grid bandwidth must be an even integer >= 2, got {N}")
+    N, term = int(N), tuple(term)
     if not term:
         return empty_term_set()
     axis = np.array([k for k in range(-N // 2, N // 2) if k != 0], dtype=np.int64)

@@ -37,21 +37,18 @@ from .operator import (BlockFourierOperator, NodeSet, SolveReport, _max_abs,
 from .weights import WeightParams, pod_weight
 
 _SEARCH_TYPES = ("full_grid", "hyperbolic_cross", "weighted")
-#: LSQR's settings per stage.  atol and btol are shared; ntol, the
-#: normal-equations tolerance, applies when the solver config sets no atol:
-#: the pilot only ranks terms, and its truncation error (5e-2 to 1e-1 on the
-#: benchmark's data) is far above what iterations past 1e-2 change.  Both
-#: defaults are loose enough for single-precision products
-#: (``_SINGLE_PRECISION_NTOL``)
+#: LSQR's settings per stage (see ``_settings``).  The pilot's ntol is the
+#: looser: it only ranks terms, and its truncation error (5e-2 to 1e-1 on
+#: the benchmark's data) is far above what iterations past 1e-2 change
 SOLVER_DEFAULTS = {stage: {"atol": 1e-8, "btol": 1e-8, "max_iter": it, "ntol": ntol}
                    for stage, it, ntol in (("detect", 50, 1e-2),
                                            ("approximate", 200, 1e-4))}
 #: the smallest normal-equations tolerance at which a scattered fit's
-#: products run in complex64.  On the refit sets of both perfbench
-#: workloads (test function, one BLAS thread), at ntol 1e-4 and 2 to 20
-#: samples per unknown, complex64 and complex128 coefficients lay 2.1e-8 to
-#: 9.7e-8 apart, 60x or more below the 1.5e-6 to 1.8e-5 that the stop
-#: itself leaves against an ntol 1e-12 fit (at 1.2 samples per unknown
+#: products run in complex64 (``_products``).  On the refit sets of both
+#: perfbench workloads (test function, one BLAS thread), at ntol 1e-4 and 2
+#: to 20 samples per unknown, complex64 and complex128 coefficients lay
+#: 2.1e-8 to 9.7e-8 apart, 60x or more below the 1.5e-6 to 1.8e-5 that the
+#: stop itself leaves against an ntol 1e-12 fit (at 1.2 samples per unknown
 #: 3.8e-5 against 3.7e-4), with iteration counts equal to within one.  At
 #: ntol 1e-5 that margin fell to 15-70x, and at 1e-6 a complex128 fit came
 #: closer to the tight one than complex64's floor of about 2e-8.
@@ -167,13 +164,26 @@ def _check_sampling(sampling, target=None) -> dict:
     return sampling
 
 
-def _products(solver: dict, stage: str) -> np.dtype:
-    """The dtype of a scattered stage's products: complex64 when its
-    normal-equations tolerance (the stage's ntol, or atol when the solver
-    config sets atol) is at least ``_SINGLE_PRECISION_NTOL``, complex128
-    otherwise."""
-    ntol = solver["atol"] if "atol" in solver else SOLVER_DEFAULTS[stage]["ntol"]
-    return np.dtype(np.complex64 if ntol >= _SINGLE_PRECISION_NTOL
+def _settings(solver: dict, stage: str) -> dict:
+    """The keywords of a stage's ``lsqr``: the stage's ``SOLVER_DEFAULTS``
+    under a checked solver config.  A config that sets atol sets ntol with
+    it, so that one number serves both stopping tests."""
+    opts = {**SOLVER_DEFAULTS[stage], **solver}
+    return {"atol": float(opts["atol"]), "btol": float(opts["btol"]),
+            "max_iter": int(opts["max_iter"]),
+            "ntol": float(opts["atol"] if "atol" in solver else opts["ntol"])}
+
+
+def _products(settings: dict) -> np.dtype:
+    """The dtype of a scattered fit's products at its ``_settings``.
+
+    The precision follows the tolerance: complex64 when ntol is at least
+    ``_SINGLE_PRECISION_NTOL``, where the stop leaves far more error than
+    the few 1e-7 relative that single precision adds (the default pilot
+    and refit), and complex128 at a tighter ntol.  Every evaluation, and the
+    re-solve of a refit with near-exact data (``ScatteredDesign.solve``),
+    runs in complex128."""
+    return np.dtype(np.complex64 if settings["ntol"] >= _SINGLE_PRECISION_NTOL
                     else np.complex128)
 
 
@@ -198,13 +208,10 @@ class DetectionConfig:
     ``thresholds`` is the order-dependent epsilon vector, a list or tuple
     of one number in [0, 1] per term order.  ``sampling`` is
     {"kind": "scattered" | "lattice", "count", "seed"} and ``solver``
-    {"atol", "btol", "max_iter"}: a missing key takes its value from the
-    stage's ``SOLVER_DEFAULTS``.  LSQR's residual test reads atol and btol;
-    its normal-equations test reads the stage's ntol, 1e-2 for this pilot
-    fit, which only ranks terms, and 1e-4 for ``approximate``'s refit, or
-    atol in both stages when the config sets atol (see
-    :func:`~anovafourier.operator.lsqr`).  Every number must be finite, and
-    a bool is not a number; a bad value raises :class:`ConfigError`.
+    {"atol", "btol", "max_iter"}, which each stage lays over its
+    ``SOLVER_DEFAULTS`` to get its LSQR settings (see :func:`_settings`).
+    Every number must be finite, and a bool is not a number; a bad value
+    raises :class:`ConfigError`.
     """
 
     d: int
@@ -248,6 +255,8 @@ def read_run_config(cfg) -> tuple[DetectionConfig, TermFamily | None]:
     all zeros.  A bad key raises :class:`ConfigError` before any sampling.
     """
     _check_keys(cfg, "config", _RUN_KEYS)
+    if cfg.get("truth", "bench-ustar") != "bench-ustar":
+        raise ConfigError(f"truth must be 'bench-ustar', got {cfg['truth']!r}")
     d, d_s = _require(cfg, "d"), _require(cfg, "d_s")
     _check_dims(d, d_s)
     search = _require(cfg, "search")
@@ -268,7 +277,7 @@ def read_run_config(cfg) -> tuple[DetectionConfig, TermFamily | None]:
 def _term_set(kind: str, term, N, weight, d: int) -> LowDimIndexSet:
     try:
         if kind == "full_grid":
-            return full_grid(term, int(N))
+            return full_grid(term, N)
         if kind == "hyperbolic_cross":
             return hyperbolic_cross(term, float(N))
         return weighted_index_set(term, weight, float(N), d)
@@ -453,10 +462,10 @@ class ScatteredDesign:
 
     @classmethod
     def acquire(cls, index_set: GroupedIndexSet, target, sampling: dict,
-                products=np.complex128):
+                settings: dict):
         """Fixed data (X, y), or the target at ``count`` nodes from ``seed``;
-        the fit's memory, with its products at ``products``, is checked
-        before any node is drawn."""
+        the fit's memory, with its products at the precision of its
+        ``settings``, is checked before any node is drawn."""
         fixed = isinstance(target, tuple)
         if fixed:
             X, y = target
@@ -466,18 +475,16 @@ class ScatteredDesign:
                 raise ValueError(f"fixed data: y of shape {y.shape} does not "
                                  f"match X of shape {nodes.points.shape}")
         m = len(nodes) if fixed else int(sampling["count"])
-        _check_memory(scattered_fit_bytes(index_set, m, products),
+        _check_memory(scattered_fit_bytes(index_set, m, _products(settings)),
                       f"scattered fit on m = {m} nodes")
         if not fixed:
             nodes = uniform_nodes(index_set.d, m, int(sampling.get("seed", 0)))
             y = _sample(target, m, lambda lo, hi: nodes.points[lo:hi], np.complex128)
         return cls(nodes), y, {}
 
-    def solve(self, index_set, y, solver: dict, stage: str) -> SolveReport:
-        """LSQR at the stage's settings, its products at the precision that
-        the stage's tolerance allows (:func:`_products`): complex64 for the
-        default pilot and refit, whose stops leave errors far above its few
-        1e-7 relative, and complex128 at a tighter tolerance.
+    def solve(self, index_set, y, settings: dict, stage: str) -> SolveReport:
+        """LSQR at the stage's ``_settings``, its products at their
+        precision (``_products``).
 
         A complex64 refit whose ``residual_check`` is below
         ``_NEAR_EXACT_RESIDUAL`` ||y|| has near-exact data, which single
@@ -485,16 +492,12 @@ class ScatteredDesign:
         zero in complex128 at the same settings, after a memory check at
         that precision, and the report's provenance records the discarded
         attempt (``single_precision_attempt``: its iterations and relative
-        residual).  Every evaluation runs in complex128."""
+        residual)."""
         m = len(self.nodes)
         if stage == "detect" and m / 10 < len(index_set) <= m:
             warnings.warn("pilot system has fewer than 10 samples per unknown; "
                           "overfitting may distort the ranking")
-        opts = {**SOLVER_DEFAULTS[stage], **solver}
-        settings = {"atol": float(opts["atol"]), "btol": float(opts["btol"]),
-                    "max_iter": int(opts["max_iter"]),
-                    "ntol": None if "atol" in solver else opts["ntol"]}
-        dtype = _products(solver, stage)
+        dtype = _products(settings)
         # the operator is freed when lsqr returns
         report = lsqr(BlockFourierOperator(self.nodes, index_set, dtype), y,
                       **settings)
@@ -522,7 +525,7 @@ class LatticeDesign:
 
     @classmethod
     def acquire(cls, index_set: GroupedIndexSet, target, sampling: dict,
-                products=None):
+                settings: dict):
         """A CBC lattice for the index set from ``seed``, and the target's
         values at its nodes, made one block at a time; real ones stay float64."""
         lat = cbc_construct(index_set, seed=int(sampling.get("seed", 0)))
@@ -532,7 +535,7 @@ class LatticeDesign:
                     np.float64)
         return cls(lat), y, {"lattice": lat.to_json_dict(index_set.digest())}
 
-    def solve(self, index_set, y, solver: dict, stage: str) -> SolveReport:
+    def solve(self, index_set, y, settings: dict, stage: str) -> SolveReport:
         return lattice_solve(self.lattice, index_set, y, certified=True)
 
     def evaluate(self, coeffs: CoefficientMap) -> np.ndarray:
@@ -543,37 +546,31 @@ class LatticeDesign:
 _SAMPLING_KINDS = {"scattered": ScatteredDesign, "lattice": LatticeDesign}
 
 
-def _acquire_data(index_set: GroupedIndexSet, target, sampling: dict,
-                  products=np.complex128):
-    """Design, values and provenance of a stage; ``sampling`` is checked,
-    and ``products`` is the dtype of a scattered fit's products."""
-    design, y, prov = _SAMPLING_KINDS[sampling["kind"]].acquire(
-        index_set, target, sampling, products)
+def _fit(family: TermFamily, build_sets, target, sampling: dict, solver: dict,
+         stage: str, **prov):
+    """One stage's least-squares fit on ``family``, and its SolveReport.
+
+    The sampling and solver specs are checked before ``build_sets()`` makes
+    the per-term index sets, and the target's values before the solve; the
+    model's provenance holds the sampling, the design's record, the stage,
+    ``prov`` and the solve's report.
+    """
+    sampling = _check_sampling(sampling, target)
+    _check_solver(solver)
+    settings = _settings(solver, stage)
+    index_set = grouped(family, build_sets())
+    design, y, data = _SAMPLING_KINDS[sampling["kind"]].acquire(
+        index_set, target, sampling, settings)
     bad = np.flatnonzero(~np.isfinite(y))
     if bad.size:
         raise ValueError(f"{bad.size} non-finite target values, first at sample {bad[0]}")
     if len(index_set) > len(y):
         warnings.warn(f"underdetermined fit: |I(U)| = {len(index_set)} "
                       f"exceeds |X| = {len(y)}")
-    return design, y, {"sampling": dict(sampling), "sample_count": len(y), **prov}
-
-
-def _fit(family: TermFamily, build_sets, target, sampling: dict, solver: dict,
-         stage: str, **prov):
-    """One stage's least-squares fit on ``family``, and its SolveReport.
-
-    The sampling and solver specs are checked before ``build_sets()`` makes
-    the per-term index sets; the model's provenance holds the sampling, the
-    stage, ``prov`` and the solve's report.
-    """
-    sampling = _check_sampling(sampling, target)
-    _check_solver(solver)
-    index_set = grouped(family, build_sets())
-    design, y, data = _acquire_data(index_set, target, sampling,
-                                    _products(solver, stage))
-    report = design.solve(index_set, y, solver, stage)
-    data.update({"stage": stage, **prov, "solver_report": report.to_json_dict()})
-    return ApproxModel(report.coefficients, data, design, y), report
+    report = design.solve(index_set, y, settings, stage)
+    return ApproxModel(report.coefficients, {
+        "sampling": dict(sampling), "sample_count": len(y), **data, "stage": stage,
+        **prov, "solver_report": report.to_json_dict()}, design, y), report
 
 
 def detect(cfg: DetectionConfig, target) -> ActiveSetResult:

@@ -86,10 +86,8 @@ class BlockFourierOperator:
     The products run at the precision of the phases: the table, the
     coefficient matrices and the work arrays take ``dtype``, which halves
     their bytes at complex64, while inputs and results stay complex128.  A
-    complex64 product agrees with complex128 to a few 1e-7 relative, far
-    below the error that a fit stopped at a normal-equations tolerance of
-    1e-4 or more leaves; ``method.ScatteredDesign.solve`` picks the dtype
-    by the stage's tolerance.
+    complex64 product agrees with complex128 to a few 1e-7 relative;
+    ``method._products`` decides which dtype a fit's products take.
 
     On more than 2048 nodes, the first ceil(m/2) nodes are half A and the
     rest half B, each taken in chunks from its own start; the split depends

@@ -493,6 +493,9 @@ _WEIGHT_NO_GAMMA = {"alpha": 0.0, "beta": 1.0, "gamma": [1.0] * 9}
     ("detect", {"target": {"csv": ["a"]}}, "target.csv must be a file name"),
     ("detect", {"target": {"csv": 5}}, "target.csv must be a file name"),
     ("detect", {"target": {"csv": None}}, "target.csv must be a file name"),
+    ("detect", {"truth": "bench-ustr"}, "truth must be 'bench-ustar'"),
+    ("detect", {"search": {"type": "full_grid", "N": [4.9, 4]}}, "search.N[0]"),
+    ("detect", {"search": {"type": "full_grid", "N": [4.5, 4]}}, "search.N[0]"),
 ])
 def test_malformed_config_exit_2(tmp_path, capsys, command, change, key):
     base = BUILTIN_APPROXIMATE if command == "approximate" else BUILTIN_DETECT
@@ -654,6 +657,41 @@ def test_bad_arguments_exit_2(tmp_path, capsys, input_files, argv, key):
         if value in input_files.values() and value not in (
                 input_files["MODEL"], input_files["INDEX_SET"]):
             assert f"{flag} {value}" in err
+
+
+@pytest.mark.parametrize("argv,key", [
+    (["bench", "--config", "CFG", "--table", "4"],
+     "argument --table: not allowed with argument --config"),
+    (["bench", "--config", "CFG", "--desk", "lattice-ds3"],
+     "argument --desk: not allowed with argument --config"),
+    (["bench", "--table", "4", "--desk", "lattice-ds3"],
+     "argument --desk: not allowed with argument --table"),
+    (["bench", "--row", "1"], "one of the arguments --config --table --desk is required"),
+    (["bench", "--desk", "lattice-ds3", "--row", "3"], "--row needs --table"),
+    (["bench", "--table", "4", "--row", "0"], "--table 4 --row 0: no registered config"),
+    (["eval", "--model", "MODEL", "--x", "0,0,0", "--points", "CFG"],
+     "argument --points: not allowed with argument --x"),
+])
+def test_conflicting_or_unused_flags_exit_2(tmp_path, capsys, monkeypatch,
+                                            model_file, argv, key):
+    """bench takes one of --config, --table and --desk, and --row only with
+    --table; eval takes one of --x and --points.  Anything else exits 2
+    naming the flags, before a row runs or a model is evaluated."""
+    from anovafourier import bench
+
+    def never(_cfg):
+        raise AssertionError("row ran")
+    monkeypatch.setattr(bench, "run_experiment", never)
+    files = {"CFG": write_config(tmp_path, {**BUILTIN_DETECT, "id": "x"}),
+             "MODEL": model_file}
+    try:
+        code = run_cli([files.get(a, a) for a in argv] + ["--out", str(tmp_path / "out")])
+    except SystemExit as exc:  # argparse's usage errors
+        code = exc.code
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert key in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_eval_x_prints_plain_floats(tmp_path, capsys, model_file):

@@ -36,11 +36,15 @@ def test_full_grid_examples():
     assert sorted(s.freqs.ravel().tolist()) == [-2, -1, 1]
     assert len(full_grid((1, 2), 4)) == 9
     assert len(full_grid((1, 2, 3), 16)) == 15 ** 3
+    assert np.array_equal(full_grid((1, 2), 4.0).freqs, full_grid((1, 2), 4).freqs)
 
 
 def test_full_grid_rejects_odd():
     with pytest.raises(ValueError):
         full_grid((1,), 5)
+    for N in (4.9, 4.5):
+        with pytest.raises(ValueError, match="even integer"):
+            full_grid((1,), N)
 
 
 def test_hyperbolic_cross_1d():

@@ -152,7 +152,8 @@ def test_lattice_sampling_keeps_no_node_array(monkeypatch):
         return bench.testfun_value(X)
     tracemalloc.start()
     try:
-        design, y, _ = method._acquire_data(g, target, {"kind": "lattice", "seed": 0})
+        design, y, _ = method.LatticeDesign.acquire(
+            g, target, {"kind": "lattice", "seed": 0}, {})
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -531,26 +532,34 @@ def test_single_precision_pilot_ranks_as_a_double_one():
 def test_solver_report_records_ntol():
     """The normal-equations tolerance is 1e-2 for the pilot and 1e-4 for the
     refit unless the solver config sets atol, which then serves both tests
-    in both stages, as in ``lsqr``."""
+    in both stages, as in ``lsqr``; the products run in complex64 at an
+    ntol of 1e-4 or more and in complex128 below it.  The default refit of
+    these exact data is solved again in complex128 after its complex64
+    attempt."""
     cfg = tiny_config()
     res = detect(cfg, tiny_target)
     prov = res.pilot.provenance["solver_report"]["provenance"]
     assert (prov["atol"], prov["btol"], prov["ntol"]) == (1e-8, 1e-8, 1e-2)
+    assert prov["products"] == "complex64"
     fam = res.active
     sets = build_search_sets(3, 2, cfg.search, family=fam)
     model = approximate(fam, sets, tiny_target, cfg.sampling)
     prov = model.provenance["solver_report"]["provenance"]
     assert (prov["atol"], prov["btol"], prov["ntol"]) == (1e-8, 1e-8, 1e-4)
-    res = detect(DetectionConfig(d=3, d_s=2, search=cfg.search,
-                                 thresholds=list(cfg.thresholds),
-                                 sampling=cfg.sampling,
-                                 solver={"atol": 1e-6, "max_iter": 120}),
-                 tiny_target)
-    prov = res.pilot.provenance["solver_report"]["provenance"]
-    assert (prov["atol"], prov["ntol"]) == (1e-6, 1e-6)
-    model = approximate(fam, sets, tiny_target, cfg.sampling, {"atol": 1e-6})
-    prov = model.provenance["solver_report"]["provenance"]
-    assert (prov["atol"], prov["ntol"]) == (1e-6, 1e-6)
+    assert prov["products"] == "complex128" and "single_precision_attempt" in prov
+    for atol, products in ((1e-6, "complex128"), (1e-3, "complex64")):
+        res = detect(DetectionConfig(d=3, d_s=2, search=cfg.search,
+                                     thresholds=list(cfg.thresholds),
+                                     sampling=cfg.sampling,
+                                     solver={"atol": atol, "max_iter": 120}),
+                     tiny_target)
+        prov = res.pilot.provenance["solver_report"]["provenance"]
+        assert (prov["atol"], prov["ntol"]) == (atol, atol)
+        assert prov["products"] == products
+        model = approximate(fam, sets, tiny_target, cfg.sampling, {"atol": atol})
+        prov = model.provenance["solver_report"]["provenance"]
+        assert (prov["atol"], prov["ntol"]) == (atol, atol)
+        assert prov["products"] == products and "single_precision_attempt" not in prov
 
 
 def _products_of(model):

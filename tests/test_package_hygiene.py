@@ -117,6 +117,20 @@ def test_detects_an_unread_definition():
     assert unread_definitions(sources) == ["a.C", "a.X", "a.f", "a.g", "b.k"]
 
 
+def test_code_line_count_skips_blanks_comments_and_docstrings():
+    from code_lines import code_lines
+    source = ('"""Module docstring,\non two lines."""\n\n'
+              "# a comment\n"
+              "import os  # a trailing comment keeps its line\n\n\n"
+              'class A:\n    """Class docstring."""\n\n'
+              '    def f(self):\n        """Function\n        docstring."""\n'
+              "        # an indented comment\n"
+              '        text = """a string that is\n        not a docstring"""\n'
+              "        return (text +\n                os.sep)\n")
+    # import, class, def, the string's two lines and the return's two
+    assert code_lines(source) == 7
+
+
 def test_every_definition_is_read_in_the_package():
     sources = {p.stem: p.read_text() for p in MODULES}
     assert [q for q in unread_definitions(sources) if q not in UNREAD_KEPT] == []
