@@ -9,15 +9,20 @@ and for each chunk one table of exp(2 pi i v x_s) is filled per axis from
 the chunk's unit phases: v = 1..V_s, V_s the largest |k_s|, and
 v = -R_s..-1, R_s the largest |k_s| of the terms of order >= 2.  Terms with
 the same remaining axes and the same tuples on them form a group (37 groups
-of 129 terms on U_3, d = 9).  Per group and chunk, the forward sums its
-terms' first-axis matrix products, multiplies by the table rows of the
-remaining axes and sums over the tuples once; the adjoint multiplies the
-values by the conjugate rows once and gives each term one first-axis
-matrix product.  The order-1 terms, the group with no remaining axes, read
-only positive powers: their negative values enter as conjugates through a
-second row of coefficients in the forward and a second column, conj y, in
-the adjoint.  The same path serves every block, box-shaped (full grid) or
-not (hyperbolic cross, weighted).
+of 129 terms on U_3, d = 9).  Both products use one layout: each term's
+coefficients sit in one (n_a, P) matrix G of a flat buffer, over (first-axis
+value, rest tuple), placed by one position map, and both read the table rows
+of the term's own frequencies.  Per group and chunk, the forward sums its
+terms' first-axis matrix products G^T E_a, multiplies by the table rows of
+the remaining axes and sums over the tuples once.  The adjoint is the
+forward transposed and conjugated, F* y at k = conj(sum_x E[k](x) conj
+y(x)): it multiplies conj y by the same rows of the remaining axes once,
+adds each term's first-axis matrix product E_a W^T into G, and conjugates
+the buffer as it reads it out.  The order-1 terms, the group with no
+remaining axes, read only positive powers: their matrices are (n_a, 2) over
+the distinct |v|, with columns v > 0 and v < 0, and the second column
+enters each product as a conjugate.  The same path serves every block,
+box-shaped (full grid) or not (hyperbolic cross, weighted).
 
 Precision: the products run at the dtype of the unit phases, complex128 or
 complex64 (``unit_phases``): the table, the coefficient buffer and the work
@@ -31,7 +36,7 @@ allocates one table of R x ``_NODES`` entries of that dtype, R = sum_s
 (V_s + R_s) (``bandwidths``; 99 to 198 rows on the sets of ``perfbench``),
 and refills it for every chunk; per group it adds work arrays of at most
 (P, ``_NODES``) entries, freed before the next group, and once a flat
-buffer of the terms' zero-filled (P, n_a) matrices (1 to 7.2 |I| entries on
+buffer of the terms' zero-filled (n_a, P) matrices (1 to 7.2 |I| entries on
 the sets of ``perfbench``), each entry 16 or 8 bytes.  Besides its
 complex128 result (length m for F c, |I| for F* y) nothing in a product
 grows with the number of nodes.  At 2048 nodes a table row takes 32 KB at
@@ -88,23 +93,20 @@ _SCREEN = 128  # moving residues per candidate in the CBC screen
 
 class _TermLayout(NamedTuple):
     """One term of a group: ``mat`` is its place in the flat buffer, which
-    holds its (P, n_a) coefficient matrix over (rest tuple, first-axis
-    value) in the forward and its (n_a, P) result in the adjoint.
-    ``rows_a`` are the table rows of the n_a first-axis values,
-    ``rows_a_adj`` those of the negated values (the conjugates), ascending.
-    Rows that form an arithmetic run are a slice, read as a view.
+    holds its (n_a, P) coefficient matrix over (first-axis value, rest
+    tuple), and ``rows_a`` are the table rows of its n_a first-axis values,
+    ascending; rows that form an arithmetic run are a slice, read as a view.
+    Both products read that matrix and those rows: the forward as the
+    matrix's transpose, the adjoint adding its sums into it (see
+    ``fourier_forward`` and ``fourier_adjoint``).
 
     An order-1 term reads only positive powers: its n_a values are the
-    distinct |v|, ``rows_a_adj`` is ``rows_a``, its forward matrix is
-    (2, n_a) with rows for v > 0 and v < 0, and its adjoint result is
-    (n_a, 2) with columns for v < 0 and v > 0 (see ``fourier_forward`` and
-    ``fourier_adjoint``).
+    distinct |v|, and its P = 2 columns hold v > 0 and v < 0.
     """
 
     mat: slice
     n_a: int
     rows_a: slice | np.ndarray
-    rows_a_adj: slice | np.ndarray
 
 
 class _Group(NamedTuple):
@@ -113,9 +115,8 @@ class _Group(NamedTuple):
     The order-1 terms, with no remaining axes (``rows_rest`` empty), form
     one group."""
 
-    rows_rest: tuple      # table rows of the P tuples, one per axis
-    rows_rest_adj: tuple  # of their negations
-    terms: list           # of _TermLayout
+    rows_rest: tuple  # table rows of the P tuples, one per axis
+    terms: list       # of _TermLayout
 
 
 class FourierLayout(NamedTuple):
@@ -125,12 +126,11 @@ class FourierLayout(NamedTuple):
     vmax: np.ndarray   # (d,) largest |k_s| per axis
     rmax: np.ndarray   # (d,) largest |k_s| per axis over the terms of order >= 2
     rows: int          # rows of the phase table (``bandwidths``)
-    const: tuple       # slices of zero-order blocks (the constant term)
+    const: slice       # the constant term's block, empty without one
     groups: tuple      # of _Group
     size: int          # length of the flat buffer of all terms' matrices
-    coef: np.ndarray   # positions of the terms' coefficients in the vector,
-    fwd: np.ndarray    # their places in the buffer's (P, n_a) matrices
-    adj: np.ndarray    # and in its (n_a, P) adjoint results
+    coef: np.ndarray   # positions of the terms' coefficients in the vector
+    pos: np.ndarray    # and their places in the buffer's (n_a, P) matrices
 
 
 def _table_offsets(vmax, rmax) -> np.ndarray:
@@ -172,35 +172,33 @@ def bandwidths(d: int, blocks) -> tuple:
 
 
 def _split_pattern(freqs):
-    """(a_vals, rest, rest bytes, fwd, adj) of one block's frequencies.
+    """(a_vals, rest, pos) of one block's frequencies.
 
     None of these depends on the term's axes, so ``fourier_layout`` splits
     each distinct pattern once (the terms of one order share one in
-    ``method.build_search_sets``).  ``fwd`` and ``adj`` are each
-    frequency's place in the term's forward matrix and adjoint result,
-    counted from the matrix's start.  An order-1 block has ``rest`` None
-    and its distinct |v| as a_vals."""
+    ``method.build_search_sets``).  ``a_vals`` are the n_a distinct
+    first-axis values, ``rest`` the P distinct tuples on the other axes,
+    and ``pos`` each frequency's place in the term's (n_a, P) matrix,
+    counted from the matrix's start.  An order-1 block has its distinct |v|
+    as a_vals and two empty tuples, the columns of v > 0 and v < 0."""
     if freqs.shape[1] == 1:
-        mags, pos = np.unique(np.abs(freqs[:, 0]), return_inverse=True)
-        pos, neg = pos.reshape(-1), freqs[:, 0] < 0
-        return mags, None, None, neg * mags.size + pos, 2 * pos + ~neg
-    a_vals, pos_a = np.unique(freqs[:, 0], return_inverse=True)
-    rest, pos_r = np.unique(freqs[:, 1:], axis=0, return_inverse=True)
-    pos_a, pos_r = pos_a.reshape(-1), pos_r.reshape(-1)
-    P, n_a = rest.shape[0], a_vals.size
-    return (a_vals, rest, rest.tobytes(), pos_r * n_a + pos_a,
-            (n_a - 1 - pos_a) * P + pos_r)
+        a_vals, pos_a = np.unique(np.abs(freqs[:, 0]), return_inverse=True)
+        rest, pos_r = np.zeros((2, 0), dtype=np.int64), freqs[:, 0] < 0
+    else:
+        a_vals, pos_a = np.unique(freqs[:, 0], return_inverse=True)
+        rest, pos_r = np.unique(freqs[:, 1:], axis=0, return_inverse=True)
+    return a_vals, rest, pos_a.reshape(-1) * rest.shape[0] + pos_r.reshape(-1)
 
 
 def fourier_layout(d: int, blocks) -> FourierLayout:
     """Layout of ``(term, freqs)`` blocks in canonical coefficient order.
 
     ``term`` holds 1-based axes and ``freqs`` its (n_u, |u|) frequencies,
-    none of them zero; the empty term's block is the constant term.  The
-    phase table keeps v = 1..V_s on every axis, V_s the largest |k_s|, and
-    v = -R_s..-1 only as far as the terms of order >= 2 read them: the
-    order-1 terms take their negative values as conjugates of positive
-    powers.
+    none of them zero; the empty term's block, at most one, is the constant
+    term.  The phase table keeps v = 1..V_s on every axis, V_s the largest
+    |k_s|, and v = -R_s..-1 only as far as the terms of order >= 2 read
+    them: the order-1 terms take their negative values as conjugates of
+    positive powers.
     """
     blocks = [(tuple(term), np.asarray(freqs, dtype=np.int64))
               for term, freqs in blocks]
@@ -212,15 +210,15 @@ def fourier_layout(d: int, blocks) -> FourierLayout:
     def rows(s, vals):
         return _run(zero[s] + vals - (vals > 0))
 
-    const, groups, splits = [], {}, {}
-    coef, fwd, adj = ([np.zeros(0, dtype=np.int64)] for _ in range(3))
+    const, groups, splits = slice(0, 0), {}, {}
+    coef, pos = ([np.zeros(0, dtype=np.int64)] for _ in range(2))
     off = size = 0
     for term, freqs in blocks:
         block = slice(off, off + freqs.shape[0])
         off += freqs.shape[0]
         axes = [c - 1 for c in term]
         if not axes:
-            const.append(block)
+            const = block
             continue
         if freqs.shape[0] == 0:
             continue
@@ -228,31 +226,19 @@ def fourier_layout(d: int, blocks) -> FourierLayout:
         key = (freqs.shape, freqs.tobytes())
         if key not in splits:
             splits[key] = _split_pattern(freqs)
-        a_vals, rest, rest_key, fwd_at, adj_at = splits[key]
-        n_a = a_vals.size
-        fwd.append(size + fwd_at)
-        adj.append(size + adj_at)
-        if rest is None:  # order 1: rows v > 0 and v < 0 over the distinct |v|
-            group = groups.setdefault((), _Group((), (), []))
-            rows_a = rows(axes[0], a_vals)
-            group.terms.append(_TermLayout(slice(size, size + 2 * n_a), n_a,
-                                           rows_a, rows_a))
-            size += 2 * n_a
-            continue
-        P = rest.shape[0]
-        key = (tuple(axes[1:]), rest_key)
+        a_vals, rest, at = splits[key]
+        pos.append(size + at)
+        key = (tuple(axes[1:]), rest.tobytes())
         if key not in groups:
             groups[key] = _Group(
-                tuple(rows(s, rest[:, j]) for j, s in enumerate(axes[1:])),
-                tuple(rows(s, -rest[:, j]) for j, s in enumerate(axes[1:])), [])
-        group = groups[key]
-        group.terms.append(_TermLayout(
-            slice(size, size + P * n_a), n_a, rows(axes[0], a_vals),
-            rows(axes[0], -a_vals[::-1])))
-        size += P * n_a
-    return FourierLayout(off, vmax, rmax, table_rows, tuple(const),
+                tuple(rows(s, rest[:, j]) for j, s in enumerate(axes[1:])), [])
+        n_a, stop = a_vals.size, size + a_vals.size * rest.shape[0]
+        groups[key].terms.append(_TermLayout(slice(size, stop), n_a,
+                                             rows(axes[0], a_vals)))
+        size = stop
+    return FourierLayout(off, vmax, rmax, table_rows, const,
                          tuple(groups.values()), size,
-                         *map(np.concatenate, (coef, fwd, adj)))
+                         *map(np.concatenate, (coef, pos)))
 
 
 def _find_openblas():
@@ -355,37 +341,47 @@ def _chunks(U, layout: FourierLayout):
         yield lo, hi, _phase_table(U[:, lo:hi], layout, E[:, :hi - lo])
 
 
+def _matrices(buf, layout: FourierLayout) -> list:
+    """Per group, its terms' (n_a, P) matrices as views of ``buf``."""
+    return [[buf[t.mat].reshape(t.n_a, -1) for t in g.terms]
+            for g in layout.groups]
+
+
+def _conjugate_order_1(layout: FourierLayout, mats) -> None:
+    """Conjugate the v < 0 column of every order-1 term's matrix."""
+    for g, Gs in zip(layout.groups, mats):
+        if not g.rows_rest:
+            for G in Gs:
+                np.conjugate(G[:, 1], out=G[:, 1])
+
+
 @_one_blas_thread()
 def fourier_forward(U, layout: FourierLayout, coeffs, out=None) -> np.ndarray:
     """F c at the nodes whose unit phases (``unit_phases``) are U, written
     into ``out`` (complex128, one entry per node) when given.
 
-    Per group and chunk, T = sum over its terms of C @ E_a[A] (P, chunk),
-    C the term's (P, n_a) coefficient matrix; T is multiplied by the
-    group's table rows E_j[rest_j] and summed over P.  The order-1 terms'
-    C is (2, n_a) over |v|: c_v for v > 0 and conj c_-v for v < 0; their
-    T's second row is conjugated before the sum.  The matrices C, the
-    table and T take the dtype of U; each chunk's sum is added to ``out``.
+    Per group and chunk, T = sum over its terms of G^T @ E_a[A] (P, chunk),
+    G the term's (n_a, P) coefficient matrix, read as its transpose; T is
+    multiplied by the group's table rows E_j[rest_j] and summed over P.
+    The order-1 terms' G is (n_a, 2) over |v|: c_v for v > 0 and conj c_-v
+    for v < 0; their T's second row is conjugated before the sum.  The
+    matrices G, the table and T take the dtype of U; each chunk's sum is
+    added to ``out``.
     """
     coeffs = np.asarray(coeffs, dtype=np.complex128)
-    const = sum(complex(coeffs[b].sum()) for b in layout.const)
     buf = np.zeros(layout.size, dtype=U.dtype)
-    buf[layout.fwd] = coeffs[layout.coef]
-    mats = [[buf[t.mat].reshape(-1, t.n_a) for t in g.terms]
-            for g in layout.groups]
-    for g, Cs in zip(layout.groups, mats):
-        if not g.rows_rest:
-            for C in Cs:
-                np.conjugate(C[1], out=C[1])
+    buf[layout.pos] = coeffs[layout.coef]
+    mats = _matrices(buf, layout)
+    _conjugate_order_1(layout, mats)
     if out is None:
         out = np.empty(U.shape[1], dtype=np.complex128)
-    out[:] = const
+    out[:] = complex(coeffs[layout.const].sum())
     for lo, hi, E in _chunks(U, layout):
         acc = out[lo:hi]
-        for g, Cs in zip(layout.groups, mats):
-            T = Cs[0] @ E[g.terms[0].rows_a]
-            for t, C in zip(g.terms[1:], Cs[1:]):
-                T += C @ E[t.rows_a]
+        for g, Gs in zip(layout.groups, mats):
+            T = Gs[0].T @ E[g.terms[0].rows_a]
+            for t, G in zip(g.terms[1:], Gs[1:]):
+                T += G.T @ E[t.rows_a]
             for r in g.rows_rest:
                 T *= E[r]
             if not g.rows_rest:
@@ -397,40 +393,37 @@ def fourier_forward(U, layout: FourierLayout, coeffs, out=None) -> np.ndarray:
 @_one_blas_thread()
 def fourier_adjoint(U, layout: FourierLayout, y, out=None) -> np.ndarray:
     """F* y, written into ``out`` (complex128, length |I|) when given: the
-    forward contraction mirrored on conjugated table rows.
+    forward's contraction transposed, on the forward's matrices and table
+    rows.
 
-    Conjugation is a row lookup, E[-v] = conj(E[v]).  Per group and chunk,
-    W = y * prod_j conj(E_j[rest_j]) (P, chunk); each of its terms adds
-    G = conj(E_a[A]) @ W^T (n_a, P), rows in reverse first-axis order, to
-    its place in the buffer, and after the last chunk every block reads its
-    (first value, rest) positions there.  The order-1 terms take
-    W = [y; conj y] on the rows of their |v| instead: G's first column is
-    F* y at -v, and its second the conjugate of F* y at v, conjugated before
-    the read-out.  Each chunk of y is cast to the dtype of U, which W, the
-    table and the G sums take; the constant term sums y as given.
+    F* y at k is conj(sum_x E[k](x) conj y(x)).  Per group and chunk,
+    W = conj y * prod_j E_j[rest_j] (P, chunk); each of its terms adds
+    E_a[A] @ W^T (n_a, P) to its matrix G, and after the last chunk the
+    buffer is read out at the forward's positions, conjugated.  The order-1
+    terms take W = [conj y; y] on the rows of their |v| instead: G's first
+    column sums to conj F* y at v, and its second to F* y at -v, which is
+    conjugated once more before the read-out.  Each chunk of y is cast to
+    the dtype of U, which W, the table and the G sums take; the constant
+    term sums y as given.
     """
     y = np.asarray(y, dtype=np.complex128)
     if out is None:
         out = np.empty(layout.n, dtype=np.complex128)
     out[:] = 0
     buf = np.zeros(layout.size, dtype=U.dtype)
-    mats = [[buf[t.mat].reshape(t.n_a, -1) for t in g.terms]
-            for g in layout.groups]
+    mats = _matrices(buf, layout)
     for lo, hi, E in _chunks(U, layout):
-        for b in layout.const:
-            out[b] += y[lo:hi].sum()
+        out[layout.const] += y[lo:hi].sum()
         yc = y[lo:hi].astype(U.dtype, copy=False)
+        conj_y = yc.conj()
         for g, Gs in zip(layout.groups, mats):
-            W = yc[None, :] if g.rows_rest else np.stack((yc, yc.conj()))
-            for r in g.rows_rest_adj:
+            W = conj_y[None, :] if g.rows_rest else np.stack((conj_y, yc))
+            for r in g.rows_rest:
                 W = W * E[r]
             for t, G in zip(g.terms, Gs):
-                G += E[t.rows_a_adj] @ W.T
-    for g, Gs in zip(layout.groups, mats):
-        if not g.rows_rest:
-            for G in Gs:
-                np.conjugate(G[:, 1], out=G[:, 1])
-    out[layout.coef] = buf[layout.adj]
+                G += E[t.rows_a] @ W.T
+    _conjugate_order_1(layout, mats)
+    out[layout.coef] = buf[layout.pos].conj()
     return out
 
 

@@ -15,6 +15,7 @@ import argparse
 import json
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -230,6 +231,8 @@ def cmd_lattice(args) -> int:
     t0 = time.time()
     _number(args.seed, "--seed", 0, integer=True)
     idx = _load_doc(args.index_set, "--index-set", GroupedIndexSet.from_json_dict)
+    if len(idx) == 0:
+        raise ConfigError(f"--index-set {args.index_set}: empty frequency set")
     lat = cbc_construct(idx, seed=args.seed)
     out = _Output(args.out, "lattice", t0)
     save_lattice(out.path("lattice.json"), lat, idx.digest())
@@ -259,6 +262,9 @@ def cmd_bound(args) -> int:
     lines = ["param;value;bound"]
     if args.sweep:
         lo, hi, num = args.sweep
+        if not (num >= 1 and num.is_integer()):
+            raise ConfigError(f"--sweep {lo:g} {hi:g} {num:g}: NUM must be an "
+                              "integer >= 1")
         try:
             grid = np.linspace(lo, hi, int(num))
             values = bound_curve(p, args.ds, args.sweep_param, grid, args.kind)
@@ -287,21 +293,26 @@ def cmd_bound(args) -> int:
 def cmd_eval(args) -> int:
     t0 = time.time()
     model = _load_doc(args.model, "--model", ApproxModel.from_json_dict)
-    if not (args.x or args.points):
+    if args.x is None and args.points is None:
         raise ConfigError("eval needs --x or --points")
-    flag = f"--x {args.x}" if args.x else f"--points {args.points}"
+    flag = f"--x {args.x}" if args.x is not None else f"--points {args.points}"
     try:
-        if args.x:
+        if args.x is not None:
             pts = np.asarray([[float(t) for t in args.x.split(",")]])
         else:
-            pts = np.loadtxt(args.points, delimiter=";", ndmin=2)
+            with warnings.catch_warnings():
+                # an empty file is refused below, without numpy's warning
+                warnings.filterwarnings("ignore", ".*input contained no data")
+                pts = np.loadtxt(args.points, delimiter=";", ndmin=2)
     except (OSError, ValueError) as exc:
         raise ConfigError(f"{flag}: {exc}")
+    if pts.size == 0:
+        raise ConfigError(f"{flag}: the file holds no points")
     vals = model.evaluate(_check_table(pts, flag, model.index_set.d, "coordinates"))
     out = _Output(args.out, "eval", t0)
     out.text("evaluations.csv", "index;re;im\n" + "".join(
         f"{i};{float(v.real)!r};{float(v.imag)!r}\n" for i, v in enumerate(vals)))
-    if args.x:
+    if args.x is not None:
         print(f"value = {float(vals[0].real)!r} + {float(vals[0].imag)!r}i")
     out.manifest({"model": args.model}, None)
     return 0

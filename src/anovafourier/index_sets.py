@@ -262,8 +262,11 @@ class GroupedIndexSet:
 
     @staticmethod
     def from_json_dict(doc) -> "GroupedIndexSet":
+        d = doc["d"]
+        if not isinstance(d, int) or isinstance(d, bool) or d < 1:
+            raise ValueError(f"d must be an integer >= 1, got {d!r}")
         blocks = tuple(LowDimIndexSet(tuple(b["u"]), b["freqs"]) for b in doc["blocks"])
-        return GroupedIndexSet(int(doc["d"]), blocks)
+        return GroupedIndexSet(d, blocks)
 
     def digest(self) -> str:
         """SHA-256 of d and, per block, its term, the shape of its

@@ -10,9 +10,12 @@ LSQR runs on top of this operator contract; for reconstructing-lattice
 nodes the Moore-Penrose solve collapses to one adjoint multiplication and is
 handled by :func:`lattice_solve`.
 
-Replacing the contraction by a fast transform (a grouped NFFT) only
-requires another object with the same ``forward``/``adjoint``/``shape``/
-``dtype`` surface (``dtype`` names the precision of the products).
+Replacing the contraction by a fast transform (a grouped NFFT) requires
+another object with the surface that :func:`lsqr` uses: ``forward``,
+``adjoint``, ``shape``, ``dtype`` (the precision of the products, which the
+report records), ``index_set`` (the solution's ``CoefficientMap`` is built
+on it) and ``helped()``, a context manager that LSQR's iterations run in
+and that may do nothing.
 """
 
 from __future__ import annotations

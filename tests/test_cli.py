@@ -567,6 +567,11 @@ _BAD_FILES = {
         {"u": [], "freqs": [[1, 2], [3, 4]]}, {"u": [1], "freqs": [[1]]}]}),
     "TERM_NOT_INTEGER": json.dumps({"d": 2, "blocks": [{"u": [], "freqs": [[]]},
                                                        {"u": [True], "freqs": [[1]]}]}),
+    "EMPTY_POINTS": "",
+    "D_FRACTION": json.dumps({"d": 2.7, "blocks": [{"u": [], "freqs": [[]]}]}),
+    "D_BOOL": json.dumps({"d": True, "blocks": [{"u": [], "freqs": [[]]}]}),
+    "D_ZERO": json.dumps({"d": 0, "blocks": [{"u": [], "freqs": [[]]}]}),
+    "EMPTY_BLOCKS": json.dumps({"d": 2, "blocks": []}),
 }
 
 
@@ -575,8 +580,9 @@ def input_files(tmp_path, model_file):
     """A good model and index set and the bad input files, by placeholder."""
     files = {"MODEL": model_file}
     doc = json.loads(Path(model_file).read_text())
-    relabelled, short, non_finite = (copy.deepcopy(doc) for _ in range(3))
+    relabelled, short, non_finite, fraction = (copy.deepcopy(doc) for _ in range(4))
     relabelled["coefficients"]["blocks"][1]["u"] = [7]
+    fraction["index_set"]["d"] = 3.5
     short["coefficients"]["blocks"][1]["data"] = \
         doc["coefficients"]["blocks"][1]["data"][:-32]
     non_finite["coefficients"]["blocks"][1]["data"] = \
@@ -586,7 +592,8 @@ def input_files(tmp_path, model_file):
              "INDEX_SET": json.dumps(index_set),
              "RELABELLED_MODEL": json.dumps(relabelled),
              "SHORT_MODEL": json.dumps(short),
-             "NON_FINITE_MODEL": json.dumps(non_finite)}
+             "NON_FINITE_MODEL": json.dumps(non_finite),
+             "D_FRACTION_MODEL": json.dumps(fraction)}
     for name, text in texts.items():
         path = tmp_path / f"{name.lower()}.txt"
         path.write_text(text)
@@ -642,6 +649,22 @@ def input_files(tmp_path, model_file):
      "coefficient block of term (1,): non-finite value"),
     (["lattice", "--index-set", "TERM_NOT_INTEGER"],
      "term (True,) has a coordinate that is not an integer"),
+    (["eval", "--model", "MODEL", "--x", ""], "--x : could not convert"),
+    (["eval", "--model", "MODEL", "--points", "EMPTY_POINTS"], "holds no points"),
+    (["bound", "--alpha", "0", "--beta", "1", "--ds", "2", "--sweep", "0", "1", "0"],
+     "--sweep 0 1 0: NUM must be an integer >= 1"),
+    (["bound", "--alpha", "0", "--beta", "1", "--ds", "2", "--sweep", "0", "1", "2.5"],
+     "--sweep 0 1 2.5: NUM must be an integer >= 1"),
+    (["bound", "--alpha", "0", "--beta", "1", "--ds", "2", "--sweep", "0", "1", "nan"],
+     "--sweep 0 1 nan: NUM must be an integer >= 1"),
+    (["bound", "--alpha", "0", "--beta", "1", "--ds", "2", "--sweep", "0", "1", "-1"],
+     "--sweep 0 1 -1: NUM must be an integer >= 1"),
+    (["lattice", "--index-set", "D_FRACTION"], "d must be an integer >= 1, got 2.7"),
+    (["lattice", "--index-set", "D_BOOL"], "d must be an integer >= 1, got True"),
+    (["lattice", "--index-set", "D_ZERO"], "d must be an integer >= 1, got 0"),
+    (["eval", "--model", "D_FRACTION_MODEL", "--x", "0,0,0"],
+     "d must be an integer >= 1, got 3.5"),
+    (["lattice", "--index-set", "EMPTY_BLOCKS"], "empty frequency set"),
 ])
 def test_bad_arguments_exit_2(tmp_path, capsys, input_files, argv, key):
     """Exit 2 with the fault and its flag on stderr, a bad file named after

@@ -1,6 +1,6 @@
 """Every module-level import and definition of the package modules is
-used, and the package imports nothing but numpy, the standard library and
-itself.
+used, every field of its dataclasses and NamedTuples is read, and the
+package imports nothing but numpy, the standard library and itself.
 
 ``__init__.py`` is left out of the first two checks: its imports are the
 package's exports, and an export alone does not keep a definition.
@@ -79,6 +79,33 @@ def unread_definitions(sources: dict) -> list:
         unread = found
 
 
+def _is_record(node) -> bool:
+    """Whether a class statement declares a dataclass or a NamedTuple."""
+    marks = [d.func if isinstance(d, ast.Call) else d for d in node.decorator_list]
+    return any(getattr(m, "id", getattr(m, "attr", None)) == "dataclass" for m in marks) \
+        or any(getattr(b, "id", getattr(b, "attr", None)) == "NamedTuple"
+               for b in node.bases)
+
+
+def unread_fields(sources: dict) -> list:
+    """``module.Class.field`` of each field of a dataclass or NamedTuple
+    that no line of the sources reads as an attribute.
+
+    ``sources`` maps module names to source text.  A field is an annotated
+    name in the class body; a read is ``x.field`` in a load, on any object,
+    so a field that shares its name with a read attribute counts as read.
+    """
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    read = {n.attr for tree in trees.values() for n in ast.walk(tree)
+            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+    return [f"{module}.{cls.name}.{stmt.target.id}"
+            for module, tree in trees.items() for cls in ast.walk(tree)
+            if isinstance(cls, ast.ClassDef) and _is_record(cls)
+            for stmt in cls.body
+            if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+            and stmt.target.id not in read]
+
+
 def foreign_imports(source: str) -> list:
     """Modules imported anywhere in the source, at module level or inside a
     function, that are neither numpy, the standard library nor the package.
@@ -117,6 +144,17 @@ def test_detects_an_unread_definition():
     assert unread_definitions(sources) == ["a.C", "a.X", "a.f", "a.g", "b.k"]
 
 
+def test_detects_an_unread_field():
+    sources = {"a": "from dataclasses import dataclass\nfrom typing import NamedTuple\n"
+                    "@dataclass(frozen=True)\nclass P:\n    x: int\n    y: int\n"
+                    "class T(NamedTuple):\n    s: slice\n    k: int = 0\n"
+                    "class Plain:\n    z: int\n",
+               "b": "from .a import P, T\ndef f(p: P, t: T):\n    p.y = 1\n"
+                    "    return p.x + t.k\n"}
+    # P.y is only written and T.s never touched; Plain is not a record
+    assert unread_fields(sources) == ["a.P.y", "a.T.s"]
+
+
 def test_code_line_count_skips_blanks_comments_and_docstrings():
     from code_lines import code_lines
     source = ('"""Module docstring,\non two lines."""\n\n'
@@ -134,6 +172,11 @@ def test_code_line_count_skips_blanks_comments_and_docstrings():
 def test_every_definition_is_read_in_the_package():
     sources = {p.stem: p.read_text() for p in MODULES}
     assert [q for q in unread_definitions(sources) if q not in UNREAD_KEPT] == []
+
+
+def test_every_record_field_is_read_in_the_package():
+    sources = {p.stem: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    assert unread_fields(sources) == []
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
